@@ -4,9 +4,6 @@ from .afpm import (
     Afpm,
     KernelBiasGenerator,
     PatchGrid,
-    afpm_forward,
-    afpm_pooling_variant,
-    kbg_forward,
     make_patch_grid,
 )
 from .arch import (
@@ -15,7 +12,6 @@ from .arch import (
     build_frenet,
     frenet_config,
     frenet_plus_config,
-    network_forward,
     tiny_config,
 )
 from .gradcheck import GradCheckReport, grad_check

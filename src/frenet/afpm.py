@@ -101,11 +101,6 @@ class KernelBiasGenerator:
         return add(matmul(hidden, transpose2d(self.w2)), self.b2)
 
 
-def kbg_forward(kbg: KernelBiasGenerator, distance: float) -> Tensor:
-    """Single-distance evaluation: w2 . gelu(w1 * d + b1) + b2 as a flat vector."""
-    return reshape(kbg(np.array([distance])), (kbg.out_dim,))
-
-
 def _check_tiling(x: Tensor, grid: PatchGrid) -> None:
     _, h, w = x.shape
     if grid.height != h or grid.width != w:
@@ -224,16 +219,3 @@ class Afpm:
         uniform = Tensor(np.full((mn, plen), 1.0 / plen, dtype=x.dtype))
         aggregated = patch_weighted_sum(x, uniform, grid)
         return patch_scale(x, self._project(aggregated), grid)
-
-
-def afpm_forward(x: Tensor, module: Afpm, grid: PatchGrid | None = None) -> Tensor:
-    """Functional entry point; ``grid`` defaults to the module's own geometry."""
-    if grid is not None:
-        _check_tiling(x, grid)
-    return module(x)
-
-
-def afpm_pooling_variant(x: Tensor, module: Afpm, grid: PatchGrid | None = None) -> Tensor:
-    if grid is not None:
-        _check_tiling(x, grid)
-    return module.pooling_variant(x)

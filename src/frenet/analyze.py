@@ -88,7 +88,7 @@ def count_params_macs(cfg: NetworkConfig, input_size: int | None = None) -> Effi
     for i in range(1, cfg.scales + 1):
         ch = width << i
         size = base >> i
-        stage_macs = _conv_macs(ch, ch // 2, 2, size * size)  # downsample
+        stage_macs = _conv_macs(ch, ch // 2, 2, size * size)  # Down conv
         for _ in range(cfg.enc_blocks[i - 1]):
             bm, bf = _block_macs(cfg, ch, size)
             stage_macs += bm
@@ -114,8 +114,8 @@ def count_params_macs(cfg: NetworkConfig, input_size: int | None = None) -> Effi
             bm, bf = _block_macs(cfg, ch, size)
             stage_macs += bm
             fft_flops += bf
-        stage_macs += _conv_macs(ch, ch, 1, size * size)  # upsample conv1
-        stage_macs += _conv_macs(ch // 2, ch // 4, 1, 4 * size * size)  # upsample conv2
+        stage_macs += _conv_macs(ch, ch, 1, size * size)  # Up conv1
+        stage_macs += _conv_macs(ch // 2, ch // 4, 1, 4 * size * size)  # Up conv2
         sections[f"dec{i}"] = stage_macs
         macs += stage_macs
 

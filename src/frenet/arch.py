@@ -1,11 +1,12 @@
 """FrE-Blocks and the full U-shaped network with dual skip connections.
 
 Each scale halves the spatial size and doubles the channel count. Encoder
-layers downsample first and then run their blocks; decoder layers add the
+layers halve the map first and then run their blocks; decoder layers add the
 spatial skip, run their blocks (each receiving the stored encoder spectrum of
-the same scale when frequency skips are enabled), then upsample. The spectrum
-captured for the frequency skip is the block's processed complex output in the
-centered frame, taken before un-shifting.
+the same scale when frequency skips are enabled), then double the map. The
+spectrum kept for the frequency skip is the block's processed output in the
+centered frame as packed channels (real planes over imaginary planes), taken
+before unpacking and un-shifting.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 
 from .afpm import Afpm, PatchGrid, make_patch_grid
 from .spectral import (
-    ComplexTensor,
     channels_to_complex,
     complex_to_channels,
     fft2d,
@@ -201,17 +201,15 @@ class Sca:
         return mul(self.proj(global_avg_pool(x)), x)
 
 
-def sca_forward(x: Tensor, module: Sca) -> Tensor:
-    return module(x)
-
-
 class Facm:
     """Frequency adaptive context module.
 
-    Pipeline: FFT -> shift -> (+ frequency skip) -> pack re/im as channels ->
+    Pipeline: FFT -> shift -> pack re/im as channels -> (+ frequency skip) ->
     layer norm -> 1x1 expand -> 3x3 depthwise -> SimpleGate -> local (AFPM) and
     global (SCA) branches -> fuse -> 1x1 -> unpack -> unshift -> IFFT, with a
-    residual connection around the whole module.
+    residual connection around the whole module. Returns the output and the
+    packed centered spectrum fed to the unpack step, which a decoder block of
+    the same scale takes as its frequency skip.
     """
 
     def __init__(self, prefix: str, rng: np.random.Generator, channels: int,
@@ -243,17 +241,16 @@ class Facm:
             yield from self.sca.params()
         yield from self.conv_out.params()
 
-    def __call__(self, f_in: Tensor, freq_skip: ComplexTensor | None = None,
-                 capture: bool = False) -> tuple[Tensor, ComplexTensor | None]:
-        spectrum = fft_shift(fft2d(f_in))
+    def __call__(self, f_in: Tensor, freq_skip: Tensor | None = None) -> tuple[Tensor, Tensor]:
+        spectrum = complex_to_channels(fft_shift(fft2d(f_in)))
         if freq_skip is not None:
             if freq_skip.shape != spectrum.shape:
                 raise ConfigurationError(
                     f"frequency skip shape {tuple(freq_skip.shape)} does not match "
                     f"spectrum {tuple(spectrum.shape)}"
                 )
-            spectrum = spectrum + freq_skip
-        f_norm = self.norm(complex_to_channels(spectrum))
+            spectrum = add(spectrum, freq_skip)
+        f_norm = self.norm(spectrum)
         f_processed = simple_gate(self.dw(self.conv_in(f_norm)))
         branches = []
         if self.afpm is not None:
@@ -262,14 +259,8 @@ class Facm:
             branches.append(self.sca(f_processed))
         f_fused = branches[0] if len(branches) == 1 else add(branches[0], branches[1])
         f_final = self.conv_out(f_fused)
-        out_spectrum = channels_to_complex(f_final)
-        captured = out_spectrum if capture else None
-        f_out = add(f_in, ifft2d(fft_shift(out_spectrum, inverse=True)))
-        return f_out, captured
-
-
-def facm_forward(f_in, module: Facm, freq_skip=None, capture=False):
-    return module(f_in, freq_skip, capture)
+        f_out = add(f_in, ifft2d(fft_shift(channels_to_complex(f_final), inverse=True)))
+        return f_out, f_final
 
 
 class Ffn:
@@ -293,10 +284,6 @@ class Ffn:
         return add(f_in, self.proj(mul(gated, value)))
 
 
-def ffn_forward(f_in, module: Ffn):
-    return module(f_in)
-
-
 class FreBlock:
     def __init__(self, name: str, rng: np.random.Generator, channels: int,
                  cfg: NetworkConfig, grid: PatchGrid):
@@ -308,13 +295,9 @@ class FreBlock:
         yield from self.facm.params()
         yield from self.ffn.params()
 
-    def __call__(self, f_in, freq_skip=None, capture=False):
-        f_mid, captured = self.facm(f_in, freq_skip, capture)
-        return self.ffn(f_mid), captured
-
-
-def fre_block_forward(f_in, block: FreBlock, freq_skip=None, capture=False):
-    return block(f_in, freq_skip, capture)
+    def __call__(self, f_in, freq_skip=None):
+        f_mid, spectrum = self.facm(f_in, freq_skip)
+        return self.ffn(f_mid), spectrum
 
 
 class Down:
@@ -329,12 +312,8 @@ class Down:
     def __call__(self, x: Tensor) -> Tensor:
         _, h, w = x.shape
         if h % 2 or w % 2:
-            raise ConfigurationError(f"downsample needs even spatial dims, got {h}x{w}")
+            raise ConfigurationError(f"downsampling needs even spatial dims, got {h}x{w}")
         return self.conv(x)
-
-
-def downsample(x, module: Down):
-    return module(x)
 
 
 class Up:
@@ -343,7 +322,7 @@ class Up:
     def __init__(self, prefix: str, rng: np.random.Generator, in_channels: int):
         if in_channels % 4:
             raise ConfigurationError(
-                f"upsample needs channels divisible by 4 after the first conv, got {in_channels}"
+                f"upsampling needs channels divisible by 4 after the first conv, got {in_channels}"
             )
         self.conv1 = Conv(f"{prefix}.conv1", rng, ConvSpec(in_channels, in_channels, 1, 1))
         self.conv2 = Conv(f"{prefix}.conv2", rng, ConvSpec(in_channels // 4, in_channels // 2, 1, 1))
@@ -354,10 +333,6 @@ class Up:
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.conv2(depth_to_space(self.conv1(x), 2))
-
-
-def upsample(x, module: Up):
-    return module(x)
 
 
 @dataclass
@@ -464,29 +439,22 @@ class FrENet:
         taps = set(spectrum_taps)
         if taps and trace is None:
             raise ConfigurationError("spectrum_taps requires a trace dict to fill")
-        capture_set = (
-            {id(stage.blocks[-1]) for stage in self.enc_stages} if cfg.use_freq_skip else set()
-        )
 
         def run_block(blk, f, skip):
-            want = blk.name in taps
-            f, spectrum = blk(f, skip, capture=want or id(blk) in capture_set)
-            if want:
-                trace[f"{blk.name}.spectrum"] = spectrum.detach()
+            f, spectrum = blk(f, skip)
+            if blk.name in taps:
+                trace[f"{blk.name}.spectrum"] = np.array(spectrum.data)
             return f, spectrum
 
         f = self.intro(y)
-        store: list[ComplexTensor | None] = []
+        store: list[Tensor] = []
         enc_feats: list[Tensor] = []
         for i, stage in enumerate(self.enc_stages, start=1):
             f = stage.down(f)
-            kept = None
             for blk in stage.blocks:
                 f, spectrum = run_block(blk, f, None)
-                if id(blk) in capture_set:
-                    kept = spectrum
             assert f.shape == (cfg.width << i, cfg.base_size >> i, cfg.base_size >> i)
-            store.append(kept)
+            store.append(spectrum)
             enc_feats.append(f)
             if trace is not None:
                 trace[f"enc{i}"] = np.array(f.data)
@@ -513,7 +481,3 @@ class FrENet:
 def build_frenet(cfg: NetworkConfig, seed: int = 0) -> FrENet:
     """Construct the network; raises ConfigurationError listing every violation."""
     return FrENet(cfg, seed=seed)
-
-
-def network_forward(net: FrENet, y: Tensor) -> Tensor:
-    return net.forward(y)

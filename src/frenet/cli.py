@@ -14,7 +14,15 @@ import numpy as np
 
 from .analyze import count_params_macs, format_efficiency_report
 from .arch import build_frenet
-from .fileio import read_ften, read_pgm16, restore_network, write_ften, write_pgm16
+from .fileio import (
+    read_ften,
+    read_pgm16,
+    read_ppm8,
+    restore_network,
+    write_ften,
+    write_pgm16,
+    write_ppm8,
+)
 from .rawdata import (
     PreprocessSpec,
     bayer_pack,
@@ -102,52 +110,42 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_infer(args) -> int:
+    """Tile, restore and blend one image.
+
+    RAW checkpoints read PGM or .ften and pack each 2x2 Bayer cell into one
+    network pixel; 3-channel checkpoints read and write PPM unpacked. Window
+    and overlap are given in image pixels, so on RAW both must be even.
+    """
     net, preprocess, _, _ = restore_network(args.checkpoint)
-    if net.cfg.in_channels == 3:
-        return _infer_rgb(args, net)
-    image = _read_raw_image(args.input, preprocess)
+    rgb = net.cfg.in_channels == 3
+    cell = 1 if rgb else 2  # image pixels per network pixel along each axis
+    if rgb:
+        if Path(args.input).suffix.lower() != ".ppm":
+            raise ConfigurationError("3-channel checkpoints take .ppm input")
+        image = Tensor(read_ppm8(args.input))
+    else:
+        image = _read_raw_image(args.input, preprocess)
     _, h, w = image.shape
-    if h % 2 or w % 2:
+    if h % cell or w % cell:
         raise ConfigurationError(f"RAW input dims must be even for packing, got {h}x{w}")
-    window_raw = args.window if args.window is not None else net.cfg.base_size * 2
-    if window_raw != net.cfg.base_size * 2:
+    window = args.window if args.window is not None else net.cfg.base_size * cell
+    if window != net.cfg.base_size * cell:
         raise ConfigurationError(
-            f"this checkpoint was built for {net.cfg.base_size * 2}-pixel RAW windows, "
-            f"got --window {window_raw}"
-        )
-    if window_raw > h or window_raw > w:
-        raise ConfigurationError(f"window {window_raw} exceeds image {h}x{w}")
-    overlap_raw = args.overlap if args.overlap is not None else window_raw // 2
-    if overlap_raw % 2 or not 0 <= overlap_raw < window_raw:
-        raise ConfigurationError(f"overlap must be even and in [0, window), got {overlap_raw}")
-    packed = bayer_pack(image)
-    restored = sliding_window_infer(net, packed, window_raw // 2, overlap_raw // 2)
-    out = bayer_unpack(Tensor(np.clip(restored.data, 0.0, 1.0)))
-    _write_raw_image(args.output, out, preprocess)
-    print(f"wrote {args.output}")
-    return 0
-
-
-def _infer_rgb(args, net) -> int:
-    """3-channel (sRGB-mode) path: PPM in, PPM out, no Bayer packing."""
-    from .fileio import read_ppm8, write_ppm8
-
-    if Path(args.input).suffix.lower() != ".ppm":
-        raise ConfigurationError("3-channel checkpoints take .ppm input")
-    image = Tensor(read_ppm8(args.input))
-    _, h, w = image.shape
-    window = args.window if args.window is not None else net.cfg.base_size
-    if window != net.cfg.base_size:
-        raise ConfigurationError(
-            f"this checkpoint was built for {net.cfg.base_size}-pixel windows, got --window {window}"
+            f"this checkpoint was built for {net.cfg.base_size * cell}-pixel windows, "
+            f"got --window {window}"
         )
     if window > h or window > w:
         raise ConfigurationError(f"window {window} exceeds image {h}x{w}")
     overlap = args.overlap if args.overlap is not None else window // 2
-    if not 0 <= overlap < window:
-        raise ConfigurationError(f"overlap must be in [0, window), got {overlap}")
-    restored = sliding_window_infer(net, image, window, overlap)
-    write_ppm8(args.output, np.clip(restored.data, 0.0, 1.0))
+    if overlap % cell or not 0 <= overlap < window:
+        raise ConfigurationError(f"overlap must be a multiple of {cell} in [0, window), got {overlap}")
+    packed = image if rgb else bayer_pack(image)
+    restored = sliding_window_infer(net, packed, window // cell, overlap // cell)
+    out = np.clip(restored.data, 0.0, 1.0)
+    if rgb:
+        write_ppm8(args.output, out)
+    else:
+        _write_raw_image(args.output, bayer_unpack(Tensor(out)), preprocess)
     print(f"wrote {args.output}")
     return 0
 
@@ -178,11 +176,12 @@ def _cmd_dump_spectrum(args) -> int:
         )
     trace: dict = {}
     net.forward(packed, trace=trace, spectrum_taps={args.block})
-    spectrum = trace[f"{args.block}.spectrum"]
+    spectrum = trace[f"{args.block}.spectrum"]  # real planes over imaginary planes
+    half = spectrum.shape[0] // 2
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_ften(out_dir / f"{args.block}.re.ften", spectrum.re.data)
-    write_ften(out_dir / f"{args.block}.im.ften", spectrum.im.data)
+    write_ften(out_dir / f"{args.block}.re.ften", spectrum[:half])
+    write_ften(out_dir / f"{args.block}.im.ften", spectrum[half:])
     print(f"wrote {out_dir / args.block}.{{re,im}}.ften")
     return 0
 
@@ -238,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=["spectral", "afpm", "grad", "all"], default="all")
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("dump-spectrum", help="dump one block's captured spectrum as .ften")
+    p = sub.add_parser("dump-spectrum", help="dump one block's output spectrum as .ften")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--block", required=True)

@@ -16,6 +16,7 @@ samples); 3-channel images as 8-bit binary PPM ("P6").
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from pathlib import Path
 
@@ -37,16 +38,32 @@ def write_ften(path: str | Path, array: np.ndarray) -> None:
         fh.write(arr.tobytes())
 
 
+def _need(blob: bytes, offset: int, size: int, path) -> None:
+    """Name the file and the offset when fewer than ``size`` bytes remain."""
+    if offset + size > len(blob):
+        raise ConfigurationError(
+            f"{path}: truncated at byte {offset} (need {size} bytes, {len(blob) - offset} left)"
+        )
+
+
+def _unpack(fmt: str, blob: bytes, offset: int, path) -> tuple:
+    _need(blob, offset, struct.calcsize(fmt), path)
+    return struct.unpack_from(fmt, blob, offset)
+
+
+def _read_dims(blob: bytes, offset: int, path) -> tuple[tuple[int, ...], int]:
+    """u32 rank then u32 dims; returns the dims and the offset past them."""
+    (rank,) = _unpack("<I", blob, offset, path)
+    dims = _unpack(f"<{rank}I", blob, offset + 4, path)
+    return dims, offset + 4 + 4 * rank
+
+
 def read_ften(path: str | Path) -> np.ndarray:
     blob = Path(path).read_bytes()
     if not blob.startswith(FTEN_MAGIC):
         raise ConfigurationError(f"{path}: not a .ften file (bad magic)")
-    offset = len(FTEN_MAGIC)
-    (rank,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    dims = struct.unpack_from(f"<{rank}I", blob, offset)
-    offset += 4 * rank
-    count = int(np.prod(dims)) if rank else 1
+    dims, offset = _read_dims(blob, len(FTEN_MAGIC), path)
+    count = math.prod(dims)
     expected = offset + 4 * count
     if len(blob) != expected:
         raise ConfigurationError(f"{path}: payload size {len(blob) - offset} != {4 * count}")
@@ -64,16 +81,17 @@ def _write_record(fh, name: str, array: np.ndarray) -> None:
     fh.write(arr.tobytes())
 
 
-def _read_record(blob: bytes, offset: int) -> tuple[str, np.ndarray, int]:
-    (name_len,) = struct.unpack_from("<I", blob, offset)
+def _read_record(blob: bytes, offset: int, path) -> tuple[str, np.ndarray, int]:
+    (name_len,) = _unpack("<I", blob, offset, path)
     offset += 4
-    name = blob[offset : offset + name_len].decode("utf-8")
-    offset += name_len
-    (rank,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    dims = struct.unpack_from(f"<{rank}I", blob, offset)
-    offset += 4 * rank
-    count = int(np.prod(dims)) if rank else 1
+    (raw_name,) = _unpack(f"<{name_len}s", blob, offset, path)
+    try:
+        name = raw_name.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ConfigurationError(f"{path}: record name at byte {offset} is not UTF-8") from None
+    dims, offset = _read_dims(blob, offset + name_len, path)
+    count = math.prod(dims)
+    _need(blob, offset, 4 * count, path)
     data = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(dims)
     offset += 4 * count
     return name, data.astype(np.float32), offset
@@ -122,29 +140,27 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if not blob.startswith(CKPT_MAGIC):
         raise ConfigurationError(f"{path}: not a .fckpt file (bad magic)")
     offset = len(CKPT_MAGIC)
-    (param_count,) = struct.unpack_from("<I", blob, offset)
+    (param_count,) = _unpack("<I", blob, offset, path)
     offset += 4
     params: dict[str, np.ndarray] = {}
     for _ in range(param_count):
-        name, data, offset = _read_record(blob, offset)
+        name, data, offset = _read_record(blob, offset, path)
         params[name] = data
-    (moment_count,) = struct.unpack_from("<I", blob, offset)
+    (moment_count,) = _unpack("<I", blob, offset, path)
     offset += 4
     adam_m: dict[str, np.ndarray] = {}
     adam_v: dict[str, np.ndarray] = {}
     for _ in range(moment_count):
-        name, data, offset = _read_record(blob, offset)
+        name, data, offset = _read_record(blob, offset, path)
         if name.startswith("adam.m."):
             adam_m[name[len("adam.m.") :]] = data
         elif name.startswith("adam.v."):
             adam_v[name[len("adam.v.") :]] = data
         else:
             raise ConfigurationError(f"{path}: unexpected moment record {name!r}")
-    step, config_len = struct.unpack_from("<II", blob, offset)
+    step, config_len = _unpack("<II", blob, offset, path)
     offset += 8
-    encoded = blob[offset : offset + config_len]
-    offset += config_len
-    digest = blob[offset : offset + 32]
+    encoded, digest = _unpack(f"<{config_len}s32s", blob, offset, path)
     if hashlib.sha256(encoded).digest() != digest:
         raise ConfigurationError(f"{path}: config digest mismatch (corrupt checkpoint)")
     return Checkpoint(params, adam_m, adam_v, step, encoded.decode("utf-8"))
@@ -195,9 +211,15 @@ def write_pgm16(path: str | Path, plane: np.ndarray) -> None:
         fh.write(counts.tobytes())
 
 
-def _read_pnm_header(blob: bytes, magic: bytes):
+def _read_pnm(path, magic: bytes, channels: int) -> tuple[np.ndarray, int]:
+    """Read a binary PNM file; returns its CxHxW samples and maxval.
+
+    Raises ConfigurationError naming the file when the header is malformed or
+    the payload is shorter than width x height x channels samples.
+    """
+    blob = Path(path).read_bytes()
     if not blob.startswith(magic):
-        raise ConfigurationError(f"expected {magic.decode()} header")
+        raise ConfigurationError(f"{path}: expected {magic.decode()} header")
     fields: list[int] = []
     pos = 2
     while len(fields) < 3:
@@ -210,18 +232,28 @@ def _read_pnm_header(blob: bytes, magic: bytes):
         start = pos
         while pos < len(blob) and not blob[pos : pos + 1].isspace():
             pos += 1
-        fields.append(int(blob[start:pos]))
-    return fields[0], fields[1], fields[2], pos + 1
+        token = blob[start:pos]
+        if not token.isdigit():
+            raise ConfigurationError(f"{path}: malformed header field {token!r} at byte {start}")
+        fields.append(int(token))
+    width, height, maxval = fields
+    if width < 1 or height < 1 or not 1 <= maxval <= 65535:
+        raise ConfigurationError(f"{path}: malformed header {width}x{height} maxval {maxval}")
+    dtype = np.dtype(np.uint8 if maxval <= 255 else ">u2")
+    count = width * height * channels
+    offset = pos + 1
+    if len(blob) - offset < count * dtype.itemsize:
+        raise ConfigurationError(
+            f"{path}: payload has {max(len(blob) - offset, 0)} bytes, "
+            f"header needs {count * dtype.itemsize}"
+        )
+    data = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
+    return data.reshape(height, width, channels).transpose(2, 0, 1), maxval
 
 
 def read_pgm16(path: str | Path) -> np.ndarray:
-    blob = Path(path).read_bytes()
-    width, height, maxval, offset = _read_pnm_header(blob, b"P5")
-    if maxval <= 255:
-        data = np.frombuffer(blob, dtype=np.uint8, count=width * height, offset=offset)
-    else:
-        data = np.frombuffer(blob, dtype=">u2", count=width * height, offset=offset)
-    return data.reshape(1, height, width).astype(np.float32)
+    data, _ = _read_pnm(path, b"P5", 1)
+    return data.astype(np.float32)
 
 
 def write_ppm8(path: str | Path, rgb: np.ndarray) -> None:
@@ -236,7 +268,5 @@ def write_ppm8(path: str | Path, rgb: np.ndarray) -> None:
 
 
 def read_ppm8(path: str | Path) -> np.ndarray:
-    blob = Path(path).read_bytes()
-    width, height, maxval, offset = _read_pnm_header(blob, b"P6")
-    data = np.frombuffer(blob, dtype=np.uint8, count=width * height * 3, offset=offset)
-    return (data.reshape(height, width, 3).transpose(2, 0, 1) / maxval).astype(np.float32)
+    data, maxval = _read_pnm(path, b"P6", 3)
+    return (data / maxval).astype(np.float32)

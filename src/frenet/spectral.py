@@ -45,14 +45,8 @@ class ComplexTensor:
     def shape(self) -> tuple[int, ...]:
         return self.re.shape
 
-    def __add__(self, other: "ComplexTensor") -> "ComplexTensor":
-        return ComplexTensor(add(self.re, other.re), add(self.im, other.im))
-
     def to_complex(self) -> np.ndarray:
         return self.re.data + 1j * self.im.data
-
-    def detach(self) -> "ComplexTensor":
-        return ComplexTensor(self.re.detach(), self.im.detach())
 
 
 def _check_pow2(h: int, w: int, op: str) -> None:

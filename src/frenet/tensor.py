@@ -63,9 +63,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype})"
 

@@ -9,7 +9,6 @@ the learning rate follows cosine annealing per epoch.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -224,18 +223,6 @@ def train(
     )
 
 
-def worker_count() -> int:
-    """Worker cap from FRENET_THREADS (0 or unset-invalid = auto, default 1)."""
-    raw = os.environ.get("FRENET_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(n, 1)
-
-
 def _tile_positions(extent: int, window: int, stride: int) -> list[int]:
     positions = list(range(0, extent - window + 1, stride))
     if positions[-1] != extent - window:
@@ -266,8 +253,9 @@ def sliding_window_infer(net, image: Tensor, window: int | None = None,
     """Tile the image, run the network per tile, and blend with raised-cosine weights.
 
     Accepts a network object (``forward`` method) or any per-tile callable.
-    Tiles are reduced in index order so the result is deterministic regardless
-    of FRENET_THREADS.
+    Tiles run one after another and are blended in index order, in float64.
+    A single tile comes back bit-identical to its forward output: weighting and
+    normalizing by the same positive weight is exact once rounded to float32.
     """
     forward = net.forward if hasattr(net, "forward") else net
     c, h, w = image.shape
@@ -280,35 +268,17 @@ def sliding_window_infer(net, image: Tensor, window: int | None = None,
     if not 0 <= overlap < window:
         raise ConfigurationError(f"overlap {overlap} must be in [0, window)")
 
-    positions = [
-        (y0, x0)
-        for y0 in _tile_positions(h, window, window - overlap)
-        for x0 in _tile_positions(w, window, window - overlap)
-    ]
-    if len(positions) == 1:
-        out = forward(Tensor(image.data))
-        return Tensor(np.array(out.data if isinstance(out, Tensor) else out))
-
-    def run_tile(pos):
-        y0, x0 = pos
-        tile = Tensor(np.ascontiguousarray(image.data[:, y0 : y0 + window, x0 : x0 + window]))
-        out = forward(tile)
-        return np.array(out.data if isinstance(out, Tensor) else out, dtype=np.float64)
-
-    workers = worker_count()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            tiles = list(pool.map(run_tile, positions))
-    else:
-        tiles = [run_tile(pos) for pos in positions]
-
     profile = raised_cosine_profile(window)
     weight = np.outer(profile, profile)
+    stride = window - overlap
     acc_val = np.zeros((c, h, w))
     acc_w = np.zeros((h, w))
-    for (y0, x0), tile_out in zip(positions, tiles):
-        acc_val[:, y0 : y0 + window, x0 : x0 + window] += tile_out * weight
-        acc_w[y0 : y0 + window, x0 : x0 + window] += weight
+    for y0 in _tile_positions(h, window, stride):
+        for x0 in _tile_positions(w, window, stride):
+            tile = Tensor(np.ascontiguousarray(image.data[:, y0 : y0 + window, x0 : x0 + window]))
+            out = forward(tile)
+            # Rebinding drops this tile's autodiff graph before the next forward.
+            out = np.asarray(out.data if isinstance(out, Tensor) else out, dtype=np.float64)
+            acc_val[:, y0 : y0 + window, x0 : x0 + window] += out * weight
+            acc_w[y0 : y0 + window, x0 : x0 + window] += weight
     return Tensor((acc_val / acc_w).astype(np.float32))

@@ -74,11 +74,10 @@ class TestFacm:
         facm, _ = self.make()
         rng = np.random.default_rng(4)
         x = Tensor(rng.standard_normal((4, 16, 16)).astype(np.float32))
-        out, captured = facm(x, capture=True)
+        out, spectrum = facm(x)
         assert out.shape == (4, 16, 16)
-        assert captured.shape == (4, 16, 16)
-        out2, none = facm(x, capture=False)
-        assert none is None
+        assert spectrum.shape == (8, 16, 16)  # packed: real planes over imaginary planes
+        out2, _ = facm(x)
         assert np.array_equal(out.data, out2.data)
 
     def test_degenerate_parameters_reduce_to_input_plus_fixed_field(self):
@@ -128,7 +127,8 @@ class TestFacm:
         facm, _ = self.make(channels=2, size=8)
         rng = np.random.default_rng(7)
         x = Tensor(rng.standard_normal((2, 8, 8)).astype(np.float32))
-        skip = fft_shift(fft2d(Tensor(rng.standard_normal((2, 8, 8)).astype(np.float32))))
+        other = Tensor(rng.standard_normal((2, 8, 8)).astype(np.float32))
+        skip = complex_to_channels(fft_shift(fft2d(other)))
         out_with, _ = facm(x, freq_skip=skip)
         out_without, _ = facm(x)
         assert np.abs(out_with.data - out_without.data).max() > 1e-6
@@ -137,7 +137,9 @@ class TestFacm:
         facm, _ = self.make(channels=2, size=8)
         rng = np.random.default_rng(8)
         x = Tensor(rng.standard_normal((2, 8, 8)).astype(np.float32))
-        skip = fft_shift(fft2d(Tensor(rng.standard_normal((2, 4, 4)).astype(np.float32))))
+        # right channel count, wrong spatial size
+        other = Tensor(rng.standard_normal((2, 4, 4)).astype(np.float32))
+        skip = complex_to_channels(fft_shift(fft2d(other)))
         with pytest.raises(ConfigurationError, match="skip shape"):
             facm(x, freq_skip=skip)
 
@@ -221,9 +223,9 @@ class TestFreBlock:
         rng = np.random.default_rng(13)
         blk = FreBlock("b", rng, channels=4, cfg=cfg, grid=make_patch_grid(16, 16, 8))
         x = Tensor(np.random.default_rng(14).standard_normal((4, 16, 16)).astype(np.float32))
-        out, captured = blk(x, capture=True)
+        out, spectrum = blk(x)
         assert out.shape == (4, 16, 16)
-        assert captured is not None
+        assert spectrum.shape == (8, 16, 16)
 
     def test_is_ffn_after_facm(self):
         cfg = default_cfg()
@@ -380,7 +382,7 @@ class TestNetworkForward:
         assert np.array_equal(net.forward(x).data, net.forward(x).data)
 
     def test_freq_skip_isolation(self):
-        # captures are write-only: encoder path identical with skips on or off
+        # stored spectra are write-only: encoder path identical with skips on or off
         x = Tensor(np.random.default_rng(24).uniform(0, 1, (4, 16, 16)).astype(np.float32))
         net = build_frenet(tiny_config(base_size=16), seed=2)
         trace_on, trace_off = {}, {}

@@ -201,3 +201,66 @@ def test_sliding_window_infer_on_larger_image(workdir, tmp_path):
                  "--output", str(out_img)]) == 0
     restored = read_pgm16(out_img)
     assert restored.shape == (1, 48, 48)
+
+
+def _tiny_checkpoint(tmp_path, in_channels=4):
+    """Untrained tiny base-16 checkpoint and a 48x48 input image it can tile."""
+    from frenet.arch import build_frenet, tiny_config
+    from frenet.fileio import save_checkpoint, write_ppm8
+
+    net = build_frenet(tiny_config(base_size=16, in_channels=in_channels, global_residual=True), seed=2)
+    ckpt = tmp_path / "net.fckpt"
+    save_checkpoint(ckpt, net)
+    if in_channels == 3:
+        image = tmp_path / "in.ppm"
+        write_ppm8(image, np.full((3, 48, 48), 0.5, dtype=np.float32))
+    else:
+        image = tmp_path / "in.pgm"
+        write_pgm16(image, np.full((48, 48), 1000.0))
+    return ckpt, image
+
+
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("in_channels, flags", [
+    (3, ["--window", "32"]),   # RGB windows are base_size pixels, not 2 * base_size
+    (4, ["--overlap", "15"]),  # an odd RAW overlap splits Bayer cells
+    (4, ["--overlap", "32"]),  # overlap must stay below the 32-pixel RAW window
+    (3, ["--overlap", "16"]),  # overlap must stay below the 16-pixel RGB window
+])
+def test_infer_rejects_bad_tiling(tmp_path, capsys, in_channels, flags):
+    ckpt, image = _tiny_checkpoint(tmp_path, in_channels)
+    out = tmp_path / ("out.ppm" if in_channels == 3 else "out.pgm")
+    assert main(["infer", "--checkpoint", str(ckpt), "--input", str(image),
+                 "--output", str(out), *flags]) == 1
+    _assert_one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_infer_on_short_pgm_is_runtime_error(tmp_path, capsys):
+    ckpt, _ = _tiny_checkpoint(tmp_path)
+    short = tmp_path / "short.pgm"
+    short.write_bytes(b"P5\n64 64\n65535\n" + bytes(10))
+    assert main(["infer", "--checkpoint", str(ckpt), "--input", str(short),
+                 "--output", str(tmp_path / "out.pgm")]) == 1
+    _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["dump-kernels", "infer"])
+@pytest.mark.parametrize("keep", ["half", 12])
+def test_truncated_checkpoint_is_runtime_error(tmp_path, capsys, command, keep):
+    ckpt, image = _tiny_checkpoint(tmp_path)
+    blob = ckpt.read_bytes()
+    ckpt.write_bytes(blob[: len(blob) // 2 if keep == "half" else keep])
+    if command == "infer":
+        argv = ["infer", "--checkpoint", str(ckpt), "--input", str(image),
+                "--output", str(tmp_path / "out.pgm")]
+    else:
+        argv = ["dump-kernels", "--checkpoint", str(ckpt), "--out", str(tmp_path / "k")]
+    assert main(argv) == 1
+    _assert_one_error_line(capsys)

@@ -163,3 +163,51 @@ def test_restore_rejects_mismatched_geometry(tmp_path):
             restore_network(path)
     finally:
         fio.load_checkpoint = orig
+
+
+class TestTruncation:
+    """Every prefix of a valid file either parses or raises ConfigurationError."""
+
+    def test_checkpoint_prefixes(self, tmp_path):
+        net = build_frenet(tiny_config(base_size=16), seed=0)
+        state = AdamState(step=1)
+        for name, p in net.parameters().items():
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.ones_like(p.data)
+        path = tmp_path / "net.fckpt"
+        save_checkpoint(path, net, adam=state)
+        blob = path.read_bytes()
+        cut_path = tmp_path / "cut.fckpt"
+        for cut in [*range(0, 64), *range(64, len(blob), 97), len(blob) - 1]:
+            cut_path.write_bytes(blob[:cut])
+            with pytest.raises(ConfigurationError, match="cut.fckpt"):
+                load_checkpoint(cut_path)
+
+    def test_ften_prefixes(self, tmp_path):
+        path = tmp_path / "x.ften"
+        write_ften(path, np.ones((2, 3), dtype=np.float32))
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ConfigurationError, match="x.ften"):
+                read_ften(path)
+
+    def test_pnm_prefixes(self, tmp_path):
+        for name, write, read, image in (
+            ("a.pgm", write_pgm16, read_pgm16, np.full((3, 5), 700.0)),
+            ("a.ppm", write_ppm8, read_ppm8, np.full((3, 3, 5), 0.5)),
+        ):
+            path = tmp_path / name
+            write(path, image)
+            blob = path.read_bytes()
+            for cut in range(len(blob)):
+                path.write_bytes(blob[:cut])
+                with pytest.raises(ConfigurationError, match=name):
+                    read(path)
+
+    def test_malformed_pnm_header(self, tmp_path):
+        path = tmp_path / "bad.pgm"
+        for header in (b"P5\nx 2\n255\n", b"P5\n0 2\n255\n", b"P5\n2 2\n70000\n", b"P5\n2 -2\n255\n"):
+            path.write_bytes(header + bytes(16))
+            with pytest.raises(ConfigurationError, match="bad.pgm"):
+                read_pgm16(path)

@@ -216,14 +216,6 @@ class TestSlidingWindow:
         with pytest.raises(ConfigurationError, match="window"):
             sliding_window_infer(_IdentityModel(), Tensor(np.zeros((1, 16, 16))), 32, 16)
 
-    def test_thread_pool_matches_serial(self, monkeypatch):
-        rng = np.random.default_rng(10)
-        image = Tensor(rng.uniform(0, 1, (2, 48, 48)).astype(np.float32))
-        serial = sliding_window_infer(_PlusOneModel(), image, 16, 8)
-        monkeypatch.setenv("FRENET_THREADS", "2")
-        threaded = sliding_window_infer(_PlusOneModel(), image, 16, 8)
-        assert np.array_equal(serial.data, threaded.data)
-
 
 def test_baseline_psnr_uses_unpacked_domain():
     corpus = tiny_corpus(count=3, size=32)
