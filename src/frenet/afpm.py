@@ -91,9 +91,6 @@ class KernelBiasGenerator:
         self.w2 = Parameter(f"{prefix}.w2", rng.uniform(-b2, b2, size=(out_dim, hidden)).astype(np.float32))
         self.b2 = Parameter(f"{prefix}.b2", np.zeros(out_dim, dtype=np.float32))
 
-    def params(self):
-        yield from (self.w1, self.b1, self.w2, self.b2)
-
     def __call__(self, distances: np.ndarray) -> Tensor:
         """Evaluate the generator for a batch of distances; returns (n, out_dim)."""
         d = Tensor(np.asarray(distances, dtype=self.w1.dtype).reshape(-1, 1))
@@ -187,13 +184,6 @@ class Afpm:
             rng.uniform(-bound, bound, size=self.proj_spec.weight_shape).astype(np.float32),
         )
         self.proj_bias = Parameter(f"{prefix}.proj.bias", np.zeros(channels, dtype=np.float32))
-
-    def params(self):
-        if self.adaptive:
-            yield from self.kernel_kbg.params()
-            yield from self.bias_kbg.params()
-        yield self.proj_weight
-        yield self.proj_bias
 
     def _project(self, aggregated: Tensor) -> Tensor:
         # The 1x1 projection acts on Cx1x1 vectors; over the patch batch that

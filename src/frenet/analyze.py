@@ -71,10 +71,10 @@ def _block_macs(cfg: NetworkConfig, channels: int, size: int) -> tuple[int, int]
     return macs, fft
 
 
-def count_params_macs(cfg: NetworkConfig, input_size: int | None = None) -> EfficiencyReport:
+def count_params_macs(cfg: NetworkConfig) -> EfficiencyReport:
     """Exact parameter total (from the built tree) plus the MAC/flop walk."""
     cfg.validate()
-    base = cfg.base_size if input_size is None else input_size
+    base = cfg.base_size
     params = build_frenet(cfg, seed=0).param_count()
 
     sections: dict[str, int] = {}

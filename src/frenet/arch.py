@@ -38,6 +38,7 @@ from .tensor import (
     is_power_of_two,
     layer_norm_channels,
     mul,
+    parameters_of,
     simple_gate,
 )
 
@@ -51,8 +52,12 @@ REFERENCE_EFFICIENCY = {
 
 @dataclass
 class NetworkConfig:
-    """Architectural hyperparameters, including the ablation toggles."""
+    """Architectural hyperparameters, including the ablation toggles.
 
+    Field order is the key order of rendered configs; ``name`` is the ``model`` key.
+    """
+
+    name: str = "custom"
     in_channels: int = 4
     width: int = 32
     scales: int = 3
@@ -68,7 +73,6 @@ class NetworkConfig:
     use_global_branch: bool = True
     use_pooling_variant: bool = False
     global_residual: bool = False
-    name: str = "custom"
 
     def __post_init__(self):
         self.enc_blocks = tuple(self.enc_blocks)
@@ -165,11 +169,6 @@ class Conv:
             else None
         )
 
-    def params(self):
-        yield self.weight
-        if self.bias is not None:
-            yield self.bias
-
     def __call__(self, x: Tensor) -> Tensor:
         return conv2d(x, self.spec, self.weight, self.bias)
 
@@ -180,10 +179,6 @@ class LayerNormChannels:
         self.gamma = Parameter(f"{prefix}.gamma", np.ones(channels, dtype=np.float32))
         self.beta = Parameter(f"{prefix}.beta", np.zeros(channels, dtype=np.float32))
 
-    def params(self):
-        yield self.gamma
-        yield self.beta
-
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm_channels(x, self.gamma, self.beta, self.eps)
 
@@ -193,9 +188,6 @@ class Sca:
 
     def __init__(self, prefix: str, rng: np.random.Generator, channels: int):
         self.proj = Conv(f"{prefix}.proj", rng, ConvSpec(channels, channels, 1, 1))
-
-    def params(self):
-        yield from self.proj.params()
 
     def __call__(self, x: Tensor) -> Tensor:
         return mul(self.proj(global_avg_pool(x)), x)
@@ -231,16 +223,6 @@ class Facm:
         self.sca = Sca(f"{prefix}.sca", rng, packed) if cfg.use_global_branch else None
         self.conv_out = Conv(f"{prefix}.conv_out", rng, ConvSpec(packed, packed, 1, 1))
 
-    def params(self):
-        yield from self.norm.params()
-        yield from self.conv_in.params()
-        yield from self.dw.params()
-        if self.afpm is not None:
-            yield from self.afpm.params()
-        if self.sca is not None:
-            yield from self.sca.params()
-        yield from self.conv_out.params()
-
     def __call__(self, f_in: Tensor, freq_skip: Tensor | None = None) -> tuple[Tensor, Tensor]:
         spectrum = complex_to_channels(fft_shift(fft2d(f_in)))
         if freq_skip is not None:
@@ -274,10 +256,6 @@ class Ffn:
         self.branch2_dw = Conv(f"{prefix}.branch2.dw", rng, ConvSpec(hidden, hidden, 3, 3, groups=hidden))
         self.proj = Conv(f"{prefix}.proj", rng, ConvSpec(hidden, channels, 1, 1))
 
-    def params(self):
-        for layer in (self.branch1_conv, self.branch1_dw, self.branch2_conv, self.branch2_dw, self.proj):
-            yield from layer.params()
-
     def __call__(self, f_in: Tensor) -> Tensor:
         gated = gelu(self.branch1_dw(self.branch1_conv(f_in)))
         value = self.branch2_dw(self.branch2_conv(f_in))
@@ -291,10 +269,6 @@ class FreBlock:
         self.facm = Facm(f"{name}.facm", rng, channels, cfg, grid)
         self.ffn = Ffn(f"{name}.ffn", rng, channels, cfg.ffn_expand)
 
-    def params(self):
-        yield from self.facm.params()
-        yield from self.ffn.params()
-
     def __call__(self, f_in, freq_skip=None):
         f_mid, spectrum = self.facm(f_in, freq_skip)
         return self.ffn(f_mid), spectrum
@@ -305,9 +279,6 @@ class Down:
 
     def __init__(self, prefix: str, rng: np.random.Generator, channels: int):
         self.conv = Conv(prefix, rng, ConvSpec(channels, 2 * channels, 2, 2, stride=2))
-
-    def params(self):
-        yield from self.conv.params()
 
     def __call__(self, x: Tensor) -> Tensor:
         _, h, w = x.shape
@@ -326,10 +297,6 @@ class Up:
             )
         self.conv1 = Conv(f"{prefix}.conv1", rng, ConvSpec(in_channels, in_channels, 1, 1))
         self.conv2 = Conv(f"{prefix}.conv2", rng, ConvSpec(in_channels // 4, in_channels // 2, 1, 1))
-
-    def params(self):
-        yield from self.conv1.params()
-        yield from self.conv2.params()
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.conv2(depth_to_space(self.conv1(x), 2))
@@ -374,7 +341,7 @@ class FrENet:
             for b in range(cfg.bottleneck_blocks)
         ]
 
-        self.dec_stages: list[_DecStage | None] = [None] * cfg.scales
+        self.dec_stages: list[_DecStage] = []  # execution order: dec{scales} first
         for i in range(cfg.scales, 0, -1):
             ch_i = width << i
             size_i = cfg.base_size >> i
@@ -383,7 +350,7 @@ class FrENet:
                 FreBlock(f"dec{i}.blk{b}", rng, ch_i, cfg, grid)
                 for b in range(cfg.dec_blocks[i - 1])
             ]
-            self.dec_stages[i - 1] = _DecStage(blocks=blocks, up=Up(f"dec{i}.up", rng, ch_i))
+            self.dec_stages.append(_DecStage(blocks=blocks, up=Up(f"dec{i}.up", rng, ch_i)))
 
         self.final = Conv("final", rng, ConvSpec(width, c_in, 3, 3))
         if cfg.global_residual:
@@ -392,24 +359,10 @@ class FrENet:
             self.final.weight.data = np.zeros_like(self.final.weight.data)
 
         self._params: dict[str, Parameter] = {}
-        for p in self._iter_params():
+        for p in parameters_of(self):
             if p.name in self._params:
                 raise ConfigurationError(f"duplicate parameter name {p.name}")
             self._params[p.name] = p
-
-    def _iter_params(self):
-        yield from self.intro.params()
-        for stage in self.enc_stages:
-            yield from stage.down.params()
-            for blk in stage.blocks:
-                yield from blk.params()
-        for blk in self.mid_blocks:
-            yield from blk.params()
-        for stage in reversed(self.dec_stages):
-            for blk in stage.blocks:
-                yield from blk.params()
-            yield from stage.up.params()
-        yield from self.final.params()
 
     def parameters(self) -> dict[str, Parameter]:
         return self._params
@@ -421,7 +374,7 @@ class FrENet:
         for stage in self.enc_stages:
             yield from stage.blocks
         yield from self.mid_blocks
-        for stage in reversed(self.dec_stages):
+        for stage in self.dec_stages:
             yield from stage.blocks
 
     def zero_grad(self) -> None:
@@ -464,12 +417,11 @@ class FrENet:
         if trace is not None:
             trace["mid"] = np.array(f.data)
 
-        for idx in range(cfg.scales - 1, -1, -1):
-            stage = self.dec_stages[idx]
+        for stage, feat, stored in zip(self.dec_stages, reversed(enc_feats), reversed(store)):
             if cfg.use_spatial_skip:
-                f = add(f, enc_feats[idx])
+                f = add(f, feat)
             for blk in stage.blocks:
-                f, _ = run_block(blk, f, store[idx] if cfg.use_freq_skip else None)
+                f, _ = run_block(blk, f, stored if cfg.use_freq_skip else None)
             f = stage.up(f)
 
         out = self.final(f)

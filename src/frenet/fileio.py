@@ -191,10 +191,22 @@ def restore_network(path: str | Path, seed: int = 0):
                 f"{path}: shape mismatch for {name}: {stored.shape} vs {p.data.shape}"
             )
         p.data = stored.copy()
+    unpaired = sorted(set(ckpt.adam_m) ^ set(ckpt.adam_v))
+    unknown = sorted(set(ckpt.adam_m) - set(params))
+    if unpaired or unknown:
+        raise ConfigurationError(
+            f"{path}: optimizer moment mismatch (unpaired {unpaired[:3]}, unknown {unknown[:3]})"
+        )
     state = AdamState(step=ckpt.step)
-    for name in ckpt.adam_m:
-        state.m[name] = ckpt.adam_m[name].copy()
-        state.v[name] = ckpt.adam_v[name].copy()
+    for name, m in ckpt.adam_m.items():
+        v = ckpt.adam_v[name]
+        if m.shape != params[name].data.shape or v.shape != m.shape:
+            raise ConfigurationError(
+                f"{path}: moment shape mismatch for {name}: {m.shape}/{v.shape} "
+                f"vs {params[name].data.shape}"
+            )
+        state.m[name] = m.copy()
+        state.v[name] = v.copy()
     return net, preprocess, state, ckpt.step
 
 

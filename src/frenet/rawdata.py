@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -273,18 +274,26 @@ def save_corpus(directory: str | Path, items: list[DatasetItem]) -> None:
     (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
+def _manifest_indices(directory: Path) -> Iterator[int]:
+    """Sample indices of ``manifest.txt`` in file order; each line starts with one."""
+    manifest = directory / "manifest.txt"
+    if not manifest.exists():
+        raise ConfigurationError(f"no manifest.txt in {directory}")
+    for lineno, line in enumerate(manifest.read_text().splitlines(), start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        if not fields[0].isdecimal():
+            raise ConfigurationError(f"{manifest}: line {lineno}: expected a sample index, got {line!r}")
+        yield int(fields[0])
+
+
 def load_corpus(directory: str | Path) -> list[tuple[Tensor, Tensor]]:
     from .fileio import read_ften
 
     directory = Path(directory)
-    manifest = directory / "manifest.txt"
-    if not manifest.exists():
-        raise ConfigurationError(f"no manifest.txt in {directory}")
     pairs = []
-    for line in manifest.read_text().splitlines():
-        if not line.strip():
-            continue
-        index = int(line.split()[0])
+    for index in _manifest_indices(directory):
         blur = Tensor(read_ften(directory / f"{index:04d}_blur.ften"))
         sharp = Tensor(read_ften(directory / f"{index:04d}_sharp.ften"))
         pairs.append((blur, sharp))
@@ -299,10 +308,7 @@ def corpus_digest(directory: str | Path) -> str:
 
     directory = Path(directory)
     digest = hashlib.sha256()
-    for line in (directory / "manifest.txt").read_text().splitlines():
-        if not line.strip():
-            continue
-        index = int(line.split()[0])
+    for index in _manifest_indices(directory):
         for tag in ("blur", "sharp"):
             digest.update(read_ften(directory / f"{index:04d}_{tag}.ften").tobytes())
     return digest.hexdigest()

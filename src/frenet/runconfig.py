@@ -8,7 +8,9 @@ and cannot silently drift. `#` starts a comment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from typing import Iterable, get_type_hints
 
 from .arch import NetworkConfig
 from .rawdata import PreprocessSpec
@@ -55,63 +57,24 @@ def _fmt(value) -> str:
     return f"{value:g}" if isinstance(value, float) else str(value)
 
 
-def _parse_bool(raw: str, key: str) -> bool:
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    raise ConfigurationError(f"{key} must be true or false, got {raw!r}")
+def _schema() -> dict[str, tuple[str, str, object]]:
+    """key -> (section attribute on RunConfig, field name, field type).
+
+    Every field of the four section dataclasses is a key, in field order;
+    ``model`` names the field ``NetworkConfig.name``.
+    """
+    schema = {}
+    for section, cls in get_type_hints(RunConfig).items():
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            key = "model" if (cls, f.name) == (NetworkConfig, "name") else f.name
+            schema[key] = (section, f.name, hints[f.name])
+    return schema
 
 
-def _parse_int_list(raw: str, key: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in raw.split(","))
-    except ValueError as exc:
-        raise ConfigurationError(f"{key} must be comma-separated integers, got {raw!r}") from exc
-
-
-# key -> (section attribute on RunConfig, field name, parser)
-_SCHEMA: dict[str, tuple[str, str, object]] = {
-    "model": ("network", "name", str),
-    "in_channels": ("network", "in_channels", int),
-    "width": ("network", "width", int),
-    "scales": ("network", "scales", int),
-    "enc_blocks": ("network", "enc_blocks", "int_list"),
-    "bottleneck_blocks": ("network", "bottleneck_blocks", int),
-    "dec_blocks": ("network", "dec_blocks", "int_list"),
-    "grid_target": ("network", "grid_target", int),
-    "base_size": ("network", "base_size", int),
-    "ffn_expand": ("network", "ffn_expand", float),
-    "use_freq_skip": ("network", "use_freq_skip", "bool"),
-    "use_spatial_skip": ("network", "use_spatial_skip", "bool"),
-    "use_local_branch": ("network", "use_local_branch", "bool"),
-    "use_global_branch": ("network", "use_global_branch", "bool"),
-    "use_pooling_variant": ("network", "use_pooling_variant", "bool"),
-    "global_residual": ("network", "global_residual", "bool"),
-    "lr0": ("train", "lr0", float),
-    "lr_min": ("train", "lr_min", float),
-    "epochs": ("train", "epochs", int),
-    "batch": ("train", "batch", int),
-    "adam_beta1": ("train", "adam_beta1", float),
-    "adam_beta2": ("train", "adam_beta2", float),
-    "adam_eps": ("train", "adam_eps", float),
-    "fr_weight": ("train", "fr_weight", float),
-    "seed": ("train", "seed", int),
-    "max_steps": ("train", "max_steps", "optional_int"),
-    "val_count": ("train", "val_count", int),
-    "black_level": ("preprocess", "black_level", float),
-    "white_level": ("preprocess", "white_level", float),
-    "count": ("data", "count", int),
-    "image_size": ("data", "image_size", int),
-    "noise_sigma": ("data", "noise_sigma", float),
-    "kernel_kind": ("data", "kernel_kind", str),
-    "kernel_size": ("data", "kernel_size", int),
-    "sigma_min": ("data", "sigma_min", float),
-    "sigma_max": ("data", "sigma_max", float),
-}
-
-NETWORK_KEYS = tuple(k for k, (sec, _, _) in _SCHEMA.items() if sec == "network")
-PREPROCESS_KEYS = tuple(k for k, (sec, _, _) in _SCHEMA.items() if sec == "preprocess")
+_SCHEMA = _schema()
+# Checkpoints store only what rebuilding the network and its input scaling needs.
+_CHECKPOINT_KEYS = tuple(k for k, (sec, _, _) in _SCHEMA.items() if sec in ("network", "preprocess"))
 
 
 def _parse_lines(text: str) -> dict[str, str]:
@@ -130,18 +93,28 @@ def _parse_lines(text: str) -> dict[str, str]:
     return values
 
 
-def _convert(key: str, raw: str):
-    _, _, parser = _SCHEMA[key]
-    if parser == "bool":
-        return _parse_bool(raw, key)
-    if parser == "int_list":
-        return _parse_int_list(raw, key)
-    if parser == "optional_int":
-        return None if raw == "none" else int(raw)
+def _convert(key: str, raw: str, kind):
+    """Parse ``raw`` as a value of the field type ``kind``; failures name the key."""
     try:
-        return parser(raw)
+        if kind is bool:
+            if raw not in ("true", "false"):
+                raise ValueError("expected true or false")
+            return raw == "true"
+        if kind == tuple[int, ...]:
+            return tuple(int(part) for part in raw.split(","))
+        if kind == int | None:
+            return None if raw == "none" else int(raw)
+        if kind is float:
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError("not a finite number")
+            return value
+        if kind in (int, str):
+            return kind(raw)
     except ValueError as exc:
-        raise ConfigurationError(f"{key}: cannot parse {raw!r} as {parser.__name__}") from exc
+        name = kind.__name__ if isinstance(kind, type) else kind
+        raise ConfigurationError(f"{key}: cannot parse {raw!r} as {name}") from exc
+    raise TypeError(f"config key {key} has unsupported field type {kind}")
 
 
 def _build_sections(values: dict[str, str], keys: tuple[str, ...]):
@@ -154,20 +127,20 @@ def _build_sections(values: dict[str, str], keys: tuple[str, ...]):
         problems.append("missing keys: " + ", ".join(missing))
     if problems:
         raise ConfigurationError("bad config: " + "; ".join(problems))
-    fields: dict[str, dict] = {"network": {}, "train": {}, "preprocess": {}, "data": {}}
+    sections: dict[str, dict] = {section: {} for section, _, _ in _SCHEMA.values()}
     for key in keys:
-        section, field, _ = _SCHEMA[key]
-        fields[section][field] = _convert(key, values[key])
-    return fields
+        section, name, kind = _SCHEMA[key]
+        sections[section][name] = _convert(key, values[key], kind)
+    return sections
 
 
 def parse_run_config(text: str) -> RunConfig:
-    fields = _build_sections(_parse_lines(text), tuple(_SCHEMA))
+    sections = _build_sections(_parse_lines(text), tuple(_SCHEMA))
     cfg = RunConfig(
-        network=NetworkConfig(**fields["network"]),
-        train=TrainConfig(**fields["train"]),
-        preprocess=PreprocessSpec(**fields["preprocess"]),
-        data=DatasetParams(**fields["data"]),
+        network=NetworkConfig(**sections["network"]),
+        train=TrainConfig(**sections["train"]),
+        preprocess=PreprocessSpec(**sections["preprocess"]),
+        data=DatasetParams(**sections["data"]),
     )
     cfg.network.validate()
     cfg.train.validate()
@@ -175,12 +148,16 @@ def parse_run_config(text: str) -> RunConfig:
     return cfg
 
 
-def render_run_config(cfg: RunConfig) -> str:
-    sections = {"network": cfg.network, "train": cfg.train, "preprocess": cfg.preprocess, "data": cfg.data}
+def _render(sections: dict[str, object], keys: Iterable[str]) -> str:
     lines = []
-    for key, (section, field, _) in _SCHEMA.items():
-        lines.append(f"{key} = {_fmt(getattr(sections[section], field))}")
+    for key in keys:
+        section, name, _ = _SCHEMA[key]
+        lines.append(f"{key} = {_fmt(getattr(sections[section], name))}")
     return "\n".join(lines) + "\n"
+
+
+def render_run_config(cfg: RunConfig) -> str:
+    return _render(vars(cfg), _SCHEMA)
 
 
 def default_run_config() -> RunConfig:
@@ -194,18 +171,11 @@ def default_run_config() -> RunConfig:
 
 def render_checkpoint_config(network: NetworkConfig, preprocess: PreprocessSpec) -> str:
     """Canonical network + preprocess subset stored inside checkpoints."""
-    lines = []
-    for key in NETWORK_KEYS:
-        _, field, _ = _SCHEMA[key]
-        lines.append(f"{key} = {_fmt(getattr(network, field))}")
-    for key in PREPROCESS_KEYS:
-        _, field, _ = _SCHEMA[key]
-        lines.append(f"{key} = {_fmt(getattr(preprocess, field))}")
-    return "\n".join(lines) + "\n"
+    return _render({"network": network, "preprocess": preprocess}, _CHECKPOINT_KEYS)
 
 
 def parse_checkpoint_config(text: str) -> tuple[NetworkConfig, PreprocessSpec]:
-    fields = _build_sections(_parse_lines(text), NETWORK_KEYS + PREPROCESS_KEYS)
-    network = NetworkConfig(**fields["network"])
+    sections = _build_sections(_parse_lines(text), _CHECKPOINT_KEYS)
+    network = NetworkConfig(**sections["network"])
     network.validate()
-    return network, PreprocessSpec(**fields["preprocess"])
+    return network, PreprocessSpec(**sections["preprocess"])

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -124,6 +124,23 @@ class Parameter(Tensor):
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={tuple(self.shape)})"
+
+
+def parameters_of(obj) -> Iterator[Parameter]:
+    """Every Parameter reachable from ``obj`` through attributes, lists and tuples.
+
+    Attributes are visited in assignment order, so a module yields its
+    parameters in the order its constructor built them; that order is the
+    checkpoint record order.
+    """
+    if isinstance(obj, Parameter):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from parameters_of(item)
+    elif hasattr(obj, "__dict__"):
+        for value in vars(obj).values():
+            yield from parameters_of(value)
 
 
 @dataclass(frozen=True)

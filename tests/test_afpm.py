@@ -11,7 +11,7 @@ from frenet.afpm import (
     make_patch_grid,
     patch_weighted_sum,
 )
-from frenet.tensor import ConfigurationError, Tensor, global_avg_pool
+from frenet.tensor import ConfigurationError, Tensor, global_avg_pool, parameters_of
 
 
 def grid_distance_oracle(h, w, rows, cols):
@@ -214,5 +214,5 @@ class TestPoolingVariant:
         rng = np.random.default_rng(8)
         grid = make_patch_grid(8, 8, 4)
         module = Afpm("a", rng, channels=2, grid=grid, adaptive=False)
-        names = [p.name for p in module.params()]
+        names = [p.name for p in parameters_of(module)]
         assert names == ["a.proj.weight", "a.proj.bias"]

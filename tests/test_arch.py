@@ -28,6 +28,7 @@ from frenet.tensor import (
     global_avg_pool,
     layer_norm_channels,
     mul,
+    parameters_of,
     simple_gate,
 )
 
@@ -82,7 +83,7 @@ class TestFacm:
 
     def test_degenerate_parameters_reduce_to_input_plus_fixed_field(self):
         facm, _ = self.make()
-        for p in facm.params():
+        for p in parameters_of(facm):
             if p.name.endswith("weight") or p.name.endswith(("w1", "w2")):
                 p.data = np.zeros_like(p.data)
         rng = np.random.default_rng(5)
@@ -181,7 +182,7 @@ class TestFfn:
     def test_zero_weights_is_pure_residual(self):
         rng = np.random.default_rng(10)
         ffn = Ffn("f", rng, channels=3, expand=2.0)
-        for p in ffn.params():
+        for p in parameters_of(ffn):
             if p.name.endswith("weight") or p.name.endswith("bias"):
                 p.data = np.zeros_like(p.data)
         x = Tensor(rng.standard_normal((3, 4, 4)).astype(np.float32))
@@ -361,6 +362,17 @@ class TestBuild:
         assert names == list(net2.parameters())
         for name, p in net.parameters().items():
             assert np.array_equal(p.data, net2.parameters()[name].data)
+
+    def test_parameter_order_is_build_order(self):
+        # This order is the checkpoint record order; changing it changes every saved file.
+        names = list(build_frenet(frenet_config()).parameters())
+        assert names[:3] == ["intro.weight", "intro.bias", "enc1.down.weight"]
+        assert names[-1] == "final.bias"
+        sections = [name.split(".")[0] for name in names]
+        first = {s: sections.index(s) for s in ("dec3", "dec2", "dec1")}
+        last = {s: len(sections) - 1 - sections[::-1].index(s) for s in ("dec3", "dec2", "dec1")}
+        assert last["dec3"] < first["dec2"] and last["dec2"] < first["dec1"]
+        assert sections.index("mid") < first["dec3"]
 
 
 class TestNetworkForward:

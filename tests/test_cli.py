@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,26 @@ def test_bad_config_key_is_runtime_error(tmp_path, capsys):
     path.write_text(render_run_config(default_run_config()) + "bogus = 1\n")
     assert main(["analyze", "--config", str(path)]) == 1
     assert "unknown keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, raw", [("max_steps", "abc"), ("ffn_expand", "nan"), ("lr0", "inf")])
+def test_unparsable_config_value_is_runtime_error(tmp_path, capsys, key, raw):
+    lines = (Path(__file__).resolve().parents[1] / "configs" / "tiny.cfg").read_text().splitlines()
+    path = tmp_path / "bad.cfg"
+    path.write_text("\n".join(f"{key} = {raw}" if line.startswith(f"{key} = ") else line
+                              for line in lines))
+    assert main(["analyze", "--config", str(path)]) == 1
+    _assert_one_error_line(capsys)
+
+
+def test_malformed_manifest_is_runtime_error(workdir, capsys):
+    tmp_path, cfg_path, _ = workdir
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "manifest.txt").write_text("abc gaussian 1 0.002\n")
+    assert main(["train", "--config", str(cfg_path), "--data", str(data),
+                 "--out", str(tmp_path / "run")]) == 1
+    _assert_one_error_line(capsys)
 
 
 def test_analyze_reports_reference_comparison(tmp_path, capsys):
@@ -240,6 +262,23 @@ def test_infer_rejects_bad_tiling(tmp_path, capsys, in_channels, flags):
                  "--output", str(out), *flags]) == 1
     _assert_one_error_line(capsys)
     assert not out.exists()
+
+
+def test_unpaired_adam_moments_is_runtime_error(tmp_path, capsys):
+    from frenet.arch import build_frenet, tiny_config
+    from frenet.fileio import save_checkpoint
+    from frenet.train import AdamState
+
+    net = build_frenet(tiny_config(base_size=16), seed=2)
+    state = AdamState(step=1)
+    for name, p in net.parameters().items():
+        state.m[name] = np.zeros_like(p.data)
+        state.v[name] = np.zeros_like(p.data)
+    ckpt = tmp_path / "net.fckpt"
+    save_checkpoint(ckpt, net, adam=state)
+    ckpt.write_bytes(ckpt.read_bytes().replace(b"adam.v.intro.weight", b"adam.m.intro.weight"))
+    assert main(["dump-kernels", "--checkpoint", str(ckpt), "--out", str(tmp_path / "k")]) == 1
+    _assert_one_error_line(capsys)
 
 
 def test_infer_on_short_pgm_is_runtime_error(tmp_path, capsys):

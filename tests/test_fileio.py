@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -96,6 +97,32 @@ class TestCheckpoint:
         assert ckpt.step == 5
         assert not ckpt.adam_m and not ckpt.adam_v
         assert set(ckpt.params) == set(net.parameters())
+
+    def test_records_follow_parameter_order(self, tmp_path):
+        net = build_frenet(tiny_config(base_size=16), seed=0)
+        path = tmp_path / "net.fckpt"
+        save_checkpoint(path, net)
+        assert list(load_checkpoint(path).params) == list(net.parameters())
+
+    @pytest.mark.parametrize("tamper", ["unpaired", "unknown", "shape"])
+    def test_unmatched_adam_moments_rejected(self, tmp_path, tamper):
+        net = build_frenet(tiny_config(base_size=16), seed=0)
+        state = AdamState(step=3)
+        for name, p in net.parameters().items():
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        if tamper == "shape":
+            state.m["intro.bias"] = np.zeros(3, dtype=np.float32)
+        path = tmp_path / "net.fckpt"
+        save_checkpoint(path, net, adam=state)
+        blob = path.read_bytes()
+        if tamper == "unpaired":
+            blob = blob.replace(b"adam.v.intro.weight", b"adam.m.intro.weight")
+        elif tamper == "unknown":
+            blob = blob.replace(b".intro.weight", b".intro.weighx")
+        path.write_bytes(blob)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path))}: .*moment"):
+            restore_network(path)
 
     def test_digest_matches_sha256_of_config(self, tmp_path):
         net = build_frenet(tiny_config(base_size=16), seed=0)

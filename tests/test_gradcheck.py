@@ -15,6 +15,7 @@ from frenet.tensor import (
     layer_norm_channels,
     mean_all,
     mul,
+    parameters_of,
     simple_gate,
     sub,
 )
@@ -77,7 +78,7 @@ def test_afpm_primitive_gradients():
     grid = make_patch_grid(8, 8, 4)
     module = Afpm("m", rng, channels=3, grid=grid)
     x = Parameter("x", rng.standard_normal((3, 8, 8)).astype(np.float32))
-    params = [x, *module.params()]
+    params = [x, *parameters_of(module)]
 
     def loss():
         return mean_all(mul(module(x), module(x)))

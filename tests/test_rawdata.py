@@ -234,6 +234,14 @@ class TestCorpusIo:
         assert int(kseed) == items[0].kernel_seed
         assert float(sigma) == 0.002
 
+    @pytest.mark.parametrize("reader", [load_corpus, corpus_digest])
+    def test_malformed_manifest_line_rejected(self, tmp_path, reader):
+        save_corpus(tmp_path, gen_dataset(2, count=2, h=32, w=32, spec=PreprocessSpec()))
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(manifest.read_text() + "\nabc gaussian 1 0.002\n")
+        with pytest.raises(ConfigurationError, match="manifest.txt: line 4"):
+            reader(tmp_path)
+
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError, match="manifest"):
             load_corpus(tmp_path)

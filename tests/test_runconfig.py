@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from frenet.runconfig import (
@@ -59,6 +61,28 @@ def test_bad_value_types_reported_with_key():
     )
     with pytest.raises(ConfigurationError, match="use_freq_skip"):
         parse_run_config(text)
+
+
+@pytest.mark.parametrize("key, raw", [
+    ("max_steps", "abc"),
+    ("ffn_expand", "nan"),
+    ("lr0", "inf"),
+])
+def test_unparsable_or_non_finite_value_names_the_key(key, raw):
+    lines = render_run_config(default_run_config()).splitlines()
+    text = "\n".join(f"{key} = {raw}" if line.startswith(f"{key} = ") else line for line in lines)
+    with pytest.raises(ConfigurationError, match=f"^{key}: cannot parse '{raw}'"):
+        parse_run_config(text)
+
+
+def test_rendered_key_order_matches_shipped_config():
+    text = (Path(__file__).resolve().parents[1] / "configs" / "frenet.cfg").read_text()
+
+    def keys(body):
+        return [line.split("=")[0].strip() for line in body.splitlines()
+                if line.split("#")[0].strip()]
+
+    assert keys(render_run_config(parse_run_config(text))) == keys(text)
 
 
 def test_semantic_validation_applied():
