@@ -140,7 +140,7 @@ def _cmd_infer(args) -> int:
     if overlap % cell or not 0 <= overlap < window:
         raise ConfigurationError(f"overlap must be a multiple of {cell} in [0, window), got {overlap}")
     packed = image if rgb else bayer_pack(image)
-    restored = sliding_window_infer(net, packed, window // cell, overlap // cell)
+    restored = sliding_window_infer(net.forward, packed, window // cell, overlap // cell)
     out = np.clip(restored.data, 0.0, 1.0)
     if rgb:
         write_ppm8(args.output, out)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -111,19 +112,27 @@ def save_checkpoint(path: str | Path, net, adam=None, step: int = 0,
                 moments.append((f"adam.m.{name}", adam.m[name]))
                 moments.append((f"adam.v.{name}", adam.v[name]))
         step = adam.step
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<I", len(params)))
-        for name, p in params.items():
-            _write_record(fh, name, p.data)
-        fh.write(struct.pack("<I", len(moments)))
-        for name, arr in moments:
-            _write_record(fh, name, arr)
-        encoded = config_text.encode("utf-8")
-        fh.write(struct.pack("<I", step))
-        fh.write(struct.pack("<I", len(encoded)))
-        fh.write(encoded)
-        fh.write(hashlib.sha256(encoded).digest())
+    # Write beside the target, then rename over it: a crash mid-write leaves
+    # the previous checkpoint intact.
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CKPT_MAGIC)
+            fh.write(struct.pack("<I", len(params)))
+            for name, p in params.items():
+                _write_record(fh, name, p.data)
+            fh.write(struct.pack("<I", len(moments)))
+            for name, arr in moments:
+                _write_record(fh, name, arr)
+            encoded = config_text.encode("utf-8")
+            fh.write(struct.pack("<I", step))
+            fh.write(struct.pack("<I", len(encoded)))
+            fh.write(encoded)
+            fh.write(hashlib.sha256(encoded).digest())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # gone after a successful replace
 
 
 class Checkpoint:

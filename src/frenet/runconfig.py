@@ -33,6 +33,8 @@ class DatasetParams:
             raise ConfigurationError(f"count must be >= 1, got {self.count}")
         if self.image_size < 2 or self.image_size % 2:
             raise ConfigurationError(f"image_size must be even and >= 2, got {self.image_size}")
+        if self.noise_sigma < 0:
+            raise ConfigurationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.kernel_kind not in ("gaussian", "motion", "mixed", "none"):
             raise ConfigurationError(f"unknown kernel_kind {self.kernel_kind!r}")
         if self.sigma_min > self.sigma_max:

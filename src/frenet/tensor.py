@@ -66,23 +66,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype})"
 
-    # Small operator sugar; the named functions below are the real API.
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self.dtype))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar output.
 
@@ -168,12 +151,6 @@ class ConvSpec:
     @property
     def weight_shape(self) -> tuple[int, int, int, int]:
         return (self.out_channels, self.in_channels // self.groups, self.kernel_h, self.kernel_w)
-
-
-def _as_tensor(value, dtype) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=dtype))
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:

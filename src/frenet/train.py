@@ -44,6 +44,8 @@ class TrainConfig:
             raise ConfigurationError(f"fr_weight must be >= 0, got {self.fr_weight}")
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ConfigurationError(f"max_steps must be >= 1 or none, got {self.max_steps}")
 
 
 def loss_total(pred: Tensor, target: Tensor, fr_weight: float) -> Tensor:
@@ -133,7 +135,8 @@ def train(
     """Seeded SGD-over-epochs driver writing ".fckpt" checkpoints and a line log.
 
     When ``val_pairs`` is None the last ``cfg.val_count`` corpus items are held
-    out. Aborts with the last good checkpoint if the loss turns non-finite.
+    out, keeping at least one for training; a split that holds out nothing is
+    an error. Aborts with the last good checkpoint if the loss turns non-finite.
     """
     from .fileio import save_checkpoint
 
@@ -141,8 +144,10 @@ def train(
     if not corpus:
         raise ConfigurationError("training corpus is empty")
     if val_pairs is None:
-        held = min(cfg.val_count, max(len(corpus) - 1, 0))
-        val_pairs = corpus[len(corpus) - held :] if held else []
+        held = min(cfg.val_count, len(corpus) - 1)
+        if held < 1:
+            raise ConfigurationError(f"val_count {cfg.val_count} holds out none of {len(corpus)} items")
+        val_pairs = corpus[len(corpus) - held :]
         corpus = corpus[: len(corpus) - held]
     if not corpus:
         raise ConfigurationError("no training items left after validation split")
@@ -236,28 +241,14 @@ def raised_cosine_profile(window: int) -> np.ndarray:
     return np.square(np.sin(math.pi * t))
 
 
-def blend_weight_map(h: int, w: int, window: int, overlap: int) -> np.ndarray:
-    """Accumulated raw tile weights over the image (before normalization)."""
-    profile = raised_cosine_profile(window)
-    tile = np.outer(profile, profile)
-    stride = window - overlap
-    acc = np.zeros((h, w))
-    for y0 in _tile_positions(h, window, stride):
-        for x0 in _tile_positions(w, window, stride):
-            acc[y0 : y0 + window, x0 : x0 + window] += tile
-    return acc
+def sliding_window_infer(forward: Callable[[Tensor], Tensor], image: Tensor,
+                         window: int | None = None, overlap: int | None = None) -> Tensor:
+    """Tile the image, run ``forward`` per tile, and blend with raised-cosine weights.
 
-
-def sliding_window_infer(net, image: Tensor, window: int | None = None,
-                         overlap: int | None = None) -> Tensor:
-    """Tile the image, run the network per tile, and blend with raised-cosine weights.
-
-    Accepts a network object (``forward`` method) or any per-tile callable.
     Tiles run one after another and are blended in index order, in float64.
     A single tile comes back bit-identical to its forward output: weighting and
     normalizing by the same positive weight is exact once rounded to float32.
     """
-    forward = net.forward if hasattr(net, "forward") else net
     c, h, w = image.shape
     if window is None:
         window = min(h, w)
@@ -276,9 +267,8 @@ def sliding_window_infer(net, image: Tensor, window: int | None = None,
     for y0 in _tile_positions(h, window, stride):
         for x0 in _tile_positions(w, window, stride):
             tile = Tensor(np.ascontiguousarray(image.data[:, y0 : y0 + window, x0 : x0 + window]))
-            out = forward(tile)
-            # Rebinding drops this tile's autodiff graph before the next forward.
-            out = np.asarray(out.data if isinstance(out, Tensor) else out, dtype=np.float64)
+            # Keeping only the array drops this tile's autodiff graph before the next forward.
+            out = forward(tile).data.astype(np.float64)
             acc_val[:, y0 : y0 + window, x0 : x0 + window] += out * weight
             acc_w[y0 : y0 + window, x0 : x0 + window] += weight
     return Tensor((acc_val / acc_w).astype(np.float32))

@@ -12,6 +12,7 @@ from frenet.afpm import (
     patch_weighted_sum,
 )
 from frenet.tensor import ConfigurationError, Tensor, global_avg_pool, parameters_of
+from frenet.verify import _swap_patches
 
 
 def grid_distance_oracle(h, w, rows, cols):
@@ -132,16 +133,11 @@ class TestAfpmForward:
         i, j = 0, 1
         mi, mj = grid.rows - 1 - i, grid.cols - 1 - j
         assert grid.distances[i, j] == grid.distances[mi, mj]
-        ph, pw = grid.patch_h, grid.patch_w
         x = rng.standard_normal((2, 8, 8)).astype(np.float32)
-        swapped = x.copy()
-        swapped[:, i * ph : (i + 1) * ph, j * pw : (j + 1) * pw] = x[:, mi * ph : (mi + 1) * ph, mj * pw : (mj + 1) * pw]
-        swapped[:, mi * ph : (mi + 1) * ph, mj * pw : (mj + 1) * pw] = x[:, i * ph : (i + 1) * ph, j * pw : (j + 1) * pw]
+        swapped = _swap_patches(x, grid, (i, j), (mi, mj))
+        assert not np.array_equal(swapped, x)
         out, out_swapped = module(Tensor(x)).data, module(Tensor(swapped)).data
-        expect = out.copy()
-        expect[:, i * ph : (i + 1) * ph, j * pw : (j + 1) * pw] = out[:, mi * ph : (mi + 1) * ph, mj * pw : (mj + 1) * pw]
-        expect[:, mi * ph : (mi + 1) * ph, mj * pw : (mj + 1) * pw] = out[:, i * ph : (i + 1) * ph, j * pw : (j + 1) * pw]
-        assert np.array_equal(out_swapped, expect)
+        assert np.array_equal(out_swapped, _swap_patches(out, grid, (i, j), (mi, mj)))
 
     def test_central_symmetry_of_generated_parameters(self):
         module, grid, _ = self.make(size=16, target=8)

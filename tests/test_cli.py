@@ -80,14 +80,43 @@ def test_bad_config_key_is_runtime_error(tmp_path, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
+def _tiny_cfg(path, **values):
+    """Write configs/tiny.cfg to ``path`` with the given keys set to new raw values."""
+    def edit(line):
+        key = line.partition(" = ")[0]
+        return f"{key} = {values[key]}" if key in values else line
+
+    lines = (Path(__file__).resolve().parents[1] / "configs" / "tiny.cfg").read_text().splitlines()
+    path.write_text("\n".join(map(edit, lines)) + "\n")
+    return path
+
+
 @pytest.mark.parametrize("key, raw", [("max_steps", "abc"), ("ffn_expand", "nan"), ("lr0", "inf")])
 def test_unparsable_config_value_is_runtime_error(tmp_path, capsys, key, raw):
-    lines = (Path(__file__).resolve().parents[1] / "configs" / "tiny.cfg").read_text().splitlines()
-    path = tmp_path / "bad.cfg"
-    path.write_text("\n".join(f"{key} = {raw}" if line.startswith(f"{key} = ") else line
-                              for line in lines))
+    path = _tiny_cfg(tmp_path / "bad.cfg", **{key: raw})
     assert main(["analyze", "--config", str(path)]) == 1
     _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("key, raw", [("max_steps", "0"), ("max_steps", "-3"), ("val_count", "0")])
+def test_training_that_would_skip_its_limits_is_runtime_error(tmp_path, capsys, key, raw):
+    # max_steps below one used to take one step anyway; val_count = 0 used to
+    # train without validation and report best val_psnr -inf.
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert main(["datagen", "--config", str(_tiny_cfg(tmp_path / "data.cfg", count=6)),
+                 "--out", str(data)]) == 0
+    capsys.readouterr()
+    cfg = _tiny_cfg(tmp_path / "bad.cfg", count=6, epochs=1, **{key: raw})
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(run)]) == 1
+    _assert_one_error_line(capsys)
+    assert not (run / "final.fckpt").exists()
+
+
+def test_negative_noise_sigma_is_runtime_error(tmp_path, capsys):
+    cfg = _tiny_cfg(tmp_path / "bad.cfg", count=6, noise_sigma=-1)
+    assert main(["datagen", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 1
+    _assert_one_error_line(capsys)
+    assert not (tmp_path / "data" / "manifest.txt").exists()
 
 
 def test_malformed_manifest_is_runtime_error(workdir, capsys):

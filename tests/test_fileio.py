@@ -124,6 +124,29 @@ class TestCheckpoint:
         with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path))}: .*moment"):
             restore_network(path)
 
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        import frenet.fileio as fileio
+
+        net = build_frenet(tiny_config(base_size=16), seed=0)
+        path = tmp_path / "best.fckpt"
+        save_checkpoint(path, net)
+        before = path.read_bytes()
+        for p in net.parameters().values():
+            p.data = p.data + 1.0
+        write_record, calls = fileio._write_record, []
+
+        def failing_write_record(fh, name, array):
+            calls.append(name)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            write_record(fh, name, array)
+
+        monkeypatch.setattr(fileio, "_write_record", failing_write_record)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, net)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["best.fckpt"]
+
     def test_digest_matches_sha256_of_config(self, tmp_path):
         net = build_frenet(tiny_config(base_size=16), seed=0)
         path = tmp_path / "net.fckpt"

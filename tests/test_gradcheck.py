@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from frenet.afpm import Afpm, make_patch_grid
+from frenet.arch import build_frenet, tiny_config
 from frenet.gradcheck import grad_check
 from frenet.spectral import fft2d, fft_shift, ifft2d
 from frenet.tensor import (
@@ -114,3 +115,34 @@ def test_gradients_restored_after_check():
     assert theta.data.dtype == np.float32
     assert float(theta.data) == 2.0
     assert theta.grad is None
+
+
+@pytest.mark.parametrize("variant", [
+    {},
+    {"use_pooling_variant": True},
+    {"use_local_branch": False},
+    {"use_freq_skip": False},
+])
+def test_float64_parameters_and_input_keep_the_whole_tape_float64(variant):
+    # Central differences in float64 (gradcheck, the benchmark's directional
+    # derivative) are only meaningful if no op drops to float32 on the way.
+    net = build_frenet(tiny_config(base_size=16, **variant), seed=1)
+    params = list(net.parameters().values())
+    for p in params:
+        p.data = p.data.astype(np.float64)
+    rng = np.random.default_rng(2)
+    x = Tensor(rng.uniform(0, 1, (4, 16, 16)))
+    target = Tensor(rng.uniform(0, 1, (4, 16, 16)))
+    loss = loss_total(net.forward(x), target, 0.01)
+    loss.backward()
+    nodes, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    assert len(nodes) > len(params)
+    assert [n for n in nodes if n.data.dtype != np.float64] == []
+    assert [n for n in nodes if n.grad is not None and n.grad.dtype != np.float64] == []
+    assert all(p.grad is not None and p.grad.dtype == np.float64 for p in params)

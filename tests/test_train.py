@@ -11,10 +11,8 @@ from frenet.train import (
     TrainConfig,
     adam_step,
     baseline_psnr,
-    blend_weight_map,
     cosine_lr,
     loss_total,
-    raised_cosine_profile,
     sliding_window_infer,
     train,
 )
@@ -165,14 +163,8 @@ class TestTrainLoop:
             train(net, [], TrainConfig(), val_pairs=[])
 
 
-class _IdentityModel:
-    def forward(self, tile):
-        return Tensor(tile.data.copy())
-
-
-class _PlusOneModel:
-    def forward(self, tile):
-        return Tensor(tile.data + 1.0)
+def _identity(tile):
+    return Tensor(tile.data.copy())
 
 
 class TestSlidingWindow:
@@ -180,41 +172,22 @@ class TestSlidingWindow:
         rng = np.random.default_rng(8)
         for h, w, window, overlap in [(96, 96, 64, 32), (64, 64, 32, 16), (40, 56, 16, 8)]:
             image = Tensor(rng.uniform(0, 1, (3, h, w)).astype(np.float32))
-            out = sliding_window_infer(_IdentityModel(), image, window, overlap)
+            out = sliding_window_infer(_identity, image, window, overlap)
             assert np.abs(out.data - image.data).max() < 1e-6
 
     def test_single_tile_is_bit_exact(self):
         rng = np.random.default_rng(9)
         image = Tensor(rng.uniform(0, 1, (2, 32, 32)).astype(np.float32))
-        model = _PlusOneModel()
-        direct = model.forward(image)
-        tiled = sliding_window_infer(model, image, 32, 16)
-        assert np.array_equal(tiled.data, direct.data)
 
-    def test_blend_weights_partition_of_unity(self):
-        # normalized per-tile weights must sum to one at every pixel
-        for h, w, window in [(96, 96, 64), (64, 64, 32), (48, 80, 16), (33, 47, 16), (128, 96, 64)]:
-            overlap = window // 2
-            raw = blend_weight_map(h, w, window, overlap)
-            assert float(raw.min()) > 0.0
-            profile = raised_cosine_profile(window)
-            tile = np.outer(profile, profile)
-            stride = window - overlap
-            ys = list(range(0, h - window + 1, stride))
-            xs = list(range(0, w - window + 1, stride))
-            if ys[-1] != h - window:
-                ys.append(h - window)
-            if xs[-1] != w - window:
-                xs.append(w - window)
-            acc = np.zeros((h, w))
-            for y0 in ys:
-                for x0 in xs:
-                    acc[y0 : y0 + window, x0 : x0 + window] += tile / raw[y0 : y0 + window, x0 : x0 + window]
-            assert np.abs(acc - 1.0).max() < 1e-6
+        def plus_one(tile):
+            return Tensor(tile.data + 1.0)
+
+        tiled = sliding_window_infer(plus_one, image, 32, 16)
+        assert np.array_equal(tiled.data, plus_one(image).data)
 
     def test_window_larger_than_image_rejected(self):
         with pytest.raises(ConfigurationError, match="window"):
-            sliding_window_infer(_IdentityModel(), Tensor(np.zeros((1, 16, 16))), 32, 16)
+            sliding_window_infer(_identity, Tensor(np.zeros((1, 16, 16))), 32, 16)
 
 
 def test_baseline_psnr_uses_unpacked_domain():
@@ -240,27 +213,14 @@ def test_cosine_bounds_property(t, total):
     st.data(),
 )
 def test_partition_of_unity_for_any_valid_tiling(h, w, window, data):
+    # The blended identity reproduces a random input only if every pixel is
+    # covered and the normalized tile weights sum to one there.
     if window > min(h, w):
         window = min(h, w)
     overlap = data.draw(st.integers(0, window - 1))
-    raw = blend_weight_map(h, w, window, overlap)
-    assert float(raw.min()) > 0.0
-    profile = raised_cosine_profile(window)
-    tile = np.outer(profile, profile)
-    stride = window - overlap
-    ys = list(range(0, h - window + 1, stride))
-    xs = list(range(0, w - window + 1, stride))
-    if ys[-1] != h - window:
-        ys.append(h - window)
-    if xs[-1] != w - window:
-        xs.append(w - window)
-    acc = np.zeros((h, w))
-    for y0 in ys:
-        for x0 in xs:
-            acc[y0 : y0 + window, x0 : x0 + window] += (
-                tile / raw[y0 : y0 + window, x0 : x0 + window]
-            )
-    assert np.abs(acc - 1.0).max() < 1e-6
+    image = np.random.default_rng(h * 1000 + w).uniform(0, 1, (2, h, w)).astype(np.float32)
+    out = sliding_window_infer(_identity, Tensor(image), window, overlap)
+    assert np.abs(out.data - image).max() < 1e-6
 
 
 @settings(max_examples=25, deadline=None)
