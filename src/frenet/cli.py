@@ -35,7 +35,7 @@ from .rawdata import (
     to_sensor_counts,
 )
 from .runconfig import parse_run_config
-from .tensor import ConfigurationError, EvaluationError, Tensor
+from .tensor import ConfigurationError, EvaluationError, Tensor, no_grad
 from .train import sliding_window_infer, train
 from .verify import run_suites
 
@@ -175,7 +175,8 @@ def _cmd_dump_spectrum(args) -> int:
             f"got {packed.shape[1]}x{packed.shape[2]}"
         )
     trace: dict = {}
-    net.forward(packed, trace=trace, spectrum_taps={args.block})
+    with no_grad():
+        net.forward(packed, trace=trace, spectrum_taps={args.block})
     spectrum = trace[f"{args.block}.spectrum"]  # real planes over imaginary planes
     half = spectrum.shape[0] // 2
     out_dir = Path(args.out)

@@ -37,6 +37,8 @@ class DatasetParams:
             raise ConfigurationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.kernel_kind not in ("gaussian", "motion", "mixed", "none"):
             raise ConfigurationError(f"unknown kernel_kind {self.kernel_kind!r}")
+        if self.sigma_min <= 0:
+            raise ConfigurationError(f"sigma_min must be > 0, got {self.sigma_min}")
         if self.sigma_min > self.sigma_max:
             raise ConfigurationError("sigma_min must not exceed sigma_max")
 

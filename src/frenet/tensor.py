@@ -4,6 +4,7 @@ Values are immutable from the caller's perspective: every operation returns a
 fresh Tensor and records a backward closure when any input participates in
 gradient tracking. The tape is the implicit graph of those closures; it lives
 only for one forward/backward pass and is never shared between threads.
+Inside ``no_grad()`` nothing is recorded, so a forward keeps no graph alive.
 
 The production dtype is float32. Operations follow the dtype of their inputs,
 which lets the gradient checker rerun the same graph in float64 where central
@@ -13,6 +14,7 @@ finite differences are meaningful.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -153,10 +155,28 @@ class ConvSpec:
         return (self.out_channels, self.in_channels // self.groups, self.kernel_h, self.kernel_w)
 
 
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Record no tape inside the block: results keep no parents and no backward closure.
+
+    The arithmetic is unchanged, so outputs equal those with recording on.
+    The previous state comes back on exit, also when the block raises.
+    """
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
     """Wrap an op result; the backward closure is kept only when needed."""
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -313,7 +333,17 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None = None
 
     Odd kernels get zero padding (k-1)/2 so spatial size maps H -> H/stride;
     even kernels are unpadded (the 2x2/stride-2 downsampling case).
-    Accumulation runs in float64 and the result is cast back to the input dtype.
+
+    One of three kernels computes it, chosen by ``spec``:
+
+    - 1x1, stride 1, groups 1: one GEMM over C x (H*W);
+    - depthwise 3x3, stride 1: nine shifted multiply-adds;
+    - every other shape: one einsum over sliding windows.
+
+    All three accumulate the output and the weight gradient in float64 and
+    cast back to the input dtype; the input gradient accumulates in the input
+    dtype. On float32 inputs the two direct kernels reproduce the einsum
+    kernel bit for bit; on float64 the depthwise one differs by a few ulps.
     """
     if x.data.ndim != 3:
         raise ConfigurationError(f"conv2d expects CxHxW input, got shape {x.shape}")
@@ -329,31 +359,60 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None = None
     if h % spec.stride or w % spec.stride:
         raise ConfigurationError(f"spatial dims {h}x{w} not divisible by stride {spec.stride}")
 
-    kh, kw, s, grp = spec.kernel_h, spec.kernel_w, spec.stride, spec.groups
-    pad_h, pad_w = (kh - 1) // 2, (kw - 1) // 2
-    ci_g = spec.in_channels // grp
-    co_g = spec.out_channels // grp
-
-    xp = np.pad(x.data, ((0, 0), (pad_h, pad_h), (pad_w, pad_w)))
-    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::s, ::s]
-    h_out, w_out = windows.shape[1], windows.shape[2]
-    xv = windows.reshape(grp, ci_g, h_out, w_out, kh, kw)
-    wv = weight.data.reshape(grp, co_g, ci_g, kh, kw)
-
-    out = np.einsum("gihwuv,goiuv->gohw", xv, wv, dtype=np.float64, optimize=True)
-    out_dtype = np.result_type(x.data, weight.data)
-    out = out.reshape(spec.out_channels, h_out, w_out).astype(out_dtype)
+    out, grads = _conv_kernel(spec)(x.data, spec, weight.data)
+    out = out.astype(np.result_type(x.data, weight.data))
     if bias is not None:
         out = out + bias.data[:, None, None]
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def bw(g):
-        gv = g.reshape(grp, co_g, h_out, w_out)
-        if weight.requires_grad:
-            dw = np.einsum("gihwuv,gohw->goiuv", xv, gv, dtype=np.float64, optimize=True)
+        dw, dx = grads(g, weight.requires_grad, x.requires_grad)
+        if dw is not None:
             _accumulate(weight, dw.reshape(weight.shape).astype(g.dtype))
-        if x.requires_grad:
+        if dx is not None:
+            _accumulate(x, dx)
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, g.sum(axis=(1, 2)))
+
+    return _node(out, parents, bw)
+
+
+def _conv_kernel(spec: ConvSpec):
+    """The kernel for ``spec``: (input, spec, weight) arrays -> (float64 output, grads).
+
+    ``grads(g, need_w, need_x)`` returns ``(dw, dx)``: dw float64 with weight's
+    size, dx with the input's shape and dtype, None where not needed.
+    """
+    if spec.stride == 1 and spec.kernel_h == spec.kernel_w == 1 and spec.groups == 1:
+        return _conv_1x1
+    if (spec.stride == 1 and spec.kernel_h == spec.kernel_w == 3
+            and spec.groups == spec.in_channels == spec.out_channels):
+        return _conv_depthwise3
+    return _conv_einsum
+
+
+def _conv_einsum(xd: np.ndarray, spec: ConvSpec, wd: np.ndarray):
+    """Any shape: one einsum over sliding windows of the zero-padded input."""
+    kh, kw, s, grp = spec.kernel_h, spec.kernel_w, spec.stride, spec.groups
+    pad_h, pad_w = (kh - 1) // 2, (kw - 1) // 2
+    c_in, h, w = xd.shape
+    ci_g = spec.in_channels // grp
+    co_g = spec.out_channels // grp
+
+    xp = np.pad(xd, ((0, 0), (pad_h, pad_h), (pad_w, pad_w)))
+    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::s, ::s]
+    h_out, w_out = windows.shape[1], windows.shape[2]
+    xv = windows.reshape(grp, ci_g, h_out, w_out, kh, kw)
+    wv = wd.reshape(grp, co_g, ci_g, kh, kw)
+    out = np.einsum("gihwuv,goiuv->gohw", xv, wv, dtype=np.float64, optimize=True)
+
+    def grads(g, need_w, need_x):
+        gv = g.reshape(grp, co_g, h_out, w_out)
+        dw = dx = None
+        if need_w:
+            dw = np.einsum("gihwuv,gohw->goiuv", xv, gv, dtype=np.float64, optimize=True)
+        if need_x:
             dxp = np.zeros_like(xp)
             for u in range(kh):
                 for v in range(kw):
@@ -361,11 +420,61 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None = None
                     dxp[:, u : u + s * h_out : s, v : v + s * w_out : s] += patch.reshape(
                         c_in, h_out, w_out
                     )
-            _accumulate(x, dxp[:, pad_h : pad_h + h, pad_w : pad_w + w])
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, g.sum(axis=(1, 2)))
+            dx = dxp[:, pad_h : pad_h + h, pad_w : pad_w + w]
+        return dw, dx
 
-    return _node(out, parents, bw)
+    return out.reshape(spec.out_channels, h_out, w_out), grads
+
+
+def _conv_1x1(xd: np.ndarray, spec: ConvSpec, wd: np.ndarray):
+    """1x1, stride 1, groups 1: one GEMM over C x (H*W)."""
+    c_in, h, w = xd.shape
+    x2 = xd.reshape(c_in, h * w)
+    w2 = wd.reshape(spec.out_channels, c_in)
+    out = np.matmul(w2, x2, dtype=np.float64)
+
+    def grads(g, need_w, need_x):
+        g2 = g.reshape(spec.out_channels, h * w)
+        dw = np.matmul(g2, x2.T, dtype=np.float64) if need_w else None
+        dx = (w2.T @ g2).reshape(xd.shape).astype(xd.dtype, copy=False) if need_x else None
+        return dw, dx
+
+    return out.reshape(spec.out_channels, h, w), grads
+
+
+_TAPS3 = [(u, v) for u in range(3) for v in range(3)]
+
+
+def _conv_depthwise3(xd: np.ndarray, spec: ConvSpec, wd: np.ndarray):
+    """Depthwise 3x3, stride 1: nine shifted multiply-adds over the zero-padded input.
+
+    The backward keeps alive only the padded input and the weight view, in
+    the input dtype; its float64 copies are made when it runs.
+    """
+    c, h, w = xd.shape
+    xp = np.pad(xd, ((0, 0), (1, 1), (1, 1)))
+    w9 = wd.reshape(c, 9)
+    w64 = w9.astype(np.float64)
+    out = np.zeros((c, h, w))
+    for k, (u, v) in enumerate(_TAPS3):
+        out += xp[:, u : u + h, v : v + w] * w64[:, k, None, None]
+
+    def grads(g, need_w, need_x):
+        dw = dx = None
+        if need_w:
+            g64 = g.astype(np.float64).reshape(c, h * w, 1)
+            dw = np.empty((c, 9))
+            for k, (u, v) in enumerate(_TAPS3):
+                shifted = xp[:, u : u + h, v : v + w].astype(np.float64).reshape(c, 1, h * w)
+                dw[:, k] = np.matmul(shifted, g64)[:, 0, 0]
+        if need_x:
+            dxp = np.zeros_like(xp)
+            for k, (u, v) in enumerate(_TAPS3):
+                dxp[:, u : u + h, v : v + w] += g * w9[:, k, None, None]
+            dx = dxp[:, 1 : h + 1, 1 : w + 1]
+        return dw, dx
+
+    return out, grads
 
 
 def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

@@ -18,7 +18,18 @@ import numpy as np
 from .metrics import psnr
 from .rawdata import bayer_unpack
 from .spectral import complex_to_channels, fft2d
-from .tensor import ConfigurationError, EvaluationError, Parameter, Tensor, abs_, add, mean_all, scale, sub
+from .tensor import (
+    ConfigurationError,
+    EvaluationError,
+    Parameter,
+    Tensor,
+    abs_,
+    add,
+    mean_all,
+    no_grad,
+    scale,
+    sub,
+)
 
 
 @dataclass
@@ -83,20 +94,25 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """Standard bias-corrected Adam update; missing gradients count as zero."""
+    """Standard bias-corrected Adam update, in place; missing gradients count as zero."""
     state.step += 1
     t = state.step
     for p in params:
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         m = state.m.setdefault(p.name, np.zeros_like(p.data))
         v = state.v.setdefault(p.name, np.zeros_like(p.data))
+        step, denom = np.empty_like(p.data), np.empty_like(p.data)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(g, 1.0 - beta1, out=step)
         v *= beta2
-        v += (1.0 - beta2) * np.square(g)
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p.data = (p.data - lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.data.dtype)
+        v += np.multiply(np.square(g, out=step), 1.0 - beta2, out=step)
+        np.divide(m, 1.0 - beta1**t, out=step)  # m_hat
+        np.divide(v, 1.0 - beta2**t, out=denom)  # v_hat
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step *= lr
+        step /= denom
+        p.data -= step
 
 
 @dataclass
@@ -110,11 +126,12 @@ class TrainResult:
 
 
 def validation_psnr(net, pairs: Sequence[tuple[Tensor, Tensor]]) -> float:
-    """Mean PSNR on unpacked single-channel RAW, network output vs sharp."""
+    """Mean PSNR on unpacked single-channel RAW, network output vs sharp; records no tape."""
     scores = []
-    for blurred, sharp in pairs:
-        out = net.forward(blurred)
-        scores.append(psnr(bayer_unpack(Tensor(out.data)), bayer_unpack(sharp)))
+    with no_grad():
+        for blurred, sharp in pairs:
+            out = net.forward(blurred)
+            scores.append(psnr(bayer_unpack(out), bayer_unpack(sharp)))
     return float(np.mean(scores))
 
 
@@ -245,7 +262,8 @@ def sliding_window_infer(forward: Callable[[Tensor], Tensor], image: Tensor,
                          window: int | None = None, overlap: int | None = None) -> Tensor:
     """Tile the image, run ``forward`` per tile, and blend with raised-cosine weights.
 
-    Tiles run one after another and are blended in index order, in float64.
+    Tiles run one after another, with no tape, and are blended in index order,
+    in float64.
     A single tile comes back bit-identical to its forward output: weighting and
     normalizing by the same positive weight is exact once rounded to float32.
     """
@@ -264,11 +282,11 @@ def sliding_window_infer(forward: Callable[[Tensor], Tensor], image: Tensor,
     stride = window - overlap
     acc_val = np.zeros((c, h, w))
     acc_w = np.zeros((h, w))
-    for y0 in _tile_positions(h, window, stride):
-        for x0 in _tile_positions(w, window, stride):
-            tile = Tensor(np.ascontiguousarray(image.data[:, y0 : y0 + window, x0 : x0 + window]))
-            # Keeping only the array drops this tile's autodiff graph before the next forward.
-            out = forward(tile).data.astype(np.float64)
-            acc_val[:, y0 : y0 + window, x0 : x0 + window] += out * weight
-            acc_w[y0 : y0 + window, x0 : x0 + window] += weight
+    with no_grad():
+        for y0 in _tile_positions(h, window, stride):
+            for x0 in _tile_positions(w, window, stride):
+                tile = Tensor(np.ascontiguousarray(image.data[:, y0 : y0 + window, x0 : x0 + window]))
+                out = forward(tile).data.astype(np.float64)
+                acc_val[:, y0 : y0 + window, x0 : x0 + window] += out * weight
+                acc_w[y0 : y0 + window, x0 : x0 + window] += weight
     return Tensor((acc_val / acc_w).astype(np.float32))

@@ -119,6 +119,15 @@ def test_negative_noise_sigma_is_runtime_error(tmp_path, capsys):
     assert not (tmp_path / "data" / "manifest.txt").exists()
 
 
+@pytest.mark.parametrize("sigma_min", ["0", "-1"])
+def test_non_positive_blur_sigma_is_runtime_error(tmp_path, capsys, sigma_min):
+    # sigma_min = 0 used to write an all-NaN blurred corpus with exit 0.
+    cfg = _tiny_cfg(tmp_path / "bad.cfg", count=2, sigma_min=sigma_min, sigma_max="0")
+    assert main(["datagen", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 1
+    _assert_one_error_line(capsys)
+    assert not (tmp_path / "data" / "manifest.txt").exists()
+
+
 def test_malformed_manifest_is_runtime_error(workdir, capsys):
     tmp_path, cfg_path, _ = workdir
     data = tmp_path / "data"

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from frenet.arch import build_frenet, tiny_config
 from frenet.rawdata import PreprocessSpec, gen_dataset
-from frenet.tensor import ConfigurationError, EvaluationError, Parameter, Tensor
+from frenet.tensor import ConfigurationError, EvaluationError, Parameter, Tensor, no_grad
 from frenet.train import (
     AdamState,
     TrainConfig,
@@ -15,6 +15,7 @@ from frenet.train import (
     loss_total,
     sliding_window_infer,
     train,
+    validation_psnr,
 )
 
 
@@ -90,6 +91,23 @@ class TestAdam:
             adam_step([p], state, lr=0.05)
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
+    def test_in_place_update_matches_out_of_place_formula(self):
+        rng = np.random.default_rng(12)
+        p = Parameter("p", rng.standard_normal((3, 5)).astype(np.float32))
+        data = p.data
+        want, m, v = p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)
+        state = AdamState()
+        for t in range(1, 5):
+            g = rng.standard_normal((3, 5)).astype(np.float32)
+            p.grad = g
+            adam_step([p], state, lr=1e-3)
+            m = m * 0.9 + (1.0 - 0.9) * g
+            v = v * 0.999 + (1.0 - 0.999) * np.square(g)
+            m_hat, v_hat = m / (1.0 - 0.9**t), v / (1.0 - 0.999**t)
+            want = (want - 1e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)).astype(np.float32)
+            assert np.array_equal(p.data, want)
+        assert p.data is data
+
 
 class TestCosine:
     def test_endpoints_and_midpoint(self):
@@ -157,6 +175,19 @@ class TestTrainLoop:
                   out_dir=tmp_path, val_pairs=[])
         assert (tmp_path / "final.fckpt").exists()  # last-good state persisted
 
+    def test_validation_keeps_no_tape_and_training_still_fills_gradients(self):
+        corpus = tiny_corpus(count=4, size=16)
+        net = build_frenet(tiny_config(base_size=8), seed=8)
+        blurred, sharp = corpus[0]
+        with no_grad():
+            bare = net.forward(blurred)
+        assert bare._backward is None and bare._parents == ()
+        assert np.array_equal(bare.data, net.forward(blurred).data)
+        validation_psnr(net, corpus[2:])
+        net.zero_grad()
+        loss_total(net.forward(blurred), sharp, 0.01).backward()
+        assert all(p.grad is not None for p in net.parameters().values())
+
     def test_empty_corpus_rejected(self):
         net = build_frenet(tiny_config(base_size=8), seed=7)
         with pytest.raises(ConfigurationError, match="empty"):
@@ -184,6 +215,19 @@ class TestSlidingWindow:
 
         tiled = sliding_window_infer(plus_one, image, 32, 16)
         assert np.array_equal(tiled.data, plus_one(image).data)
+
+    def test_tiles_run_without_a_tape(self):
+        net = build_frenet(tiny_config(base_size=8), seed=9)
+        tapes = []
+
+        def forward(tile):
+            out = net.forward(tile)
+            tapes.append(out._backward)
+            return out
+
+        image = Tensor(np.random.default_rng(10).uniform(0, 1, (4, 16, 16)).astype(np.float32))
+        sliding_window_infer(forward, image, 8, 4)
+        assert len(tapes) == 9 and all(t is None for t in tapes)
 
     def test_window_larger_than_image_rejected(self):
         with pytest.raises(ConfigurationError, match="window"):
