@@ -22,6 +22,7 @@ from .tensor import (
     Tensor,
     _accumulate,
     _node,
+    _unbroadcast,
     add,
     gelu,
     matmul,
@@ -92,14 +93,19 @@ class KernelBiasGenerator:
         self.b2 = Parameter(f"{prefix}.b2", np.zeros(out_dim, dtype=np.float32))
 
     def __call__(self, distances: np.ndarray) -> Tensor:
-        """Evaluate the generator for a batch of distances; returns (n, out_dim)."""
-        d = Tensor(np.asarray(distances, dtype=self.w1.dtype).reshape(-1, 1))
-        hidden = gelu(add(matmul(d, transpose2d(self.w1)), self.b1))
-        return add(matmul(hidden, transpose2d(self.w2)), self.b2)
+        """Evaluate the generator for an array of distances; returns distances.shape + (out_dim,)."""
+        d = Tensor(np.asarray(distances, dtype=self.w1.dtype)[..., None])
+        hidden = gelu(add(matmul(d, transpose2d(self.w1)), _row(self.b1)))
+        return add(matmul(hidden, transpose2d(self.w2)), _row(self.b2))
+
+
+def _row(bias: Tensor) -> Tensor:
+    """A bias as a 1xK row, so adding it to a stack of rows sums its gradient within each sample."""
+    return reshape(bias, (1,) + bias.shape)
 
 
 def _check_tiling(x: Tensor, grid: PatchGrid) -> None:
-    _, h, w = x.shape
+    h, w = x.shape[-2:]
     if grid.height != h or grid.width != w:
         raise ConfigurationError(
             f"grid {grid.rows}x{grid.cols} of {grid.patch_h}x{grid.patch_w} patches "
@@ -110,49 +116,55 @@ def _check_tiling(x: Tensor, grid: PatchGrid) -> None:
 def patch_weighted_sum(x: Tensor, kernels: Tensor, grid: PatchGrid) -> Tensor:
     """Per patch and channel, sum the patch weighted by its shared kernel.
 
-    ``kernels`` is (rows*cols, patch_h*patch_w); the result is (rows*cols, C).
+    ``kernels`` is (rows*cols, patch_h*patch_w), with or without the batch
+    axes of ``x``; the result is (rows*cols, C) per sample.
     """
     _check_tiling(x, grid)
-    c = x.shape[0]
+    lead, c = x.shape[:-3], x.shape[-3]
     m, n, ph, pw = grid.rows, grid.cols, grid.patch_h, grid.patch_w
-    if tuple(kernels.shape) != (m * n, ph * pw):
+    if tuple(kernels.shape) not in ((m * n, ph * pw), lead + (m * n, ph * pw)):
         raise ConfigurationError(
-            f"kernel stack shape {tuple(kernels.shape)} != ({m * n}, {ph * pw})"
+            f"kernel stack shape {tuple(kernels.shape)} != ({m * n}, {ph * pw}) per sample"
         )
-    patches = x.data.reshape(c, m, ph, n, pw)
-    kview = kernels.data.reshape(m, n, ph, pw)
-    out = np.einsum("cipjq,ijpq->ijc", patches, kview, optimize=True).reshape(m * n, c)
+    patches = x.data.reshape(lead + (c, m, ph, n, pw))
+    kview = kernels.data.reshape(kernels.shape[:-2] + (m, n, ph, pw))
+    out = np.einsum("...cipjq,...ijpq->...ijc", patches, kview, optimize=True).reshape(lead + (m * n, c))
 
     def bw(g):
-        gv = g.reshape(m, n, c)
+        gv = g.reshape(lead + (m, n, c))
         if kernels.requires_grad:
-            dk = np.einsum("cipjq,ijc->ijpq", patches, gv, optimize=True)
-            _accumulate(kernels, dk.reshape(m * n, ph * pw))
+            # One einsum per sample: over a batch, einsum may sum C in another
+            # order (it does for 1x1 patches), and the bits would change.
+            dk = np.stack([
+                np.einsum("cipjq,ijc->ijpq", xs, gs, optimize=True)
+                for xs, gs in zip(patches.reshape((-1, c, m, ph, n, pw)), gv.reshape(-1, m, n, c))
+            ])
+            _accumulate(kernels, _unbroadcast(dk.reshape(lead + (m * n, ph * pw)), kernels.shape))
         if x.requires_grad:
-            dx = np.einsum("ijpq,ijc->cipjq", kview, gv, optimize=True)
-            _accumulate(x, dx.reshape(c, m * ph, n * pw))
+            dx = np.einsum("...ijpq,...ijc->...cipjq", kview, gv, optimize=True)
+            _accumulate(x, dx.reshape(x.shape))
 
     return _node(np.ascontiguousarray(out), (x, kernels), bw)
 
 
 def patch_scale(x: Tensor, factors: Tensor, grid: PatchGrid) -> Tensor:
-    """Multiply each patch by its per-channel modulation factor (rows*cols, C)."""
+    """Multiply each patch by its per-channel modulation factor, (rows*cols, C) per sample."""
     _check_tiling(x, grid)
-    c = x.shape[0]
+    lead, c = x.shape[:-3], x.shape[-3]
     m, n, ph, pw = grid.rows, grid.cols, grid.patch_h, grid.patch_w
-    if tuple(factors.shape) != (m * n, c):
-        raise ConfigurationError(f"factor shape {tuple(factors.shape)} != ({m * n}, {c})")
-    patches = x.data.reshape(c, m, ph, n, pw)
-    fview = factors.data.reshape(m, n, c).transpose(2, 0, 1)[:, :, None, :, None]
-    out = (patches * fview).reshape(c, m * ph, n * pw)
+    if tuple(factors.shape) != lead + (m * n, c):
+        raise ConfigurationError(f"factor shape {tuple(factors.shape)} != ({m * n}, {c}) per sample")
+    patches = x.data.reshape(lead + (c, m, ph, n, pw))
+    fview = np.moveaxis(factors.data.reshape(lead + (m, n, c)), -1, -3)[..., None, :, None]
+    out = (patches * fview).reshape(x.shape)
 
     def bw(g):
-        gp = g.reshape(c, m, ph, n, pw)
+        gp = g.reshape(patches.shape)
         if factors.requires_grad:
-            df = np.einsum("cipjq,cipjq->ijc", gp, patches, optimize=True)
-            _accumulate(factors, df.reshape(m * n, c))
+            df = np.einsum("...cipjq,...cipjq->...ijc", gp, patches, optimize=True)
+            _accumulate(factors, df.reshape(factors.shape))
         if x.requires_grad:
-            _accumulate(x, (gp * fview).reshape(c, m * ph, n * pw))
+            _accumulate(x, (gp * fview).reshape(x.shape))
 
     return _node(np.ascontiguousarray(out), (x, factors), bw)
 
@@ -189,15 +201,17 @@ class Afpm:
         # The 1x1 projection acts on Cx1x1 vectors; over the patch batch that
         # is exactly a matmul against the (C, C) weight plane.
         w2d = reshape(self.proj_weight, (self.channels, self.channels))
-        return add(matmul(aggregated, transpose2d(w2d)), self.proj_bias)
+        return add(matmul(aggregated, transpose2d(w2d)), _row(self.proj_bias))
 
     def __call__(self, x: Tensor) -> Tensor:
         if not self.adaptive:
             return self.pooling_variant(x)
         grid = self.grid
-        flat_d = grid.distances.reshape(-1)
-        kernels = self.kernel_kbg(flat_d)
-        biases = self.bias_kbg(flat_d)
+        # One generator evaluation per sample, as each sample's generator
+        # gradient is its own; kernels and biases are the same for every sample.
+        distances = np.broadcast_to(grid.distances.reshape(-1), x.shape[:-3] + (grid.rows * grid.cols,))
+        kernels = self.kernel_kbg(distances)
+        biases = self.bias_kbg(distances)
         aggregated = add(patch_weighted_sum(x, kernels, grid), biases)
         return patch_scale(x, self._project(aggregated), grid)
 

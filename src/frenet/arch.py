@@ -281,7 +281,7 @@ class Down:
         self.conv = Conv(prefix, rng, ConvSpec(channels, 2 * channels, 2, 2, stride=2))
 
     def __call__(self, x: Tensor) -> Tensor:
-        _, h, w = x.shape
+        h, w = x.shape[-2:]
         if h % 2 or w % 2:
             raise ConfigurationError(f"downsampling needs even spatial dims, got {h}x{w}")
         return self.conv(x)
@@ -383,9 +383,10 @@ class FrENet:
 
     def forward(self, y: Tensor, trace: dict | None = None,
                 spectrum_taps: Iterable[str] = ()) -> Tensor:
+        """Restore one CxHxW input, or a batch of them stacked on leading axes."""
         cfg = self.cfg
         expected = (cfg.in_channels, cfg.base_size, cfg.base_size)
-        if tuple(y.shape) != expected:
+        if tuple(y.shape[-3:]) != expected:
             raise ConfigurationError(
                 f"input shape {tuple(y.shape)} does not match the built geometry {expected}"
             )
@@ -406,7 +407,7 @@ class FrENet:
             f = stage.down(f)
             for blk in stage.blocks:
                 f, spectrum = run_block(blk, f, None)
-            assert f.shape == (cfg.width << i, cfg.base_size >> i, cfg.base_size >> i)
+            assert f.shape[-3:] == (cfg.width << i, cfg.base_size >> i, cfg.base_size >> i)
             store.append(spectrum)
             enc_feats.append(f)
             if trace is not None:

@@ -48,7 +48,8 @@ def _read_raw_image(path: str, preprocess: PreprocessSpec) -> Tensor:
     """Load a single-channel RAW image normalized to [0, 1].
 
     .pgm files hold sensor counts and get preprocessed; .ften files are taken
-    as already-normalized planes.
+    as already-normalized HxW or 1xHxW planes, and must be finite: one NaN
+    would spread through every FFT into the whole output.
     """
     suffix = Path(path).suffix.lower()
     if suffix == ".pgm":
@@ -57,6 +58,10 @@ def _read_raw_image(path: str, preprocess: PreprocessSpec) -> Tensor:
         data = read_ften(path)
         if data.ndim == 2:
             data = data[None]
+        if data.ndim != 3 or data.shape[0] != 1:
+            raise ConfigurationError(f"{path}: expected an HxW or 1xHxW plane, got shape {data.shape}")
+        if not np.isfinite(data).all():
+            raise ConfigurationError(f"{path}: plane holds non-finite values (NaN or Inf)")
         return Tensor(data)
     raise ConfigurationError(f"unsupported input image format {suffix!r} (use .pgm or .ften)")
 

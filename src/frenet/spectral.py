@@ -2,7 +2,8 @@
 
 Transforms are orthonormal (forward and inverse each scaled by 1/sqrt(H*W)) so
 Parseval holds without extra factors. Spatial dims must be powers of two; the
-network config guarantees this. Complex values are carried as a pair of real
+network config guarantees this. Transforms act on the last two axes; any axes
+before CxHxW are a batch. Complex values are carried as a pair of real
 tensors so the whole pipeline stays inside the real-valued autodiff tape.
 """
 
@@ -55,10 +56,10 @@ def _check_pow2(h: int, w: int, op: str) -> None:
 
 
 def fft2d(x: Tensor) -> ComplexTensor:
-    """Per-channel orthonormal 2-D DFT of a real CxHxW tensor, DC at index (0,0)."""
-    if x.data.ndim != 3:
-        raise ConfigurationError(f"fft2d expects CxHxW input, got shape {x.shape}")
-    _, h, w = x.shape
+    """Per-channel orthonormal 2-D DFT of a real CxHxW tensor (or a batch), DC at index (0,0)."""
+    if x.data.ndim < 3:
+        raise ConfigurationError(f"fft2d expects CxHxW input or a batch of them, got shape {x.shape}")
+    h, w = x.shape[-2:]
     _check_pow2(h, w, "fft2d")
     spec = scipy.fft.fft2(x.data, axes=(-2, -1), norm="ortho")
     re_data = np.ascontiguousarray(spec.real)
@@ -76,10 +77,10 @@ def fft2d(x: Tensor) -> ComplexTensor:
 def ifft2d(spectrum: ComplexTensor) -> Tensor:
     """Orthonormal inverse transform; returns the real part of the result.
 
-    For spectra of real images round-tripped through this module the imaginary
-    residue is numerical noise; ``ifft_imag_residual`` reports it.
+    For spectra of real images round-tripped through this module the discarded
+    imaginary residue is numerical noise.
     """
-    _, h, w = spectrum.shape
+    h, w = spectrum.shape[-2:]
     _check_pow2(h, w, "ifft2d")
     re, im = spectrum.re, spectrum.im
     full = scipy.fft.ifft2(re.data + 1j * im.data, axes=(-2, -1), norm="ortho")
@@ -93,19 +94,13 @@ def ifft2d(spectrum: ComplexTensor) -> Tensor:
     return _node(out, (re, im), bw)
 
 
-def ifft_imag_residual(spectrum: ComplexTensor) -> float:
-    """Max |imaginary part| discarded by ifft2d for this spectrum."""
-    full = scipy.fft.ifft2(spectrum.to_complex(), axes=(-2, -1), norm="ortho")
-    return float(np.abs(full.imag).max())
-
-
 def fft_shift(spectrum: ComplexTensor, inverse: bool = False) -> ComplexTensor:
     """Circularly shift the zero-frequency bin to (from) the spectrum center.
 
     Forward shifts by (H//2, W//2); inverse by the ceiling halves, so the two
     coincide and the op is an involution on even dims.
     """
-    _, h, w = spectrum.shape
+    h, w = spectrum.shape[-2:]
     sh, sw = h // 2, w // 2
     if inverse:
         sh, sw = -sh, -sw
@@ -119,7 +114,7 @@ def complex_to_channels(spectrum: ComplexTensor) -> Tensor:
 
 def channels_to_complex(x: Tensor) -> ComplexTensor:
     """Inverse of complex_to_channels: first half of channels -> re, second -> im."""
-    c = x.shape[0]
+    c = x.shape[-3]
     if c % 2:
         raise ConfigurationError(f"channels_to_complex needs an even channel count, got {c}")
     half = c // 2

@@ -6,6 +6,12 @@ gradient tracking. The tape is the implicit graph of those closures; it lives
 only for one forward/backward pass and is never shared between threads.
 Inside ``no_grad()`` nothing is recorded, so a forward keeps no graph alive.
 
+Image ops read the last three axes as CxHxW and treat any leading axes as a
+batch. Each sample is computed exactly as it would be alone, and a gradient
+that reaches an unbatched tensor (a parameter) is the per-sample gradients
+added up in index order, so a batch trains bit for bit like its items would
+one after another.
+
 The production dtype is float32. Operations follow the dtype of their inputs,
 which lets the gradient checker rerun the same graph in float64 where central
 finite differences are meaningful.
@@ -189,15 +195,32 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad = g if t.grad is None else t.grad + g
 
 
+def _sum_batch(g: np.ndarray, ndim: int) -> np.ndarray:
+    """Sum the axes of ``g`` before its last ``ndim`` one sample after another, in index order.
+
+    That is the order in which separate per-sample graphs would add their
+    gradients; ``np.sum`` would pair the terms of a short contiguous axis instead.
+    """
+    if g.ndim == ndim:
+        return g
+    rows = g.reshape((-1,) + g.shape[g.ndim - ndim :])
+    total = rows[0]
+    for row in rows[1:]:
+        total = total + row
+    return np.asarray(total)
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient down to the shape it was broadcast from."""
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, dim in enumerate(shape) if dim == 1 and g.shape[i] != 1)
+    """Sum a gradient down to the shape it was broadcast from.
+
+    Size-1 axes of ``shape`` are summed within each sample first; leading axes
+    that ``shape`` lacks are batch axes, summed last by ``_sum_batch``.
+    """
+    lead = g.ndim - len(shape)
+    axes = tuple(lead + i for i, dim in enumerate(shape) if dim == 1 and g.shape[lead + i] != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
-    return g
+    return _sum_batch(g, len(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +231,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def bw(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     return _node(out, (a, b), bw)
 
@@ -218,8 +243,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
 
     def bw(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, -_unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, -_unbroadcast(g, b.shape))
 
     return _node(out, (a, b), bw)
 
@@ -228,8 +255,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
     def bw(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _node(out, (a, b), bw)
 
@@ -254,21 +283,42 @@ def abs_(a: Tensor) -> Tensor:
 
 
 def mean_all(a: Tensor) -> Tensor:
-    out = a.data.mean(dtype=np.float64).astype(a.dtype)
-    n = a.data.size
+    """Mean of each sample's last three axes (of every axis when there are at most three)."""
+    lead = a.shape[:-3]
+    axes = tuple(range(len(lead), a.data.ndim))
+    out = a.data.mean(axis=axes, dtype=np.float64).astype(a.dtype)
+    n = math.prod(a.shape[len(lead) :])
+    keep = lead + (1,) * len(axes)
 
     def bw(g):
-        _accumulate(a, np.broadcast_to(g / n, a.shape).astype(a.dtype))
+        _accumulate(a, np.broadcast_to((g / n).reshape(keep), a.shape).astype(a.dtype))
+
+    return _node(out, (a,), bw)
+
+
+def sum_in_order(a: Tensor) -> Tensor:
+    """Sum of all elements, added one after another in index order.
+
+    A batch's per-sample losses summed this way equal the same losses joined
+    by a chain of ``add``.
+    """
+    out = _sum_batch(a.data.reshape(-1), 0)
+
+    def bw(g):
+        _accumulate(a, np.broadcast_to(g, a.shape))
 
     return _node(out, (a,), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the last two axes; leading axes are a batch."""
     out = a.data @ b.data
 
     def bw(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _node(out, (a, b), bw)
 
@@ -293,22 +343,22 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def concat_channels(parts: Iterable[Tensor]) -> Tensor:
     parts = tuple(parts)
-    out = np.concatenate([p.data for p in parts], axis=0)
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
+    out = np.concatenate([p.data for p in parts], axis=-3)
+    offsets = np.cumsum([0] + [p.shape[-3] for p in parts])
 
     def bw(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[lo:hi])
+            _accumulate(p, g[..., lo:hi, :, :])
 
     return _node(out, parts, bw)
 
 
 def slice_channels(a: Tensor, start: int, stop: int) -> Tensor:
-    out = a.data[start:stop]
+    out = a.data[..., start:stop, :, :]
 
     def bw(g):
         full = np.zeros(a.shape, dtype=g.dtype)
-        full[start:stop] = g
+        full[..., start:stop, :, :] = g
         _accumulate(a, full)
 
     return _node(out, (a,), bw)
@@ -329,14 +379,14 @@ def roll2d(a: Tensor, shift_h: int, shift_w: int) -> Tensor:
 
 
 def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Grouped 2-D cross-correlation.
+    """Grouped 2-D cross-correlation of a CxHxW input or a batch of them.
 
     Odd kernels get zero padding (k-1)/2 so spatial size maps H -> H/stride;
     even kernels are unpadded (the 2x2/stride-2 downsampling case).
 
     One of three kernels computes it, chosen by ``spec``:
 
-    - 1x1, stride 1, groups 1: one GEMM over C x (H*W);
+    - 1x1, stride 1, groups 1: one GEMM over C x (H*W) per sample;
     - depthwise 3x3, stride 1: nine shifted multiply-adds;
     - every other shape: one einsum over sliding windows.
 
@@ -345,9 +395,10 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None = None
     dtype. On float32 inputs the two direct kernels reproduce the einsum
     kernel bit for bit; on float64 the depthwise one differs by a few ulps.
     """
-    if x.data.ndim != 3:
-        raise ConfigurationError(f"conv2d expects CxHxW input, got shape {x.shape}")
-    c_in, h, w = x.shape
+    if x.data.ndim < 3:
+        raise ConfigurationError(f"conv2d expects CxHxW input or a batch of them, got shape {x.shape}")
+    lead = x.shape[:-3]
+    c_in, h, w = x.shape[-3:]
     if c_in != spec.in_channels:
         raise ConfigurationError(f"input has {c_in} channels, spec expects {spec.in_channels}")
     if tuple(weight.shape) != spec.weight_shape:
@@ -359,30 +410,34 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None = None
     if h % spec.stride or w % spec.stride:
         raise ConfigurationError(f"spatial dims {h}x{w} not divisible by stride {spec.stride}")
 
-    out, grads = _conv_kernel(spec)(x.data, spec, weight.data)
+    out, grads = _conv_kernel(spec)(x.data.reshape(-1, c_in, h, w), spec, weight.data)
     out = out.astype(np.result_type(x.data, weight.data))
     if bias is not None:
         out = out + bias.data[:, None, None]
+    out = out.reshape(lead + out.shape[1:])
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def bw(g):
+        g = g.reshape((-1,) + g.shape[-3:])
         dw, dx = grads(g, weight.requires_grad, x.requires_grad)
         if dw is not None:
-            _accumulate(weight, dw.reshape(weight.shape).astype(g.dtype))
+            dw = dw.reshape((-1,) + weight.shape).astype(g.dtype)
+            _accumulate(weight, _sum_batch(dw, weight.data.ndim))
         if dx is not None:
-            _accumulate(x, dx)
+            _accumulate(x, dx.reshape(x.shape))
         if bias is not None and bias.requires_grad:
-            _accumulate(bias, g.sum(axis=(1, 2)))
+            _accumulate(bias, _sum_batch(g.sum(axis=(-2, -1)), 1))
 
     return _node(out, parents, bw)
 
 
 def _conv_kernel(spec: ConvSpec):
-    """The kernel for ``spec``: (input, spec, weight) arrays -> (float64 output, grads).
+    """The kernel for ``spec``: (NxCxHxW input, spec, weight) arrays -> (float64 output, grads).
 
-    ``grads(g, need_w, need_x)`` returns ``(dw, dx)``: dw float64 with weight's
-    size, dx with the input's shape and dtype, None where not needed.
+    ``grads(g, need_w, need_x)`` returns ``(dw, dx)``: dw float64 with one
+    weight-sized block per sample, dx with the input's shape and dtype, None
+    where not needed.
     """
     if spec.stride == 1 and spec.kernel_h == spec.kernel_w == 1 and spec.groups == 1:
         return _conv_1x1
@@ -396,50 +451,50 @@ def _conv_einsum(xd: np.ndarray, spec: ConvSpec, wd: np.ndarray):
     """Any shape: one einsum over sliding windows of the zero-padded input."""
     kh, kw, s, grp = spec.kernel_h, spec.kernel_w, spec.stride, spec.groups
     pad_h, pad_w = (kh - 1) // 2, (kw - 1) // 2
-    c_in, h, w = xd.shape
+    n, c_in, h, w = xd.shape
     ci_g = spec.in_channels // grp
     co_g = spec.out_channels // grp
 
-    xp = np.pad(xd, ((0, 0), (pad_h, pad_h), (pad_w, pad_w)))
-    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::s, ::s]
-    h_out, w_out = windows.shape[1], windows.shape[2]
-    xv = windows.reshape(grp, ci_g, h_out, w_out, kh, kw)
+    xp = np.pad(xd, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)))
+    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
+    h_out, w_out = windows.shape[2], windows.shape[3]
+    xv = windows.reshape(n, grp, ci_g, h_out, w_out, kh, kw)
     wv = wd.reshape(grp, co_g, ci_g, kh, kw)
-    out = np.einsum("gihwuv,goiuv->gohw", xv, wv, dtype=np.float64, optimize=True)
+    out = np.einsum("ngihwuv,goiuv->ngohw", xv, wv, dtype=np.float64, optimize=True)
 
     def grads(g, need_w, need_x):
-        gv = g.reshape(grp, co_g, h_out, w_out)
+        gv = g.reshape(n, grp, co_g, h_out, w_out)
         dw = dx = None
         if need_w:
-            dw = np.einsum("gihwuv,gohw->goiuv", xv, gv, dtype=np.float64, optimize=True)
+            dw = np.einsum("ngihwuv,ngohw->ngoiuv", xv, gv, dtype=np.float64, optimize=True)
         if need_x:
             dxp = np.zeros_like(xp)
             for u in range(kh):
                 for v in range(kw):
-                    patch = np.einsum("goi,gohw->gihw", wv[:, :, :, u, v], gv, optimize=True)
-                    dxp[:, u : u + s * h_out : s, v : v + s * w_out : s] += patch.reshape(
-                        c_in, h_out, w_out
+                    patch = np.einsum("goi,ngohw->ngihw", wv[:, :, :, u, v], gv, optimize=True)
+                    dxp[:, :, u : u + s * h_out : s, v : v + s * w_out : s] += patch.reshape(
+                        n, c_in, h_out, w_out
                     )
-            dx = dxp[:, pad_h : pad_h + h, pad_w : pad_w + w]
+            dx = dxp[:, :, pad_h : pad_h + h, pad_w : pad_w + w]
         return dw, dx
 
-    return out.reshape(spec.out_channels, h_out, w_out), grads
+    return out.reshape(n, spec.out_channels, h_out, w_out), grads
 
 
 def _conv_1x1(xd: np.ndarray, spec: ConvSpec, wd: np.ndarray):
-    """1x1, stride 1, groups 1: one GEMM over C x (H*W)."""
-    c_in, h, w = xd.shape
-    x2 = xd.reshape(c_in, h * w)
+    """1x1, stride 1, groups 1: one GEMM over C x (H*W) per sample."""
+    n, c_in, h, w = xd.shape
+    x2 = xd.reshape(n, c_in, h * w)
     w2 = wd.reshape(spec.out_channels, c_in)
     out = np.matmul(w2, x2, dtype=np.float64)
 
     def grads(g, need_w, need_x):
-        g2 = g.reshape(spec.out_channels, h * w)
-        dw = np.matmul(g2, x2.T, dtype=np.float64) if need_w else None
+        g2 = g.reshape(n, spec.out_channels, h * w)
+        dw = np.matmul(g2, x2.transpose(0, 2, 1), dtype=np.float64) if need_w else None
         dx = (w2.T @ g2).reshape(xd.shape).astype(xd.dtype, copy=False) if need_x else None
         return dw, dx
 
-    return out.reshape(spec.out_channels, h, w), grads
+    return out.reshape(n, spec.out_channels, h, w), grads
 
 
 _TAPS3 = [(u, v) for u in range(3) for v in range(3)]
@@ -451,27 +506,27 @@ def _conv_depthwise3(xd: np.ndarray, spec: ConvSpec, wd: np.ndarray):
     The backward keeps alive only the padded input and the weight view, in
     the input dtype; its float64 copies are made when it runs.
     """
-    c, h, w = xd.shape
-    xp = np.pad(xd, ((0, 0), (1, 1), (1, 1)))
+    n, c, h, w = xd.shape
+    xp = np.pad(xd, ((0, 0), (0, 0), (1, 1), (1, 1)))
     w9 = wd.reshape(c, 9)
     w64 = w9.astype(np.float64)
-    out = np.zeros((c, h, w))
+    out = np.zeros((n, c, h, w))
     for k, (u, v) in enumerate(_TAPS3):
-        out += xp[:, u : u + h, v : v + w] * w64[:, k, None, None]
+        out += xp[:, :, u : u + h, v : v + w] * w64[:, k, None, None]
 
     def grads(g, need_w, need_x):
         dw = dx = None
         if need_w:
-            g64 = g.astype(np.float64).reshape(c, h * w, 1)
-            dw = np.empty((c, 9))
+            g64 = g.astype(np.float64).reshape(n, c, h * w, 1)
+            dw = np.empty((n, c, 9))
             for k, (u, v) in enumerate(_TAPS3):
-                shifted = xp[:, u : u + h, v : v + w].astype(np.float64).reshape(c, 1, h * w)
-                dw[:, k] = np.matmul(shifted, g64)[:, 0, 0]
+                shifted = xp[:, :, u : u + h, v : v + w].astype(np.float64).reshape(n, c, 1, h * w)
+                dw[:, :, k] = np.matmul(shifted, g64)[..., 0, 0]
         if need_x:
             dxp = np.zeros_like(xp)
             for k, (u, v) in enumerate(_TAPS3):
-                dxp[:, u : u + h, v : v + w] += g * w9[:, k, None, None]
-            dx = dxp[:, 1 : h + 1, 1 : w + 1]
+                dxp[:, :, u : u + h, v : v + w] += g * w9[:, k, None, None]
+            dx = dxp[:, :, 1 : h + 1, 1 : w + 1]
         return dw, dx
 
     return out, grads
@@ -479,27 +534,27 @@ def _conv_depthwise3(xd: np.ndarray, spec: ConvSpec, wd: np.ndarray):
 
 def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each spatial position across channels (biased variance), then affine."""
-    c = x.shape[0]
+    c = x.shape[-3]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ConfigurationError(
             f"gamma/beta must have length {c}, got {tuple(gamma.shape)}/{tuple(beta.shape)}"
         )
-    mu = x.data.mean(axis=0)
+    mu = x.data.mean(axis=-3, keepdims=True)
     centered = x.data - mu
-    var = np.square(centered).mean(axis=0)
+    var = np.square(centered).mean(axis=-3, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
     out = gamma.data[:, None, None] * xhat + beta.data[:, None, None]
 
     def bw(g):
         if beta.requires_grad:
-            _accumulate(beta, g.sum(axis=(1, 2)))
+            _accumulate(beta, _sum_batch(g.sum(axis=(-2, -1)), 1))
         if gamma.requires_grad:
-            _accumulate(gamma, (g * xhat).sum(axis=(1, 2)))
+            _accumulate(gamma, _sum_batch((g * xhat).sum(axis=(-2, -1)), 1))
         if x.requires_grad:
             dxhat = g * gamma.data[:, None, None]
-            mean_dxhat = dxhat.mean(axis=0)
-            mean_dxhat_xhat = (dxhat * xhat).mean(axis=0)
+            mean_dxhat = dxhat.mean(axis=-3, keepdims=True)
+            mean_dxhat_xhat = (dxhat * xhat).mean(axis=-3, keepdims=True)
             dx = inv_std * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
             _accumulate(x, dx)
 
@@ -524,23 +579,23 @@ def gelu(x: Tensor) -> Tensor:
 
 def simple_gate(x: Tensor) -> Tensor:
     """Split channels in half and multiply the halves elementwise."""
-    c = x.shape[0]
+    c = x.shape[-3]
     if c % 2:
         raise ConfigurationError(f"simple_gate needs an even channel count, got {c}")
     half = c // 2
-    first, second = x.data[:half], x.data[half:]
+    first, second = x.data[..., :half, :, :], x.data[..., half:, :, :]
     out = first * second
 
     def bw(g):
-        _accumulate(x, np.concatenate([g * second, g * first], axis=0))
+        _accumulate(x, np.concatenate([g * second, g * first], axis=-3))
 
     return _node(out, (x,), bw)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
     """Per-channel mean over all spatial positions, kept as Cx1x1."""
-    _, h, w = x.shape
-    out = x.data.mean(axis=(1, 2), keepdims=True, dtype=np.float64).astype(x.dtype)
+    h, w = x.shape[-2:]
+    out = x.data.mean(axis=(-2, -1), keepdims=True, dtype=np.float64).astype(x.dtype)
 
     def bw(g):
         _accumulate(x, np.broadcast_to(g / (h * w), x.shape).astype(g.dtype))
@@ -550,22 +605,23 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 def depth_to_space(x: Tensor, factor: int = 2) -> Tensor:
     """Rearrange (r*r*C)xHxW into Cx(rH)x(rW); channel blocks fill each rxr cell row-major."""
-    c_in, h, w = x.shape
+    lead = x.shape[:-3]
+    c_in, h, w = x.shape[-3:]
     r = factor
     if c_in % (r * r):
         raise ConfigurationError(f"depth_to_space needs channels divisible by {r * r}, got {c_in}")
     c_out = c_in // (r * r)
     out = (
-        x.data.reshape(c_out, r, r, h, w)
-        .transpose(0, 3, 1, 4, 2)
-        .reshape(c_out, h * r, w * r)
+        x.data.reshape(-1, c_out, r, r, h, w)
+        .transpose(0, 1, 4, 2, 5, 3)
+        .reshape(lead + (c_out, h * r, w * r))
     )
 
     def bw(g):
         dg = (
-            g.reshape(c_out, h, r, w, r)
-            .transpose(0, 2, 4, 1, 3)
-            .reshape(c_in, h, w)
+            g.reshape(-1, c_out, h, r, w, r)
+            .transpose(0, 1, 3, 5, 2, 4)
+            .reshape(x.shape)
         )
         _accumulate(x, dg)
 

@@ -3,7 +3,8 @@
 The loss is mean absolute error plus a weighted frequency-reconstruction term:
 the L1 distance between the real/imaginary parts of the orthonormal spectra of
 prediction and target. One epoch is one seeded-shuffle pass over the corpus;
-the learning rate follows cosine annealing per epoch.
+the learning rate follows cosine annealing per epoch. A training step stacks
+its items into one batch and runs one forward and one backward.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .tensor import (
     no_grad,
     scale,
     sub,
+    sum_in_order,
 )
 
 
@@ -60,16 +62,22 @@ class TrainConfig:
 
 
 def loss_total(pred: Tensor, target: Tensor, fr_weight: float) -> Tensor:
-    """mean|pred - target| + fr_weight * mean|F(pred) - F(target)| (L1 over re and im)."""
+    """mean|pred - target| + fr_weight * mean|F(pred) - F(target)| (L1 over re and im).
+
+    On a batch (axes before CxHxW) it is the mean of the per-sample losses,
+    summed in index order and scaled by 1/N.
+    """
     if pred.shape != target.shape:
         raise ConfigurationError(f"loss shape mismatch {tuple(pred.shape)} vs {tuple(target.shape)}")
-    l1 = mean_all(abs_(sub(pred, target)))
-    if fr_weight == 0.0:
-        return l1
-    spec_pred = complex_to_channels(fft2d(pred))
-    spec_target = complex_to_channels(fft2d(target))
-    l_fr = mean_all(abs_(sub(spec_pred, spec_target)))
-    return add(l1, scale(l_fr, fr_weight))
+    total = mean_all(abs_(sub(pred, target)))
+    if fr_weight != 0.0:
+        spec_pred = complex_to_channels(fft2d(pred))
+        spec_target = complex_to_channels(fft2d(target))
+        l_fr = mean_all(abs_(sub(spec_pred, spec_target)))
+        total = add(total, scale(l_fr, fr_weight))
+    if total.data.ndim:
+        total = scale(sum_in_order(total), 1.0 / total.size)
+    return total
 
 
 def cosine_lr(t: int, total: int, lr0: float, lr_min: float) -> float:
@@ -125,13 +133,23 @@ class TrainResult:
     best_checkpoint: Path | None
 
 
-def validation_psnr(net, pairs: Sequence[tuple[Tensor, Tensor]]) -> float:
-    """Mean PSNR on unpacked single-channel RAW, network output vs sharp; records no tape."""
+def stack(tensors: Sequence[Tensor]) -> Tensor:
+    """One batch from equally shaped tensors, in order."""
+    return Tensor(np.stack([t.data for t in tensors]))
+
+
+def validation_psnr(net, pairs: Sequence[tuple[Tensor, Tensor]], batch: int = 1) -> float:
+    """Mean PSNR on unpacked single-channel RAW, network output vs sharp; records no tape.
+
+    Pairs run through the network ``batch`` at a time.
+    """
     scores = []
     with no_grad():
-        for blurred, sharp in pairs:
-            out = net.forward(blurred)
-            scores.append(psnr(bayer_unpack(out), bayer_unpack(sharp)))
+        for lo in range(0, len(pairs), batch):
+            chunk = pairs[lo : lo + batch]
+            out = net.forward(stack([blurred for blurred, _ in chunk]))
+            for restored, (_, sharp) in zip(out.data, chunk):
+                scores.append(psnr(bayer_unpack(Tensor(restored)), bayer_unpack(sharp)))
     return float(np.mean(scores))
 
 
@@ -200,12 +218,9 @@ def train(
         for k in range(steps_per_epoch):
             batch = order[k * cfg.batch : (k + 1) * cfg.batch]
             net.zero_grad()
-            total = None
-            for idx in batch:
-                blurred, sharp = corpus[idx]
-                item_loss = loss_total(net.forward(blurred), sharp, cfg.fr_weight)
-                total = item_loss if total is None else add(total, item_loss)
-            loss = scale(total, 1.0 / len(batch))
+            blurred = stack([corpus[idx][0] for idx in batch])
+            sharp = stack([corpus[idx][1] for idx in batch])
+            loss = loss_total(net.forward(blurred), sharp, cfg.fr_weight)
             value = loss.item()
             if not math.isfinite(value):
                 if out_dir is not None:
@@ -222,7 +237,7 @@ def train(
                 done = True
                 break
         if val_pairs:
-            score = validation_psnr(net, val_pairs)
+            score = validation_psnr(net, val_pairs, cfg.batch)
             val_history.append(score)
             emit(f"epoch {epoch} step {state.step} lr {lr:.6g} loss {step_losses[-1]:.6f} val_psnr {score:.4f}")
             if score > best:

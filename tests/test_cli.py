@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from frenet.cli import main
-from frenet.fileio import read_ften, read_pgm16, restore_network, write_pgm16
+from frenet.fileio import read_ften, read_pgm16, restore_network, write_ften, write_pgm16
 from frenet.rawdata import bayer_pack, bayer_unpack, gen_sharp, preprocess_raw, to_sensor_counts
 from frenet.runconfig import default_run_config, render_run_config
 from frenet.tensor import Tensor
@@ -285,6 +285,7 @@ def _assert_one_error_line(capsys):
     assert err.startswith("error:")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+    return err
 
 
 @pytest.mark.parametrize("in_channels, flags", [
@@ -341,3 +342,34 @@ def test_truncated_checkpoint_is_runtime_error(tmp_path, capsys, command, keep):
         argv = ["dump-kernels", "--checkpoint", str(ckpt), "--out", str(tmp_path / "k")]
     assert main(argv) == 1
     _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["infer", "dump-spectrum"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_ften_input_is_runtime_error(tmp_path, capsys, command, bad):
+    ckpt, _ = _tiny_checkpoint(tmp_path)
+    plane = np.full((32, 32), 0.5, dtype=np.float32)
+    plane[5, 7] = bad
+    image = tmp_path / "in.ften"
+    write_ften(image, plane)
+    out = tmp_path / "out.pgm"
+    if command == "infer":
+        argv = ["infer", "--checkpoint", str(ckpt), "--input", str(image), "--output", str(out)]
+    else:
+        argv = ["dump-spectrum", "--checkpoint", str(ckpt), "--input", str(image),
+                "--block", "mid.blk0", "--out", str(tmp_path / "spec")]
+    assert main(argv) == 1
+    err = _assert_one_error_line(capsys)
+    assert str(image) in err and "non-finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shape", [(1024,), (1, 1, 32, 32), (2, 32, 32)])
+def test_ften_input_of_wrong_rank_is_runtime_error(tmp_path, capsys, shape):
+    ckpt, _ = _tiny_checkpoint(tmp_path)
+    image = tmp_path / "in.ften"
+    write_ften(image, np.full(shape, 0.5, dtype=np.float32))
+    assert main(["infer", "--checkpoint", str(ckpt), "--input", str(image),
+                 "--output", str(tmp_path / "out.pgm")]) == 1
+    err = _assert_one_error_line(capsys)
+    assert str(image) in err and "HxW" in err

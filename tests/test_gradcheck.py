@@ -146,3 +146,19 @@ def test_float64_parameters_and_input_keep_the_whole_tape_float64(variant):
     assert [n for n in nodes if n.data.dtype != np.float64] == []
     assert [n for n in nodes if n.grad is not None and n.grad.dtype != np.float64] == []
     assert all(p.grad is not None and p.grad.dtype == np.float64 for p in params)
+
+
+@pytest.mark.parametrize("variant", [{}, {"use_pooling_variant": True}])
+def test_batched_loss_gradients_match_finite_differences(variant):
+    # Three distinct inputs through one graph: every parameter gradient is a
+    # sum over the samples, the AFPM generators' too, which run once per sample.
+    net = build_frenet(tiny_config(base_size=16, **variant), seed=5)
+    rng = np.random.default_rng(53)
+    x = Tensor(rng.uniform(0.0, 1.0, (3, 4, 16, 16)).astype(np.float32))
+    target = Tensor(rng.uniform(0.0, 1.0, (3, 4, 16, 16)).astype(np.float32))
+    params = list(net.parameters().values())
+    afpm = [p for p in params if ".afpm." in p.name]
+    for chosen, probes in ((params, 60), (afpm, 40)):
+        report = grad_check(lambda: loss_total(net.forward(x), target, 0.01), chosen,
+                            probe_count=probes, h=1e-3, tol=1e-3, seed=9)
+        assert report.pass_fraction == 1.0, report.summary()
