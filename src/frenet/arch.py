@@ -39,6 +39,7 @@ from .tensor import (
     layer_norm_channels,
     mul,
     parameters_of,
+    section,
     simple_gate,
 )
 
@@ -400,34 +401,40 @@ class FrENet:
                 trace[f"{blk.name}.spectrum"] = np.array(spectrum.data)
             return f, spectrum
 
-        f = self.intro(y)
+        with section("intro"):
+            f = self.intro(y)
         store: list[Tensor] = []
         enc_feats: list[Tensor] = []
         for i, stage in enumerate(self.enc_stages, start=1):
-            f = stage.down(f)
-            for blk in stage.blocks:
-                f, spectrum = run_block(blk, f, None)
+            with section(f"enc{i}"):
+                f = stage.down(f)
+                for blk in stage.blocks:
+                    f, spectrum = run_block(blk, f, None)
             assert f.shape[-3:] == (cfg.width << i, cfg.base_size >> i, cfg.base_size >> i)
             store.append(spectrum)
             enc_feats.append(f)
             if trace is not None:
                 trace[f"enc{i}"] = np.array(f.data)
 
-        for blk in self.mid_blocks:
-            f, _ = run_block(blk, f, None)
+        with section("mid"):
+            for blk in self.mid_blocks:
+                f, _ = run_block(blk, f, None)
         if trace is not None:
             trace["mid"] = np.array(f.data)
 
-        for stage, feat, stored in zip(self.dec_stages, reversed(enc_feats), reversed(store)):
-            if cfg.use_spatial_skip:
-                f = add(f, feat)
-            for blk in stage.blocks:
-                f, _ = run_block(blk, f, stored if cfg.use_freq_skip else None)
-            f = stage.up(f)
+        decoder = zip(range(cfg.scales, 0, -1), self.dec_stages, reversed(enc_feats), reversed(store))
+        for i, stage, feat, stored in decoder:
+            with section(f"dec{i}"):
+                if cfg.use_spatial_skip:
+                    f = add(f, feat)
+                for blk in stage.blocks:
+                    f, _ = run_block(blk, f, stored if cfg.use_freq_skip else None)
+                f = stage.up(f)
 
-        out = self.final(f)
-        if cfg.global_residual:
-            out = add(out, y)
+        with section("final"):
+            out = self.final(f)
+            if cfg.global_residual:
+                out = add(out, y)
         return out
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import ConfigurationError, EvaluationError, Parameter, Tensor
+from .tensor import ConfigurationError, EvaluationError, Parameter, Tensor, no_grad
 
 # Gradients smaller than this are compared absolutely (|err| <= tol * floor)
 # instead of relatively; finite differences cannot resolve them any tighter.
@@ -69,7 +69,8 @@ def grad_check(
     """Probe ``fn`` (a deterministic scalar loss over ``params``) against central differences.
 
     ``fn`` must recompute the loss from the parameters' current values on every
-    call. Returns per-probe relative errors and pass/fail at ``tol``.
+    call; only the first records a tape. Returns per-probe relative errors and
+    pass/fail at ``tol``.
     """
     if probe_count < 1:
         raise ConfigurationError("probe_count must be >= 1")
@@ -103,10 +104,11 @@ def grad_check(
             p = params[pi]
             idx = int(flat - offsets[pi])
             orig = p.data.flat[idx]
-            p.data.flat[idx] = orig + h
-            f_plus = fn().item()
-            p.data.flat[idx] = orig - h
-            f_minus = fn().item()
+            with no_grad():
+                p.data.flat[idx] = orig + h
+                f_plus = fn().item()
+                p.data.flat[idx] = orig - h
+                f_minus = fn().item()
             p.data.flat[idx] = orig
             if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
                 raise EvaluationError(

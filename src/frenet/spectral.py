@@ -71,7 +71,7 @@ def fft2d(x: Tensor) -> ComplexTensor:
     def bw_im(g):
         _accumulate(x, -scipy.fft.ifft2(g, axes=(-2, -1), norm="ortho").imag.astype(g.dtype))
 
-    return ComplexTensor(_node(re_data, (x,), bw_re), _node(im_data, (x,), bw_im))
+    return ComplexTensor(_node(re_data, (x,), bw_re, "fft2d"), _node(im_data, (x,), bw_im))
 
 
 def ifft2d(spectrum: ComplexTensor) -> Tensor:
@@ -91,7 +91,7 @@ def ifft2d(spectrum: ComplexTensor) -> Tensor:
         _accumulate(re, np.ascontiguousarray(forward.real).astype(g.dtype))
         _accumulate(im, np.ascontiguousarray(forward.imag).astype(g.dtype))
 
-    return _node(out, (re, im), bw)
+    return _node(out, (re, im), bw, "ifft2d")
 
 
 def fft_shift(spectrum: ComplexTensor, inverse: bool = False) -> ComplexTensor:

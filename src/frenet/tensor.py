@@ -5,6 +5,7 @@ fresh Tensor and records a backward closure when any input participates in
 gradient tracking. The tape is the implicit graph of those closures; it lives
 only for one forward/backward pass and is never shared between threads.
 Inside ``no_grad()`` nothing is recorded, so a forward keeps no graph alive.
+Inside ``observe(fn)`` each new node is also passed to ``fn``, to be counted.
 
 Image ops read the last three axes as CxHxW and treat any leading axes as a
 batch. Each sample is computed exactly as it would be alone, and a gradient
@@ -162,30 +163,53 @@ class ConvSpec:
 
 
 _recording = True
+_observer: Callable | None = None
+_section: str | None = None
 
 
 @contextmanager
+def _setting(name: str, value):
+    """Set the module global ``name`` inside the block; restore it on exit, also on a raise."""
+    previous = globals()[name]
+    globals()[name] = value
+    try:
+        yield
+    finally:
+        globals()[name] = previous
+
+
 def no_grad():
     """Record no tape inside the block: results keep no parents and no backward closure.
 
     The arithmetic is unchanged, so outputs equal those with recording on.
-    The previous state comes back on exit, also when the block raises.
     """
-    global _recording
-    previous, _recording = _recording, False
-    try:
-        yield
-    finally:
-        _recording = previous
+    return _setting("_recording", False)
 
 
-def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
+def observe(fn: Callable):
+    """Call ``fn(op, section, out, parents, spec)`` for every node made inside the block.
+
+    ``op`` names the nodes of conv2d, matmul, ifft2d and fft2d (its real part
+    only, so once per transform), else None; ``spec`` is a conv2d's ConvSpec.
+    """
+    return _setting("_observer", fn)
+
+
+def section(name: str):
+    """Label the nodes made inside the block ``name`` for the observer."""
+    return _setting("_section", name)
+
+
+def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None],
+          op: str | None = None, spec: ConvSpec | None = None) -> Tensor:
     """Wrap an op result; the backward closure is kept only when needed."""
     out = Tensor(data)
     if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
+    if _observer is not None:
+        _observer(op, _section, out, parents, spec)
     return out
 
 
@@ -320,7 +344,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
-    return _node(out, (a, b), bw)
+    return _node(out, (a, b), bw, "matmul")
 
 
 def transpose2d(a: Tensor) -> Tensor:
@@ -429,7 +453,7 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None = None
         if bias is not None and bias.requires_grad:
             _accumulate(bias, _sum_batch(g.sum(axis=(-2, -1)), 1))
 
-    return _node(out, parents, bw)
+    return _node(out, parents, bw, "conv2d", spec)
 
 
 def _conv_kernel(spec: ConvSpec):

@@ -53,6 +53,11 @@ class TrainConfig:
             raise ConfigurationError(f"need lr0 > lr_min > 0, got {self.lr0}/{self.lr_min}")
         if self.batch < 1:
             raise ConfigurationError(f"batch must be >= 1, got {self.batch}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if self.adam_eps <= 0:
+            raise ConfigurationError(f"adam_eps must be > 0, got {self.adam_eps}")
         if self.fr_weight < 0:
             raise ConfigurationError(f"fr_weight must be >= 0, got {self.fr_weight}")
         if self.epochs < 1:

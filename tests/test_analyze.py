@@ -3,13 +3,35 @@ import math
 import numpy as np
 
 from frenet.afpm import KBG_HIDDEN, make_patch_grid
-from frenet.analyze import _conv_macs, count_params_macs
+from frenet.analyze import count_ops, count_params_macs
 from frenet.arch import build_frenet, frenet_config, frenet_plus_config, tiny_config
+from frenet.tensor import ConvSpec, Tensor, conv2d
 
 
 def test_single_conv_mac_formula():
-    # one 1x1 conv, 3 -> 8 channels, on a 64x64 map
-    assert _conv_macs(8, 3, 1, 64 * 64) == 8 * 3 * 64 * 64 == 98_304
+    # one 1x1 conv, 3 -> 8 channels, on a 64x64 map, counted as it runs
+    spec = ConvSpec(3, 8, 1, 1)
+    x = Tensor(np.zeros((3, 64, 64), dtype=np.float32))
+    w = Tensor(np.zeros(spec.weight_shape, dtype=np.float32))
+    sections, fft_flops = count_ops(lambda: conv2d(x, spec, w))
+    assert sections == {None: 8 * 3 * 64 * 64} and 8 * 3 * 64 * 64 == 98_304
+    assert fft_flops == 0
+
+
+def test_frenet_figures_pinned():
+    report = count_params_macs(frenet_config())
+    assert (report.params, report.conv_macs, report.fft_flops) == (21_104_350, 2_133_829_632, 77_987_840)
+    assert list(report.sections.items()) == [
+        ("intro", 4_718_592),
+        ("enc1", 333_590_528),
+        ("enc2", 254_759_936),
+        ("enc3", 195_829_760),
+        ("mid", 562_323_456),
+        ("dec3", 193_732_608),
+        ("dec2", 252_662_784),
+        ("dec1", 331_493_376),
+        ("final", 4_718_592),
+    ]
 
 
 def tiny_macs_spreadsheet(cfg, base):

@@ -98,17 +98,23 @@ def test_unparsable_config_value_is_runtime_error(tmp_path, capsys, key, raw):
     _assert_one_error_line(capsys)
 
 
-@pytest.mark.parametrize("key, raw", [("max_steps", "0"), ("max_steps", "-3"), ("val_count", "0")])
+@pytest.mark.parametrize("key, raw", [
+    ("max_steps", "0"), ("max_steps", "-3"), ("val_count", "0"),
+    ("adam_beta1", "1"), ("adam_beta1", "-0.1"), ("adam_beta2", "1"), ("adam_beta2", "1.5"),
+    ("adam_eps", "0"), ("adam_eps", "-1"),
+])
 def test_training_that_would_skip_its_limits_is_runtime_error(tmp_path, capsys, key, raw):
     # max_steps below one used to take one step anyway; val_count = 0 used to
-    # train without validation and report best val_psnr -inf.
+    # train without validation and report best val_psnr -inf. adam_beta1 = 1
+    # used to leave every parameter NaN with exit 0, adam_beta2 = 1 and
+    # adam_eps = 0 gave NaN after one step, and adam_eps = -1 trained silently.
     data, run = tmp_path / "data", tmp_path / "run"
     assert main(["datagen", "--config", str(_tiny_cfg(tmp_path / "data.cfg", count=6)),
                  "--out", str(data)]) == 0
     capsys.readouterr()
     cfg = _tiny_cfg(tmp_path / "bad.cfg", count=6, epochs=1, **{key: raw})
     assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(run)]) == 1
-    _assert_one_error_line(capsys)
+    assert key in _assert_one_error_line(capsys)
     assert not (run / "final.fckpt").exists()
 
 

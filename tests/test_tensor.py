@@ -16,6 +16,8 @@ from frenet.tensor import (
     layer_norm_channels,
     mean_all,
     no_grad,
+    observe,
+    section,
     simple_gate,
 )
 
@@ -224,6 +226,56 @@ class TestNoGrad:
             with no_grad():
                 1 / 0
         assert self._graph()._backward is not None
+
+
+class TestObserve:
+    def _record(self, seen):
+        return lambda op, label, out, parents, spec: seen.append((op, label, out, parents, spec))
+
+    def _conv(self):
+        x = Tensor(np.ones((3, 4, 4), dtype=np.float32))
+        return conv2d(x, ConvSpec(3, 2, 1, 1, has_bias=False), Tensor(np.ones((2, 3, 1, 1), dtype=np.float32)))
+
+    def test_nothing_observed_outside(self):
+        seen = []
+        with observe(self._record(seen)):
+            pass
+        self._conv()
+        assert seen == []
+
+    def test_sees_name_output_parents_and_spec(self):
+        seen = []
+        with observe(self._record(seen)):
+            out = gelu(self._conv())
+        (op, label, conv_out, parents, spec), (gelu_op, _, gelu_out, gelu_parents, gelu_spec) = seen
+        assert (op, label, spec) == ("conv2d", None, ConvSpec(3, 2, 1, 1, has_bias=False))
+        assert parents[0].shape == (3, 4, 4) and gelu_parents == (conv_out,)
+        assert (gelu_op, gelu_spec) == (None, None) and gelu_out is out
+
+    def test_ops_inside_section_carry_its_label(self):
+        seen = []
+        with observe(self._record(seen)):
+            with section("x"):
+                self._conv()
+                with section("y"):
+                    self._conv()
+                self._conv()
+            self._conv()
+        assert [label for _, label, *_ in seen] == ["x", "y", "x", None]
+
+    def test_nesting_and_exceptions_restore_observer_and_section(self):
+        outer, inner = [], []
+        with observe(self._record(outer)), section("a"):
+            with observe(self._record(inner)), section("b"):
+                self._conv()
+            self._conv()
+            with pytest.raises(ZeroDivisionError):
+                with observe(self._record(inner)), section("c"):
+                    1 / 0
+            self._conv()
+        self._conv()
+        assert [label for _, label, *_ in inner] == ["b"]
+        assert [label for _, label, *_ in outer] == ["a", "a"]
 
 
 class TestLayerNorm:
