@@ -44,7 +44,8 @@ class EfficiencyReport:
 
 
 def count_ops(run: Callable[[], object]) -> tuple[dict[str | None, int], int]:
-    """(MACs per section label in order of first use, FFT flops) of the ops ``run()`` makes."""
+    """(MACs per section in order of first use, FFT flops) of the ops ``run()`` makes;
+    a block path label such as ``enc1.blk0`` counts towards its section ``enc1``."""
     sections: dict[str | None, int] = {}
     fft_flops = 0
 
@@ -53,7 +54,8 @@ def count_ops(run: Callable[[], object]) -> tuple[dict[str | None, int], int]:
         if op in ("conv2d", "matmul"):
             # one MAC per weight feeding an output element, or per inner-dimension step
             per_output = math.prod(spec.weight_shape[1:]) if spec is not None else parents[0].shape[-1]
-            sections[label] = sections.get(label, 0) + out.size * per_output
+            name = label if label is None else label.split(".")[0]
+            sections[name] = sections.get(name, 0) + out.size * per_output
         elif op in ("fft2d", "ifft2d"):
             n = out.shape[-2] * out.shape[-1]
             fft_flops += out.size // n * int(5 * n * math.log2(n))

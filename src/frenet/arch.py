@@ -202,7 +202,8 @@ class Facm:
     global (SCA) branches -> fuse -> 1x1 -> unpack -> unshift -> IFFT, with a
     residual connection around the whole module. Returns the output and the
     packed centered spectrum fed to the unpack step, which a decoder block of
-    the same scale takes as its frequency skip.
+    the same scale takes as its frequency skip; the parents of its ``ifft2d``
+    node are that spectrum unpacked and un-shifted, where an observer reads it.
     """
 
     def __init__(self, prefix: str, rng: np.random.Generator, channels: int,
@@ -264,6 +265,8 @@ class Ffn:
 
 
 class FreBlock:
+    """FACM then FFN; the nodes made inside carry the block's path (``enc1.blk0``) as label."""
+
     def __init__(self, name: str, rng: np.random.Generator, channels: int,
                  cfg: NetworkConfig, grid: PatchGrid):
         self.name = name
@@ -271,8 +274,9 @@ class FreBlock:
         self.ffn = Ffn(f"{name}.ffn", rng, channels, cfg.ffn_expand)
 
     def __call__(self, f_in, freq_skip=None):
-        f_mid, spectrum = self.facm(f_in, freq_skip)
-        return self.ffn(f_mid), spectrum
+        with section(self.name):
+            f_mid, spectrum = self.facm(f_in, freq_skip)
+            return self.ffn(f_mid), spectrum
 
 
 class Down:
@@ -382,8 +386,7 @@ class FrENet:
         for p in self._params.values():
             p.grad = None
 
-    def forward(self, y: Tensor, trace: dict | None = None,
-                spectrum_taps: Iterable[str] = ()) -> Tensor:
+    def forward(self, y: Tensor) -> Tensor:
         """Restore one CxHxW input, or a batch of them stacked on leading axes."""
         cfg = self.cfg
         expected = (cfg.in_channels, cfg.base_size, cfg.base_size)
@@ -391,16 +394,6 @@ class FrENet:
             raise ConfigurationError(
                 f"input shape {tuple(y.shape)} does not match the built geometry {expected}"
             )
-        taps = set(spectrum_taps)
-        if taps and trace is None:
-            raise ConfigurationError("spectrum_taps requires a trace dict to fill")
-
-        def run_block(blk, f, skip):
-            f, spectrum = blk(f, skip)
-            if blk.name in taps:
-                trace[f"{blk.name}.spectrum"] = np.array(spectrum.data)
-            return f, spectrum
-
         with section("intro"):
             f = self.intro(y)
         store: list[Tensor] = []
@@ -409,18 +402,14 @@ class FrENet:
             with section(f"enc{i}"):
                 f = stage.down(f)
                 for blk in stage.blocks:
-                    f, spectrum = run_block(blk, f, None)
+                    f, spectrum = blk(f)
             assert f.shape[-3:] == (cfg.width << i, cfg.base_size >> i, cfg.base_size >> i)
             store.append(spectrum)
             enc_feats.append(f)
-            if trace is not None:
-                trace[f"enc{i}"] = np.array(f.data)
 
         with section("mid"):
             for blk in self.mid_blocks:
-                f, _ = run_block(blk, f, None)
-        if trace is not None:
-            trace["mid"] = np.array(f.data)
+                f, _ = blk(f)
 
         decoder = zip(range(cfg.scales, 0, -1), self.dec_stages, reversed(enc_feats), reversed(store))
         for i, stage, feat, stored in decoder:
@@ -428,7 +417,7 @@ class FrENet:
                 if cfg.use_spatial_skip:
                     f = add(f, feat)
                 for blk in stage.blocks:
-                    f, _ = run_block(blk, f, stored if cfg.use_freq_skip else None)
+                    f, _ = blk(f, stored if cfg.use_freq_skip else None)
                 f = stage.up(f)
 
         with section("final"):

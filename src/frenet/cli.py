@@ -35,7 +35,8 @@ from .rawdata import (
     to_sensor_counts,
 )
 from .runconfig import parse_run_config
-from .tensor import ConfigurationError, EvaluationError, Tensor, no_grad
+from .spectral import ComplexTensor, fft_shift
+from .tensor import ConfigurationError, EvaluationError, Tensor, no_grad, observe
 from .train import sliding_window_infer, train
 from .verify import run_suites
 
@@ -179,15 +180,20 @@ def _cmd_dump_spectrum(args) -> int:
             f"input must pack to {expected}x{expected} (raw {2 * expected}x{2 * expected}), "
             f"got {packed.shape[1]}x{packed.shape[2]}"
         )
-    trace: dict = {}
-    with no_grad():
-        net.forward(packed, trace=trace, spectrum_taps={args.block})
-    spectrum = trace[f"{args.block}.spectrum"]  # real planes over imaginary planes
-    half = spectrum.shape[0] // 2
+    taken: list[ComplexTensor] = []
+
+    def take(op, label, out, parents, spec):
+        # the block's ifft2d reads its packed output spectrum un-shifted; fft_shift re-centres it
+        if op == "ifft2d" and label == args.block:
+            taken.append(ComplexTensor(*parents))
+
+    with no_grad(), observe(take):
+        net.forward(packed)
+    spectrum = fft_shift(taken[0])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_ften(out_dir / f"{args.block}.re.ften", spectrum[:half])
-    write_ften(out_dir / f"{args.block}.im.ften", spectrum[half:])
+    write_ften(out_dir / f"{args.block}.re.ften", spectrum.re.data)
+    write_ften(out_dir / f"{args.block}.im.ften", spectrum.im.data)
     print(f"wrote {out_dir / args.block}.{{re,im}}.ften")
     return 0
 

@@ -46,9 +46,6 @@ class ComplexTensor:
     def shape(self) -> tuple[int, ...]:
         return self.re.shape
 
-    def to_complex(self) -> np.ndarray:
-        return self.re.data + 1j * self.im.data
-
 
 def _check_pow2(h: int, w: int, op: str) -> None:
     if not (is_power_of_two(h) and is_power_of_two(w)):

@@ -191,12 +191,14 @@ def observe(fn: Callable):
 
     ``op`` names the nodes of conv2d, matmul, ifft2d and fft2d (its real part
     only, so once per transform), else None; ``spec`` is a conv2d's ConvSpec.
+    ``section`` is the innermost label: a section (``enc1``) or a block path (``enc1.blk0``).
     """
     return _setting("_observer", fn)
 
 
 def section(name: str):
-    """Label the nodes made inside the block ``name`` for the observer."""
+    """Label the nodes made inside the block ``name`` for the observer; an inner
+    label such as the block path ``enc1.blk0`` replaces an outer ``enc1`` until it exits."""
     return _setting("_section", name)
 
 

@@ -279,7 +279,7 @@ def raised_cosine_profile(window: int) -> np.ndarray:
 
 
 def sliding_window_infer(forward: Callable[[Tensor], Tensor], image: Tensor,
-                         window: int | None = None, overlap: int | None = None) -> Tensor:
+                         window: int, overlap: int) -> Tensor:
     """Tile the image, run ``forward`` per tile, and blend with raised-cosine weights.
 
     Tiles run one after another, with no tape, and are blended in index order,
@@ -288,12 +288,8 @@ def sliding_window_infer(forward: Callable[[Tensor], Tensor], image: Tensor,
     normalizing by the same positive weight is exact once rounded to float32.
     """
     c, h, w = image.shape
-    if window is None:
-        window = min(h, w)
     if window > h or window > w:
         raise ConfigurationError(f"window {window} exceeds image {h}x{w}")
-    if overlap is None:
-        overlap = window // 2
     if not 0 <= overlap < window:
         raise ConfigurationError(f"overlap {overlap} must be in [0, window)")
 

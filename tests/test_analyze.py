@@ -5,7 +5,7 @@ import numpy as np
 from frenet.afpm import KBG_HIDDEN, make_patch_grid
 from frenet.analyze import count_ops, count_params_macs
 from frenet.arch import build_frenet, frenet_config, frenet_plus_config, tiny_config
-from frenet.tensor import ConvSpec, Tensor, conv2d
+from frenet.tensor import ConvSpec, Tensor, conv2d, section
 
 
 def test_single_conv_mac_formula():
@@ -16,6 +16,15 @@ def test_single_conv_mac_formula():
     sections, fft_flops = count_ops(lambda: conv2d(x, spec, w))
     assert sections == {None: 8 * 3 * 64 * 64} and 8 * 3 * 64 * 64 == 98_304
     assert fft_flops == 0
+
+    # a block path label counts towards the section before its first dot
+    def labelled():
+        with section("enc1.blk0"):
+            conv2d(x, spec, w)
+        conv2d(x, spec, w)
+
+    sections, _ = count_ops(labelled)
+    assert sections == {"enc1": 98_304, None: 98_304}
 
 
 def test_frenet_figures_pinned():

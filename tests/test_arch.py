@@ -28,9 +28,23 @@ from frenet.tensor import (
     global_avg_pool,
     layer_norm_channels,
     mul,
+    observe,
     parameters_of,
     simple_gate,
 )
+
+
+def forward_with_sections(net, x):
+    """The output and the last node of each top-level section, recorded through the observer."""
+    last = {}
+
+    def record(op, label, out, parents, spec):
+        if label is not None:
+            last[label.split(".")[0]] = np.array(out.data)
+
+    with observe(record):
+        out = net.forward(x)
+    return out, last
 
 
 class TestSca:
@@ -397,10 +411,9 @@ class TestNetworkForward:
         # stored spectra are write-only: encoder path identical with skips on or off
         x = Tensor(np.random.default_rng(24).uniform(0, 1, (4, 16, 16)).astype(np.float32))
         net = build_frenet(tiny_config(base_size=16), seed=2)
-        trace_on, trace_off = {}, {}
-        out_on = net.forward(x, trace=trace_on)
+        out_on, trace_on = forward_with_sections(net, x)
         net.cfg.use_freq_skip = False
-        out_off = net.forward(x, trace=trace_off)
+        out_off, trace_off = forward_with_sections(net, x)
         net.cfg.use_freq_skip = True
         for key in ("enc1", "enc2", "mid"):
             assert np.array_equal(trace_on[key], trace_off[key])
@@ -434,8 +447,7 @@ class TestNetworkForward:
 
     def test_shape_law_each_scale(self):
         net = build_frenet(tiny_config(base_size=32), seed=5)
-        trace = {}
-        net.forward(Tensor(np.zeros((4, 32, 32), dtype=np.float32)), trace=trace)
+        _, trace = forward_with_sections(net, Tensor(np.zeros((4, 32, 32), dtype=np.float32)))
         assert trace["enc1"].shape == (8, 16, 16)
         assert trace["enc2"].shape == (16, 8, 8)
         assert trace["mid"].shape == (16, 8, 8)

@@ -226,6 +226,38 @@ def test_datagen_train_infer_dump_pipeline(workdir, capsys):
     assert np.array_equal(stack, want)
 
 
+def test_dump_spectrum_writes_each_blocks_output_spectrum(tmp_path, monkeypatch):
+    from frenet import arch
+
+    ckpt, _ = _tiny_checkpoint(tmp_path)
+    net, preprocess, _, _ = restore_network(ckpt)
+    pgm = tmp_path / "in32.pgm"
+    write_pgm16(pgm, to_sensor_counts(gen_sharp(17, 32, 32), preprocess).data)
+
+    returned = {}
+    block_call = arch.FreBlock.__call__
+
+    def recording_call(blk, f_in, freq_skip=None):
+        f_out, spectrum = block_call(blk, f_in, freq_skip)
+        returned[blk.name] = np.array(spectrum.data)
+        return f_out, spectrum
+
+    monkeypatch.setattr(arch.FreBlock, "__call__", recording_call)
+    names = [blk.name for blk in net.blocks()]
+    assert len(names) == 5
+    for name in names:
+        returned.clear()
+        assert main(["dump-spectrum", "--checkpoint", str(ckpt), "--input", str(pgm),
+                     "--block", name, "--out", str(tmp_path / "dump")]) == 0
+        spectrum = returned[name]  # real planes over imaginary planes
+        half = spectrum.shape[0] // 2
+        write_ften(tmp_path / "want.re.ften", spectrum[:half])
+        write_ften(tmp_path / "want.im.ften", spectrum[half:])
+        for part in ("re", "im"):
+            got = (tmp_path / "dump" / f"{name}.{part}.ften").read_bytes()
+            assert got == (tmp_path / f"want.{part}.ften").read_bytes()
+
+
 def test_rgb_checkpoint_infers_on_ppm(tmp_path):
     from frenet.arch import build_frenet, tiny_config
     from frenet.fileio import read_ppm8, save_checkpoint, write_ppm8
