@@ -14,15 +14,7 @@ import numpy as np
 
 from .analyze import count_params_macs, format_efficiency_report
 from .arch import build_frenet
-from .fileio import (
-    read_ften,
-    read_pgm16,
-    read_ppm8,
-    restore_network,
-    write_ften,
-    write_pgm16,
-    write_ppm8,
-)
+from .fileio import read_ften, read_pgm16, restore_network, write_ften, write_pgm16
 from .rawdata import (
     PreprocessSpec,
     bayer_pack,
@@ -116,42 +108,25 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    """Tile, restore and blend one image.
+    """Tile, restore and blend one RAW image.
 
-    RAW checkpoints read PGM or .ften and pack each 2x2 Bayer cell into one
-    network pixel; 3-channel checkpoints read and write PPM unpacked. Window
-    and overlap are given in image pixels, so on RAW both must be even.
+    Reads PGM or .ften, packs each 2x2 Bayer cell into one network pixel,
+    tiles with the trained window of 2 x base_size image pixels, unpacks and
+    writes PGM or .ften. The overlap is given in image pixels, so it must be
+    even.
     """
     net, preprocess, _, _ = restore_network(args.checkpoint)
-    rgb = net.cfg.in_channels == 3
-    cell = 1 if rgb else 2  # image pixels per network pixel along each axis
-    if rgb:
-        if Path(args.input).suffix.lower() != ".ppm":
-            raise ConfigurationError("3-channel checkpoints take .ppm input")
-        image = Tensor(read_ppm8(args.input))
-    else:
-        image = _read_raw_image(args.input, preprocess)
+    image = _read_raw_image(args.input, preprocess)
     _, h, w = image.shape
-    if h % cell or w % cell:
-        raise ConfigurationError(f"RAW input dims must be even for packing, got {h}x{w}")
-    window = args.window if args.window is not None else net.cfg.base_size * cell
-    if window != net.cfg.base_size * cell:
-        raise ConfigurationError(
-            f"this checkpoint was built for {net.cfg.base_size * cell}-pixel windows, "
-            f"got --window {window}"
-        )
+    window = 2 * net.cfg.base_size
     if window > h or window > w:
         raise ConfigurationError(f"window {window} exceeds image {h}x{w}")
     overlap = args.overlap if args.overlap is not None else window // 2
-    if overlap % cell or not 0 <= overlap < window:
-        raise ConfigurationError(f"overlap must be a multiple of {cell} in [0, window), got {overlap}")
-    packed = image if rgb else bayer_pack(image)
-    restored = sliding_window_infer(net.forward, packed, window // cell, overlap // cell)
+    if overlap % 2 or not 0 <= overlap < window:
+        raise ConfigurationError(f"overlap must be a multiple of 2 in [0, window), got {overlap}")
+    restored = sliding_window_infer(net.forward, bayer_pack(image), window // 2, overlap // 2)
     out = np.clip(restored.data, 0.0, 1.0)
-    if rgb:
-        write_ppm8(args.output, out)
-    else:
-        _write_raw_image(args.output, bayer_unpack(Tensor(out)), preprocess)
+    _write_raw_image(args.output, bayer_unpack(Tensor(out)), preprocess)
     print(f"wrote {args.output}")
     return 0
 
@@ -237,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--window", type=int, default=None, help="RAW-pixel window (default: training size)")
-    p.add_argument("--overlap", type=int, default=None, help="RAW-pixel overlap (default: window/2)")
+    p.add_argument("--overlap", type=int, default=None,
+                   help="RAW-pixel overlap of the 2*base_size windows (default: half a window)")
     p.set_defaults(fn=_cmd_infer)
 
     p = sub.add_parser("analyze", help="report params, conv MACs, and FFT flops")

@@ -1,4 +1,4 @@
-"""Binary file formats: .ften tensors, .fckpt checkpoints, PGM/PPM images.
+"""Binary file formats: .ften tensors, .fckpt checkpoints, PGM images.
 
 .ften: magic "FTEN1\\n", then rank and each dim as unsigned 32-bit
 little-endian, then the raw 32-bit little-endian float payload.
@@ -10,7 +10,7 @@ record structure again for optimizer moments (names prefixed "adam.m." /
 network was built from, and the SHA-256 digest of that text.
 
 RAW images travel as binary 16-bit PGM ("P5", maxval 65535, big-endian
-samples); 3-channel images as 8-bit binary PPM ("P6").
+samples); the reader also takes 8-bit PGM (maxval <= 255).
 """
 
 from __future__ import annotations
@@ -175,17 +175,19 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     return Checkpoint(params, adam_m, adam_v, step, encoded.decode("utf-8"))
 
 
-def restore_network(path: str | Path, seed: int = 0):
+def restore_network(path: str | Path):
     """Rebuild the network a checkpoint describes and load its parameters.
 
-    Returns (net, preprocess_spec, adam_state, step).
+    Parameters and optimizer moments must be finite: one NaN weight would
+    turn every output pixel into NaN. Returns (net, preprocess_spec,
+    adam_state, step).
     """
     from .arch import build_frenet
     from .train import AdamState
 
     ckpt = load_checkpoint(path)
     net_cfg, preprocess = parse_checkpoint_config(ckpt.config_text)
-    net = build_frenet(net_cfg, seed=seed)
+    net = build_frenet(net_cfg)
     params = net.parameters()
     missing = sorted(set(params) - set(ckpt.params))
     extra = sorted(set(ckpt.params) - set(params))
@@ -199,6 +201,8 @@ def restore_network(path: str | Path, seed: int = 0):
             raise ConfigurationError(
                 f"{path}: shape mismatch for {name}: {stored.shape} vs {p.data.shape}"
             )
+        if not np.isfinite(stored).all():
+            raise ConfigurationError(f"{path}: parameter {name} holds non-finite values (NaN or Inf)")
         p.data = stored.copy()
     unpaired = sorted(set(ckpt.adam_m) ^ set(ckpt.adam_v))
     unknown = sorted(set(ckpt.adam_m) - set(params))
@@ -213,6 +217,10 @@ def restore_network(path: str | Path, seed: int = 0):
             raise ConfigurationError(
                 f"{path}: moment shape mismatch for {name}: {m.shape}/{v.shape} "
                 f"vs {params[name].data.shape}"
+            )
+        if not (np.isfinite(m).all() and np.isfinite(v).all()):
+            raise ConfigurationError(
+                f"{path}: optimizer moments of {name} hold non-finite values (NaN or Inf)"
             )
         state.m[name] = m.copy()
         state.v[name] = v.copy()
@@ -232,15 +240,15 @@ def write_pgm16(path: str | Path, plane: np.ndarray) -> None:
         fh.write(counts.tobytes())
 
 
-def _read_pnm(path, magic: bytes, channels: int) -> tuple[np.ndarray, int]:
-    """Read a binary PNM file; returns its CxHxW samples and maxval.
+def read_pgm16(path: str | Path) -> np.ndarray:
+    """Read a binary PGM ("P5"); returns its samples as a 1xHxW float32 array.
 
     Raises ConfigurationError naming the file when the header is malformed or
-    the payload is shorter than width x height x channels samples.
+    the payload is shorter than width x height samples.
     """
     blob = Path(path).read_bytes()
-    if not blob.startswith(magic):
-        raise ConfigurationError(f"{path}: expected {magic.decode()} header")
+    if not blob.startswith(b"P5"):
+        raise ConfigurationError(f"{path}: expected P5 header")
     fields: list[int] = []
     pos = 2
     while len(fields) < 3:
@@ -261,7 +269,7 @@ def _read_pnm(path, magic: bytes, channels: int) -> tuple[np.ndarray, int]:
     if width < 1 or height < 1 or not 1 <= maxval <= 65535:
         raise ConfigurationError(f"{path}: malformed header {width}x{height} maxval {maxval}")
     dtype = np.dtype(np.uint8 if maxval <= 255 else ">u2")
-    count = width * height * channels
+    count = width * height
     offset = pos + 1
     if len(blob) - offset < count * dtype.itemsize:
         raise ConfigurationError(
@@ -269,25 +277,4 @@ def _read_pnm(path, magic: bytes, channels: int) -> tuple[np.ndarray, int]:
             f"header needs {count * dtype.itemsize}"
         )
     data = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
-    return data.reshape(height, width, channels).transpose(2, 0, 1), maxval
-
-
-def read_pgm16(path: str | Path) -> np.ndarray:
-    data, _ = _read_pnm(path, b"P5", 1)
-    return data.astype(np.float32)
-
-
-def write_ppm8(path: str | Path, rgb: np.ndarray) -> None:
-    """3xHxW values in [0,1] as binary 8-bit PPM."""
-    arr = np.asarray(rgb)
-    if arr.ndim != 3 or arr.shape[0] != 3:
-        raise ConfigurationError(f"PPM writer expects 3xHxW, got shape {arr.shape}")
-    interleaved = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8).transpose(1, 2, 0)
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{arr.shape[2]} {arr.shape[1]}\n255\n".encode("ascii"))
-        fh.write(interleaved.tobytes())
-
-
-def read_ppm8(path: str | Path) -> np.ndarray:
-    data, maxval = _read_pnm(path, b"P6", 3)
-    return (data / maxval).astype(np.float32)
+    return data.reshape(1, height, width).astype(np.float32)

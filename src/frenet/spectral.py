@@ -19,13 +19,10 @@ from .tensor import (
     Tensor,
     _accumulate,
     _node,
-    add,
     concat_channels,
     is_power_of_two,
-    mul,
     roll2d,
     slice_channels,
-    sub,
 )
 
 
@@ -117,9 +114,3 @@ def channels_to_complex(x: Tensor) -> ComplexTensor:
     half = c // 2
     return ComplexTensor(slice_channels(x, 0, half), slice_channels(x, half, c))
 
-
-def complex_mul(a: ComplexTensor, b: ComplexTensor) -> ComplexTensor:
-    """Elementwise complex product (a.re + i a.im) * (b.re + i b.im)."""
-    re = sub(mul(a.re, b.re), mul(a.im, b.im))
-    im = add(mul(a.re, b.im), mul(a.im, b.re))
-    return ComplexTensor(re, im)

@@ -46,6 +46,11 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--bogus-flag", "x"])
     assert exc.value.code == 2
+    # the window is the trained 2 * base_size, not an option
+    with pytest.raises(SystemExit) as exc:
+        main(["infer", "--checkpoint", "c.fckpt", "--input", "in.pgm", "--output", "out.pgm",
+              "--window", "32"])
+    assert exc.value.code == 2
 
 
 def test_verify_suites_pass():
@@ -194,10 +199,6 @@ def test_datagen_train_infer_dump_pipeline(workdir, capsys):
     want = bayer_unpack(Tensor(np.clip(direct.data, 0.0, 1.0))).data
     assert np.array_equal(got, want)
 
-    # window flag must match the trained geometry
-    assert main(["infer", "--checkpoint", str(ckpt), "--input", str(pgm),
-                 "--output", str(out_img), "--window", "64"]) == 1
-
     dump_dir = tmp_path / "dump"
     assert main(["dump-spectrum", "--checkpoint", str(ckpt), "--input", str(pgm),
                  "--block", "enc1.blk0", "--out", str(dump_dir)]) == 0
@@ -258,29 +259,6 @@ def test_dump_spectrum_writes_each_blocks_output_spectrum(tmp_path, monkeypatch)
             assert got == (tmp_path / f"want.{part}.ften").read_bytes()
 
 
-def test_rgb_checkpoint_infers_on_ppm(tmp_path):
-    from frenet.arch import build_frenet, tiny_config
-    from frenet.fileio import read_ppm8, save_checkpoint, write_ppm8
-
-    net = build_frenet(tiny_config(base_size=16, in_channels=3, global_residual=True), seed=2)
-    ckpt = tmp_path / "rgb.fckpt"
-    save_checkpoint(ckpt, net)
-    rng = np.random.default_rng(5)
-    rgb = rng.uniform(0, 1, (3, 24, 24)).astype(np.float32)
-    src = tmp_path / "in.ppm"
-    write_ppm8(src, rgb)
-    dst = tmp_path / "out.ppm"
-    assert main(["infer", "--checkpoint", str(ckpt), "--input", str(src),
-                 "--output", str(dst)]) == 0
-    restored = read_ppm8(dst)
-    assert restored.shape == (3, 24, 24)
-    # .pgm input is rejected for the 3-channel geometry
-    bad = tmp_path / "in.pgm"
-    write_pgm16(bad, np.zeros((24, 24)))
-    assert main(["infer", "--checkpoint", str(ckpt), "--input", str(bad),
-                 "--output", str(dst)]) == 1
-
-
 def test_sliding_window_infer_on_larger_image(workdir, tmp_path):
     _, cfg_path, cfg = workdir
     data_dir = tmp_path / "corpus2"
@@ -302,19 +280,15 @@ def test_sliding_window_infer_on_larger_image(workdir, tmp_path):
 
 
 def _tiny_checkpoint(tmp_path, in_channels=4):
-    """Untrained tiny base-16 checkpoint and a 48x48 input image it can tile."""
+    """Untrained tiny base-16 checkpoint and a 48x48 RAW image it can tile."""
     from frenet.arch import build_frenet, tiny_config
-    from frenet.fileio import save_checkpoint, write_ppm8
+    from frenet.fileio import save_checkpoint
 
     net = build_frenet(tiny_config(base_size=16, in_channels=in_channels, global_residual=True), seed=2)
     ckpt = tmp_path / "net.fckpt"
     save_checkpoint(ckpt, net)
-    if in_channels == 3:
-        image = tmp_path / "in.ppm"
-        write_ppm8(image, np.full((3, 48, 48), 0.5, dtype=np.float32))
-    else:
-        image = tmp_path / "in.pgm"
-        write_pgm16(image, np.full((48, 48), 1000.0))
+    image = tmp_path / "in.pgm"
+    write_pgm16(image, np.full((48, 48), 1000.0))
     return ckpt, image
 
 
@@ -327,14 +301,13 @@ def _assert_one_error_line(capsys):
 
 
 @pytest.mark.parametrize("in_channels, flags", [
-    (3, ["--window", "32"]),   # RGB windows are base_size pixels, not 2 * base_size
+    (3, []),                   # a 3-channel net cannot take the 4 packed Bayer channels
     (4, ["--overlap", "15"]),  # an odd RAW overlap splits Bayer cells
     (4, ["--overlap", "32"]),  # overlap must stay below the 32-pixel RAW window
-    (3, ["--overlap", "16"]),  # overlap must stay below the 16-pixel RGB window
 ])
 def test_infer_rejects_bad_tiling(tmp_path, capsys, in_channels, flags):
     ckpt, image = _tiny_checkpoint(tmp_path, in_channels)
-    out = tmp_path / ("out.ppm" if in_channels == 3 else "out.pgm")
+    out = tmp_path / "out.pgm"
     assert main(["infer", "--checkpoint", str(ckpt), "--input", str(image),
                  "--output", str(out), *flags]) == 1
     _assert_one_error_line(capsys)
@@ -380,6 +353,40 @@ def test_truncated_checkpoint_is_runtime_error(tmp_path, capsys, command, keep):
         argv = ["dump-kernels", "--checkpoint", str(ckpt), "--out", str(tmp_path / "k")]
     assert main(argv) == 1
     _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["infer", "dump-kernels"])
+@pytest.mark.parametrize("where", ["parameter", "moment"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_checkpoint_is_runtime_error(tmp_path, capsys, command, where, bad):
+    # a NaN weight used to give exit 0 with an all-zero PGM or NaN kernel stacks
+    from frenet.arch import build_frenet, tiny_config
+    from frenet.fileio import save_checkpoint
+    from frenet.train import AdamState
+
+    net = build_frenet(tiny_config(base_size=16, global_residual=True), seed=2)
+    state = AdamState(step=1)
+    for name, p in net.parameters().items():
+        state.m[name] = np.zeros_like(p.data)
+        state.v[name] = np.ones_like(p.data)
+    if where == "parameter":
+        net.parameters()["enc1.blk0.facm.afpm.kernel_kbg.w2"].data.flat[3] = bad
+    else:
+        state.v["final.weight"].flat[3] = bad
+    ckpt = tmp_path / "net.fckpt"
+    save_checkpoint(ckpt, net, adam=state)
+    image = tmp_path / "in.pgm"
+    write_pgm16(image, np.full((32, 32), 1000.0))
+    out = tmp_path / "out.pgm"
+    if command == "infer":
+        argv = ["infer", "--checkpoint", str(ckpt), "--input", str(image), "--output", str(out)]
+    else:
+        argv = ["dump-kernels", "--checkpoint", str(ckpt), "--out", str(tmp_path / "k")]
+    assert main(argv) == 1
+    err = _assert_one_error_line(capsys)
+    named = "enc1.blk0.facm.afpm.kernel_kbg.w2" if where == "parameter" else "final.weight"
+    assert str(ckpt) in err and named in err and "non-finite" in err
+    assert not out.exists() and not (tmp_path / "k").exists()
 
 
 @pytest.mark.parametrize("command", ["infer", "dump-spectrum"])

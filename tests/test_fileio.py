@@ -12,12 +12,10 @@ from frenet.fileio import (
     load_checkpoint,
     read_ften,
     read_pgm16,
-    read_ppm8,
     restore_network,
     save_checkpoint,
     write_ften,
     write_pgm16,
-    write_ppm8,
 )
 from frenet.rawdata import PreprocessSpec
 from frenet.tensor import ConfigurationError, Tensor
@@ -176,13 +174,12 @@ class TestPnm:
         assert back.shape == (1, 2, 2)
         assert back[0, 1, 1] == 3.0
 
-    def test_ppm8_round_trip(self, tmp_path):
-        rgb = np.random.default_rng(2).uniform(0, 1, (3, 4, 6)).astype(np.float32)
-        path = tmp_path / "img.ppm"
-        write_ppm8(path, rgb)
-        back = read_ppm8(path)
-        assert back.shape == (3, 4, 6)
-        assert np.abs(back - rgb).max() <= 0.5 / 255 + 1e-6
+    def test_pgm8_one_byte_samples(self, tmp_path):
+        path = tmp_path / "b.pgm"
+        path.write_bytes(b"P5\n3 2\n255\n" + bytes([0, 1, 2, 253, 254, 255]))
+        back = read_pgm16(path)
+        assert back.shape == (1, 2, 3) and back.dtype == np.float32
+        assert back[0].tolist() == [[0, 1, 2], [253, 254, 255]]
 
 
 def test_restore_rejects_mismatched_geometry(tmp_path):
@@ -243,17 +240,13 @@ class TestTruncation:
                 read_ften(path)
 
     def test_pnm_prefixes(self, tmp_path):
-        for name, write, read, image in (
-            ("a.pgm", write_pgm16, read_pgm16, np.full((3, 5), 700.0)),
-            ("a.ppm", write_ppm8, read_ppm8, np.full((3, 3, 5), 0.5)),
-        ):
-            path = tmp_path / name
-            write(path, image)
-            blob = path.read_bytes()
-            for cut in range(len(blob)):
-                path.write_bytes(blob[:cut])
-                with pytest.raises(ConfigurationError, match=name):
-                    read(path)
+        path = tmp_path / "a.pgm"
+        write_pgm16(path, np.full((3, 5), 700.0))
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ConfigurationError, match="a.pgm"):
+                read_pgm16(path)
 
     def test_malformed_pnm_header(self, tmp_path):
         path = tmp_path / "bad.pgm"
