@@ -413,13 +413,16 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None = None
     One of three kernels computes it, chosen by ``spec``:
 
     - 1x1, stride 1, groups 1: one GEMM over C x (H*W) per sample;
-    - depthwise 3x3, stride 1: nine shifted multiply-adds;
+    - depthwise 3x3, stride 1: nine shifted multiply-adds over blocks of
+      zero-padded channel rows;
     - every other shape: one einsum over sliding windows.
 
     All three accumulate the output and the weight gradient in float64 and
     cast back to the input dtype; the input gradient accumulates in the input
     dtype. On float32 inputs the two direct kernels reproduce the einsum
     kernel bit for bit; on float64 the depthwise one differs by a few ulps.
+    The backward of the two direct kernels keeps only the input and the
+    weight alive; the einsum kernel's keeps a zero-padded copy of the input.
     """
     if x.data.ndim < 3:
         raise ConfigurationError(f"conv2d expects CxHxW input or a batch of them, got shape {x.shape}")
@@ -437,9 +440,9 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None = None
         raise ConfigurationError(f"spatial dims {h}x{w} not divisible by stride {spec.stride}")
 
     out, grads = _conv_kernel(spec)(x.data.reshape(-1, c_in, h, w), spec, weight.data)
-    out = out.astype(np.result_type(x.data, weight.data))
+    out = out.astype(np.result_type(x.data, weight.data), copy=False)
     if bias is not None:
-        out = out + bias.data[:, None, None]
+        out += bias.data[:, None, None]
     out = out.reshape(lead + out.shape[1:])
 
     parents = (x, weight) if bias is None else (x, weight, bias)
@@ -459,11 +462,12 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None = None
 
 
 def _conv_kernel(spec: ConvSpec):
-    """The kernel for ``spec``: (NxCxHxW input, spec, weight) arrays -> (float64 output, grads).
+    """The kernel for ``spec``: (NxCxHxW input, spec, weight) arrays -> (output, grads).
 
-    ``grads(g, need_w, need_x)`` returns ``(dw, dx)``: dw float64 with one
-    weight-sized block per sample, dx with the input's shape and dtype, None
-    where not needed.
+    The output is a new array, summed in float64 and returned in float64 or
+    already cast to the result dtype. ``grads(g, need_w, need_x)`` returns
+    ``(dw, dx)``: dw float64 with one weight-sized block per sample, dx with
+    the input's shape and dtype, None where not needed.
     """
     if spec.stride == 1 and spec.kernel_h == spec.kernel_w == 1 and spec.groups == 1:
         return _conv_1x1
@@ -523,39 +527,88 @@ def _conv_1x1(xd: np.ndarray, spec: ConvSpec, wd: np.ndarray):
     return out.reshape(n, spec.out_channels, h, w), grads
 
 
-_TAPS3 = [(u, v) for u in range(3) for v in range(3)]
+# Elements in the buffers of one block of depthwise rows, all of them together:
+# about 2^14 per buffer, so a block stays in L2 while its nine taps run.
+_DW_BLOCK = 1 << 16
 
 
 def _conv_depthwise3(xd: np.ndarray, spec: ConvSpec, wd: np.ndarray):
-    """Depthwise 3x3, stride 1: nine shifted multiply-adds over the zero-padded input.
+    """Depthwise 3x3, stride 1: nine shifted multiply-adds per (sample, channel) row.
 
-    The backward keeps alive only the padded input and the weight view, in
-    the input dtype; its float64 copies are made when it runs.
+    Rows are zero-padded block by block as ``_padded_blocks`` lays them out,
+    so that tap (u, v) of output (y, x) sits at y*(W+2)+x plus the offset
+    u*(W+2)+v. The output adds the nine float64 products from zero in tap
+    order and is written straight in the result dtype. dx is the same
+    correlation of the padded gradient, in its dtype, with tap (u, v) at offset
+    (2-u)*(W+2)+(2-v). dw is one float64 dot product of length H*W per row
+    and tap.
+
+    The backward keeps only the input and the weight alive, and pads them
+    again block by block when it runs.
     """
     n, c, h, w = xd.shape
-    xp = np.pad(xd, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    w9 = wd.reshape(c, 9)
-    w64 = w9.astype(np.float64)
-    out = np.zeros((n, c, h, w))
-    for k, (u, v) in enumerate(_TAPS3):
-        out += xp[:, :, u : u + h, v : v + w] * w64[:, k, None, None]
+    rows = xd.reshape(n * c, h, w)
+    w9 = np.tile(wd.reshape(c, 9), (n, 1))
+    offsets = [u * (w + 2) + v for u in range(3) for v in range(3)]
+    out = np.empty((n, c, h, w), np.result_type(xd, wd))
+    _correlate3(rows, w9.astype(np.float64), offsets, out.reshape(rows.shape))
 
     def grads(g, need_w, need_x):
         dw = dx = None
+        g_rows = g.reshape(rows.shape)
         if need_w:
-            g64 = g.astype(np.float64).reshape(n, c, h * w, 1)
-            dw = np.empty((n, c, 9))
-            for k, (u, v) in enumerate(_TAPS3):
-                shifted = xp[:, :, u : u + h, v : v + w].astype(np.float64).reshape(n, c, 1, h * w)
-                dw[:, :, k] = np.matmul(shifted, g64)[..., 0, 0]
+            dw = np.empty((n * c, 9))
+            for block, xp, shifted, g64 in _padded_blocks(rows, np.float64, (h * w, h * w)):
+                g64.reshape(-1, h, w)[...] = g_rows[block]
+                for k, start in enumerate(offsets):
+                    tap = xp[:, start : start + h * (w + 2)].reshape(-1, h, w + 2)[:, :, :w]
+                    shifted.reshape(-1, h, w)[...] = tap
+                    dw[block, k] = np.matmul(shifted[:, None, :], g64[:, :, None])[:, 0, 0]
+            dw = dw.reshape(n, c, 9)
         if need_x:
-            dxp = np.zeros_like(xp)
-            for k, (u, v) in enumerate(_TAPS3):
-                dxp[:, :, u : u + h, v : v + w] += g * w9[:, k, None, None]
-            dx = dxp[:, :, 1 : h + 1, 1 : w + 1]
+            dx = np.empty(xd.shape, xd.dtype)
+            _correlate3(g_rows, w9, [offsets[-1] - start for start in offsets], dx.reshape(rows.shape))
         return dw, dx
 
     return out, grads
+
+
+def _padded_blocks(src: np.ndarray, dtype, scratch_cols: Sequence[int]):
+    """Yield ``(block, padded, *scratch)`` over successive blocks of the R x H x W rows of ``src``.
+
+    Row i of ``padded`` is ``src[block][i]`` in ``dtype``, zero-padded by one
+    to (H+2) x (W+2) and flattened, then two more zeros, so that every tap's
+    slice of H*(W+2) values stays inside the row. ``scratch`` holds one
+    uninitialised array per entry of ``scratch_cols``, that many columns wide.
+    All are reused from block to block, and together hold about ``_DW_BLOCK``
+    elements.
+    """
+    rows, h, w = src.shape
+    size = (h + 2) * (w + 2) + 2
+    step = max(1, min(rows, _DW_BLOCK // (size + sum(scratch_cols))))
+    padded = np.zeros((step, size), dtype)
+    inner = padded[:, : size - 2].reshape(step, h + 2, w + 2)[:, 1 : h + 1, 1 : w + 1]
+    scratch = [np.empty((step, cols), dtype) for cols in scratch_cols]
+    for start in range(0, rows, step):
+        r = min(step, rows - start)
+        inner[:r] = src[start : start + r]
+        yield (slice(start, start + r), padded[:r], *(s[:r] for s in scratch))
+
+
+def _correlate3(src: np.ndarray, wts: np.ndarray, offsets: Sequence[int], out: np.ndarray) -> None:
+    """Set ``out[i, y, x]`` to the sum over k of ``wts[i, k]`` times ``p[y*(W+2) + x + offsets[k]]``.
+
+    ``p`` is row i of ``src`` as ``_padded_blocks`` pads it. The sum is taken
+    in ``wts.dtype``, from zero, in the order of ``offsets``.
+    """
+    h, w = src.shape[1:]
+    span = h * (w + 2)
+    for block, xp, acc, tmp in _padded_blocks(src, wts.dtype, (span, span)):
+        acc.fill(0)
+        for k, start in enumerate(offsets):
+            np.multiply(xp[:, start : start + span], wts[block, k, None], out=tmp)
+            acc += tmp
+        out[block] = acc.reshape(-1, h, w + 2)[:, :, :w]
 
 
 def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

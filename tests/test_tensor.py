@@ -137,8 +137,9 @@ def einsum_conv_with_grads(*args):
 DEPTHWISE_F64_ULPS = 8
 
 
-def check_direct_kernel(kind, channels, h, w, has_bias, dtype, need, seed):
+def check_direct_kernel(kind, channels, h, w, has_bias, dtype, need, seed, batch=None):
     rng = np.random.default_rng(seed)
+    lead = () if batch is None else (batch,)
     if kind == "1x1":
         c_out = int(rng.integers(1, 65))
         spec = ConvSpec(channels, c_out, 1, 1, has_bias=has_bias)
@@ -147,10 +148,10 @@ def check_direct_kernel(kind, channels, h, w, has_bias, dtype, need, seed):
         c_out = channels
         spec = ConvSpec(channels, channels, 3, 3, groups=channels, has_bias=has_bias)
         assert tensor._conv_kernel(spec) is tensor._conv_depthwise3
-    x = rng.standard_normal((channels, h, w)).astype(dtype)
+    x = rng.standard_normal(lead + (channels, h, w)).astype(dtype)
     weight = rng.standard_normal(spec.weight_shape).astype(dtype)
     bias = rng.standard_normal(c_out).astype(dtype) if has_bias else None
-    g = rng.standard_normal((c_out, h, w)).astype(dtype)
+    g = rng.standard_normal(lead + (c_out, h, w)).astype(dtype)
     need_x, need_w = need in ("x", "both"), need in ("w", "both")
     got = conv_with_grads(x, spec, weight, bias, need_x, need_w, g)
     want = einsum_conv_with_grads(x, spec, weight, bias, need_x, need_w, g)
@@ -192,6 +193,19 @@ class TestDirectConvKernels:
     )
     def test_random_shapes_match_einsum_kernel(self, kind, channels, h, w, has_bias, dtype, need, seed):
         check_direct_kernel(kind, channels, h, w, has_bias, dtype, need, seed)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows_per_block", [1, 4, 7])
+    @pytest.mark.parametrize("batch,channels,h,w", [(3, 5, 4, 6), (2, 7, 1, 9), (4, 3, 6, 1), (2, 3, 1, 1),
+                                                    (5, 4, 3, 3)])
+    def test_depthwise_blocks_match_einsum_kernel(self, monkeypatch, batch, channels, h, w, rows_per_block,
+                                                  dtype):
+        # A block budget of a few padded rows plus the forward's two scratch rows, so that
+        # batch * channels rows cross several blocks, the last of them often partial.
+        padded, span = (h + 2) * (w + 2) + 2, h * (w + 2)
+        monkeypatch.setattr(tensor, "_DW_BLOCK", rows_per_block * (padded + 2 * span))
+        seed = batch * 1000 + channels * 100 + h * 10 + w
+        check_direct_kernel("depthwise", channels, h, w, True, dtype, "both", seed, batch=batch)
 
     def test_other_shapes_keep_the_einsum_kernel(self):
         for spec in (ConvSpec(4, 8, 3, 3), ConvSpec(4, 8, 2, 2, stride=2), ConvSpec(4, 4, 1, 1, groups=2),

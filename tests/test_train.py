@@ -166,6 +166,7 @@ class TestTrainLoop:
         assert len(result.step_losses) == 3
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_loss_aborts_with_diagnostic(self, tmp_path):
         corpus = tiny_corpus(count=4, size=16)
         net = build_frenet(tiny_config(base_size=8), seed=6)
