@@ -95,7 +95,7 @@ def _read_record(blob: bytes, offset: int, path) -> tuple[str, np.ndarray, int]:
     _need(blob, offset, 4 * count, path)
     data = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(dims)
     offset += 4 * count
-    return name, data.astype(np.float32), offset
+    return name, data.astype(np.float32), offset  # a private, writable copy
 
 
 def save_checkpoint(path: str | Path, net, adam=None, step: int = 0,
@@ -203,7 +203,7 @@ def restore_network(path: str | Path):
             )
         if not np.isfinite(stored).all():
             raise ConfigurationError(f"{path}: parameter {name} holds non-finite values (NaN or Inf)")
-        p.data = stored.copy()
+        p.data = stored
     unpaired = sorted(set(ckpt.adam_m) ^ set(ckpt.adam_v))
     unknown = sorted(set(ckpt.adam_m) - set(params))
     if unpaired or unknown:
@@ -222,8 +222,8 @@ def restore_network(path: str | Path):
             raise ConfigurationError(
                 f"{path}: optimizer moments of {name} hold non-finite values (NaN or Inf)"
             )
-        state.m[name] = m.copy()
-        state.v[name] = v.copy()
+        state.m[name] = m
+        state.v[name] = v
     return net, preprocess, state, ckpt.step
 
 

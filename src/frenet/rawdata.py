@@ -180,13 +180,13 @@ def apply_blur(x: Tensor, kernel: BlurKernel) -> Tensor:
     if kernel.size > min(h, w):
         raise ConfigurationError(f"kernel size {kernel.size} exceeds image {h}x{w}")
     c = (kernel.size - 1) // 2
-    plane = x.data[0].astype(np.float64)
-    out = np.zeros_like(plane)
+    padded = np.pad(x.data[0].astype(np.float64), c, mode="wrap")
+    out = np.zeros((h, w))
     for u in range(kernel.size):
         for v in range(kernel.size):
             kw = float(kernel.weights[u, v])
             if kw:
-                out += kw * np.roll(plane, (u - c, v - c), axis=(0, 1))
+                out += kw * padded[2 * c - u : 2 * c - u + h, 2 * c - v : 2 * c - v + w]
     return Tensor(out[None].astype(np.float32))
 
 

@@ -4,6 +4,8 @@ Values are immutable from the caller's perspective: every operation returns a
 fresh Tensor and records a backward closure when any input participates in
 gradient tracking. The tape is the implicit graph of those closures; it lives
 only for one forward/backward pass and is never shared between threads.
+``backward()`` frees it node by node as it sweeps, so a training step's
+activations go as soon as their gradients have passed through them.
 Inside ``no_grad()`` nothing is recorded, so a forward keeps no graph alive.
 Inside ``observe(fn)`` each new node is also passed to ``fn``, to be counted.
 
@@ -42,7 +44,9 @@ class Tensor:
     """Dense rank-N array of 32-bit floats (64-bit inside the gradient checker).
 
     ``data`` is row-major with length equal to the product of ``shape``.
-    ``grad`` is filled by ``backward()`` for tensors that require gradients.
+    ``grad`` is filled by ``backward()`` on the leaves that require gradients
+    (parameters, and inputs made with ``requires_grad=True``); a node an op
+    made is freed by the sweep and keeps no ``grad``.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -76,11 +80,15 @@ class Tensor:
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype})"
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar output.
+        """Reverse-mode sweep from a scalar output that frees the graph as it goes.
 
-        Accumulates ``grad`` on every tensor in the tape that requires
-        gradients. Uses an iterative topological order so deep networks do not
-        hit the recursion limit.
+        Accumulates ``grad`` on every leaf in the tape that requires gradients.
+        Once an interior node (one an op made, with a backward closure) has
+        passed its gradient on, it drops its ``grad``, parents and closure, so
+        what it kept alive is freed by reference count during the sweep. A
+        freed node raises EvaluationError if a later ``backward()`` reaches it.
+        Uses an iterative topological order so deep networks do not hit the
+        recursion limit.
         """
         if self.data.ndim != 0:
             raise EvaluationError("backward() requires a scalar output")
@@ -100,9 +108,17 @@ class Tensor:
                 if id(parent) not in seen and parent.requires_grad:
                     stack.append((parent, False))
         self.grad = np.ones((), dtype=self.data.dtype)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:
+            node = order.pop()  # popped, so the list keeps no swept node alive
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._parents, node._backward = None, (), _freed
+
+
+def _freed(g: np.ndarray) -> None:
+    raise EvaluationError("backward() reached a node whose graph an earlier backward() freed")
 
 
 class Parameter(Tensor):

@@ -134,18 +134,31 @@ def test_float64_parameters_and_input_keep_the_whole_tape_float64(variant):
     x = Tensor(rng.uniform(0, 1, (4, 16, 16)))
     target = Tensor(rng.uniform(0, 1, (4, 16, 16)))
     loss = loss_total(net.forward(x), target, 0.01)
-    loss.backward()
-    nodes, stack, seen = [], [loss], set()
+    # backward() frees the graph, so walk it first and have every interior
+    # node's closure record the dtype of the gradient it receives.
+    nodes, stack, seen, interior, grad_dtypes = [], [loss], set(), 0, []
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
             nodes.append(node)
             stack.extend(node._parents)
+            if node._backward is not None:
+                node._backward = _recording_dtype(node._backward, grad_dtypes)
+                interior += 1
+    loss.backward()
     assert len(nodes) > len(params)
+    assert len(grad_dtypes) == interior
     assert [n for n in nodes if n.data.dtype != np.float64] == []
-    assert [n for n in nodes if n.grad is not None and n.grad.dtype != np.float64] == []
+    assert [dt for dt in grad_dtypes if dt != np.float64] == []
     assert all(p.grad is not None and p.grad.dtype == np.float64 for p in params)
+
+
+def _recording_dtype(fn, dtypes):
+    def bw(g):
+        dtypes.append(g.dtype)
+        fn(g)
+    return bw
 
 
 @pytest.mark.parametrize("variant", [{}, {"use_pooling_variant": True}])

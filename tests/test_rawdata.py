@@ -173,6 +173,25 @@ class TestApplyBlur:
         with pytest.raises(ConfigurationError, match="exceeds"):
             apply_blur(Tensor(np.zeros((1, 4, 4))), gen_kernel(0, "gaussian", 5))
 
+    @pytest.mark.parametrize("kind", ["gaussian", "motion"])
+    @pytest.mark.parametrize("size", [3, 5, 7, 9])
+    @pytest.mark.parametrize("h, w", [(9, 9), (16, 12), (11, 20)])
+    def test_equals_sum_of_rolled_planes(self, kind, size, h, w):
+        # The corpus must not change: same taps, same order, same float64 sums.
+        x = Tensor(np.random.default_rng(size * h + w).uniform(0, 1, (1, h, w)).astype(np.float32))
+        k = gen_kernel(size + h, kind, size)
+        c = (size - 1) // 2
+        plane = x.data[0].astype(np.float64)
+        oracle = np.zeros_like(plane)
+        for u in range(size):
+            for v in range(size):
+                kw = float(k.weights[u, v])
+                if kw:
+                    oracle += kw * np.roll(plane, (u - c, v - c), axis=(0, 1))
+        out = apply_blur(x, k)
+        assert out.dtype == np.float32
+        assert np.array_equal(out.data, oracle[None].astype(np.float32))
+
 
 class TestGenDataset:
     def test_shapes_and_count(self):

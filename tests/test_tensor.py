@@ -1,12 +1,17 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frenet import tensor
+from frenet.arch import build_frenet, tiny_config
 from frenet.tensor import (
     ConfigurationError,
     ConvSpec,
+    EvaluationError,
     Tensor,
     add,
     conv2d,
@@ -20,6 +25,7 @@ from frenet.tensor import (
     section,
     simple_gate,
 )
+from frenet.train import loss_total
 
 
 def conv2d_loop_oracle(x, weight, bias, stride=1, groups=1):
@@ -290,6 +296,77 @@ class TestObserve:
         self._conv()
         assert [label for _, label, *_ in inner] == ["b"]
         assert [label for _, label, *_ in outer] == ["a", "a"]
+
+
+class TestBackwardFreesTheTape:
+    def _net_and_batch(self, x_requires_grad=False):
+        net = build_frenet(tiny_config(base_size=16), seed=3)
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.uniform(0, 1, (2, 4, 16, 16)).astype(np.float32), requires_grad=x_requires_grad)
+        target = Tensor(rng.uniform(0, 1, (2, 4, 16, 16)).astype(np.float32))
+        return net, x, target
+
+    def test_leaves_keep_grad_and_interior_nodes_are_released(self):
+        net, x, target = self._net_and_batch(x_requires_grad=True)
+        seen = []
+        with observe(lambda op, label, out, parents, spec: seen.append(out)):
+            loss = loss_total(net.forward(x), target, 0.01)
+        interior = [n for n in seen if n._backward is not None]
+        assert len(interior) > 100
+        loss.backward()
+        assert all(p.grad is not None for p in net.parameters().values())
+        assert x.grad is not None and x.grad.shape == x.shape
+        assert [n for n in interior if n.grad is not None or n._parents != ()] == []
+
+    def test_node_outputs_die_with_the_sweep_without_gc(self):
+        net, x, target = self._net_and_batch()
+        refs, first = [], []
+
+        def record(op, label, out, parents, spec):
+            refs.append(weakref.ref(out.data))
+            if not first and out._backward is not None:
+                first.append(out)
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with observe(record):
+                loss = loss_total(net.forward(x), target, 0.01)
+            alive = [r for r in refs if r() is not None]
+            assert len(alive) > 100
+            # The forward's first node is swept last: when its closure runs,
+            # every node made after it must already be gone.
+            node = first.pop()
+            inner, first_id = node._backward, id(node.data)
+            alive_then = []
+
+            def counting(g):
+                alive_then.extend(id(r()) for r in refs if r() is not None)
+                inner(g)
+
+            node._backward = counting
+            del node
+            loss.backward()
+            assert sorted(alive_then) == sorted([first_id, id(loss.data)])
+            assert [r() for r in alive if r() is not None and r() is not loss.data] == []
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_second_backward_through_a_freed_graph_raises(self):
+        net, x, target = self._net_and_batch()
+        loss = loss_total(net.forward(x), target, 0.01)
+        loss.backward()
+        with pytest.raises(EvaluationError, match="freed"):
+            loss.backward()
+
+    def test_new_loss_on_a_freed_intermediate_raises(self):
+        net, x, target = self._net_and_batch()
+        pred = net.forward(x)
+        loss_total(pred, target, 0.01).backward()
+        assert pred.requires_grad and pred._parents == ()
+        with pytest.raises(EvaluationError, match="freed"):
+            loss_total(pred, target, 0.0).backward()
 
 
 class TestLayerNorm:
