@@ -39,37 +39,53 @@ def write_ften(path: str | Path, array: np.ndarray) -> None:
         fh.write(arr.tobytes())
 
 
-def _need(blob: bytes, offset: int, size: int, path) -> None:
-    """Name the file and the offset when fewer than ``size`` bytes remain."""
-    if offset + size > len(blob):
-        raise ConfigurationError(
-            f"{path}: truncated at byte {offset} (need {size} bytes, {len(blob) - offset} left)"
-        )
+class _Reader:
+    """Reads an open binary file front to back, after checking its magic.
 
+    A read past the end raises ConfigurationError naming the file and the offset.
+    """
 
-def _unpack(fmt: str, blob: bytes, offset: int, path) -> tuple:
-    _need(blob, offset, struct.calcsize(fmt), path)
-    return struct.unpack_from(fmt, blob, offset)
+    def __init__(self, fh, path, magic: bytes, kind: str):
+        if fh.read(len(magic)) != magic:
+            raise ConfigurationError(f"{path}: not a {kind} file (bad magic)")
+        self.fh, self.path, self.offset = fh, path, len(magic)
+        self.size = os.fstat(fh.fileno()).st_size
 
+    def _need(self, size: int) -> None:
+        left = self.size - self.offset
+        if size > left:
+            raise ConfigurationError(
+                f"{self.path}: truncated at byte {self.offset} (need {size} bytes, {left} left)"
+            )
+        self.offset += size
 
-def _read_dims(blob: bytes, offset: int, path) -> tuple[tuple[int, ...], int]:
-    """u32 rank then u32 dims; returns the dims and the offset past them."""
-    (rank,) = _unpack("<I", blob, offset, path)
-    dims = _unpack(f"<{rank}I", blob, offset + 4, path)
-    return dims, offset + 4 + 4 * rank
+    def read(self, size: int) -> bytes:
+        self._need(size)
+        return self.fh.read(size)
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
+
+    def dims(self) -> tuple[int, ...]:
+        """u32 rank then u32 dims."""
+        return self.unpack(f"<{self.unpack('<I')[0]}I")
+
+    def floats(self, dims: tuple[int, ...]) -> np.ndarray:
+        """The next 32-bit little-endian floats, read straight into a new array of shape ``dims``."""
+        data = np.empty(dims, dtype="<f4")
+        self._need(data.nbytes)
+        self.fh.readinto(data.reshape(-1))  # through a view: its buffer bookkeeping dies with it
+        return data.astype(np.float32, copy=False)  # no copy on a little-endian host
 
 
 def read_ften(path: str | Path) -> np.ndarray:
-    blob = Path(path).read_bytes()
-    if not blob.startswith(FTEN_MAGIC):
-        raise ConfigurationError(f"{path}: not a .ften file (bad magic)")
-    dims, offset = _read_dims(blob, len(FTEN_MAGIC), path)
-    count = math.prod(dims)
-    expected = offset + 4 * count
-    if len(blob) != expected:
-        raise ConfigurationError(f"{path}: payload size {len(blob) - offset} != {4 * count}")
-    data = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-    return data.reshape(dims).astype(np.float32)
+    with open(path, "rb") as fh:
+        reader = _Reader(fh, path, FTEN_MAGIC, ".ften")
+        dims = reader.dims()
+        left, expected = reader.size - reader.offset, 4 * math.prod(dims)
+        if left != expected:
+            raise ConfigurationError(f"{path}: payload size {left} != {expected}")
+        return reader.floats(dims)
 
 
 def _write_record(fh, name: str, array: np.ndarray) -> None:
@@ -82,20 +98,14 @@ def _write_record(fh, name: str, array: np.ndarray) -> None:
     fh.write(arr.tobytes())
 
 
-def _read_record(blob: bytes, offset: int, path) -> tuple[str, np.ndarray, int]:
-    (name_len,) = _unpack("<I", blob, offset, path)
-    offset += 4
-    (raw_name,) = _unpack(f"<{name_len}s", blob, offset, path)
+def _read_record(reader: _Reader) -> tuple[str, np.ndarray]:
+    (name_len,) = reader.unpack("<I")
+    offset = reader.offset
     try:
-        name = raw_name.decode("utf-8")
+        name = reader.read(name_len).decode("utf-8")
     except UnicodeDecodeError:
-        raise ConfigurationError(f"{path}: record name at byte {offset} is not UTF-8") from None
-    dims, offset = _read_dims(blob, offset + name_len, path)
-    count = math.prod(dims)
-    _need(blob, offset, 4 * count, path)
-    data = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(dims)
-    offset += 4 * count
-    return name, data.astype(np.float32), offset  # a private, writable copy
+        raise ConfigurationError(f"{reader.path}: record name at byte {offset} is not UTF-8") from None
+    return name, reader.floats(reader.dims())
 
 
 def save_checkpoint(path: str | Path, net, adam=None, step: int = 0,
@@ -145,34 +155,22 @@ class Checkpoint:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    blob = Path(path).read_bytes()
-    if not blob.startswith(CKPT_MAGIC):
-        raise ConfigurationError(f"{path}: not a .fckpt file (bad magic)")
-    offset = len(CKPT_MAGIC)
-    (param_count,) = _unpack("<I", blob, offset, path)
-    offset += 4
-    params: dict[str, np.ndarray] = {}
-    for _ in range(param_count):
-        name, data, offset = _read_record(blob, offset, path)
-        params[name] = data
-    (moment_count,) = _unpack("<I", blob, offset, path)
-    offset += 4
-    adam_m: dict[str, np.ndarray] = {}
-    adam_v: dict[str, np.ndarray] = {}
-    for _ in range(moment_count):
-        name, data, offset = _read_record(blob, offset, path)
-        if name.startswith("adam.m."):
-            adam_m[name[len("adam.m.") :]] = data
-        elif name.startswith("adam.v."):
-            adam_v[name[len("adam.v.") :]] = data
-        else:
-            raise ConfigurationError(f"{path}: unexpected moment record {name!r}")
-    step, config_len = _unpack("<II", blob, offset, path)
-    offset += 8
-    encoded, digest = _unpack(f"<{config_len}s32s", blob, offset, path)
+    """Parse a .fckpt file record by record, each straight into its own array."""
+    with open(path, "rb") as fh:
+        reader = _Reader(fh, path, CKPT_MAGIC, ".fckpt")
+        params = dict(_read_record(reader) for _ in range(reader.unpack("<I")[0]))
+        moments: dict[str, dict[str, np.ndarray]] = {"adam.m.": {}, "adam.v.": {}}
+        for _ in range(reader.unpack("<I")[0]):
+            name, data = _read_record(reader)
+            if name[:7] not in moments:
+                raise ConfigurationError(f"{path}: unexpected moment record {name!r}")
+            moments[name[:7]][name[7:]] = data
+        step, config_len = reader.unpack("<II")
+        trailer = reader.read(config_len + 32)
+    encoded, digest = trailer[:config_len], trailer[config_len:]
     if hashlib.sha256(encoded).digest() != digest:
         raise ConfigurationError(f"{path}: config digest mismatch (corrupt checkpoint)")
-    return Checkpoint(params, adam_m, adam_v, step, encoded.decode("utf-8"))
+    return Checkpoint(params, moments["adam.m."], moments["adam.v."], step, encoded.decode("utf-8"))
 
 
 def restore_network(path: str | Path):

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 
@@ -421,24 +420,28 @@ def roll2d(a: Tensor, shift_h: int, shift_w: int) -> Tensor:
 
 
 def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Grouped 2-D cross-correlation of a CxHxW input or a batch of them.
+    """2-D cross-correlation of a CxHxW input or a batch of them, dense or depthwise.
 
     Odd kernels get zero padding (k-1)/2 so spatial size maps H -> H/stride;
     even kernels are unpadded (the 2x2/stride-2 downsampling case).
 
-    One of three kernels computes it, chosen by ``spec``:
+    One of two kernels computes it, chosen by ``spec``:
 
-    - 1x1, stride 1, groups 1: one GEMM over C x (H*W) per sample;
+    - groups 1, any kernel size and stride: one GEMM per sample over the
+      stack of the kh*kw strided taps (1 for a 1x1, 4 for the 2x2/stride-2
+      Down, 9 for a full 3x3);
     - depthwise 3x3, stride 1: nine shifted multiply-adds over blocks of
-      zero-padded channel rows;
-    - every other shape: one einsum over sliding windows.
+      zero-padded channel rows.
 
-    All three accumulate the output and the weight gradient in float64 and
-    cast back to the input dtype; the input gradient accumulates in the input
-    dtype. On float32 inputs the two direct kernels reproduce the einsum
-    kernel bit for bit; on float64 the depthwise one differs by a few ulps.
-    The backward of the two direct kernels keeps only the input and the
-    weight alive; the einsum kernel's keeps a zero-padded copy of the input.
+    Any other grouped spec raises ConfigurationError. Both sum the output and
+    the weight gradient in float64 and cast back to the input dtype; the input
+    gradient sums in the input dtype. Against the einsum oracle of the tests,
+    on float32 the output and the weight gradient are equal bit for bit, and
+    so is the input gradient of every preset conv, of the depthwise kind and
+    of the 1x1 kind on one sample; elsewhere it may differ by a few ulps, as
+    einsum's own float32 loop order changes with the shape. On float64 the
+    depthwise and the dense 2x2 and 3x3 kinds differ by a few ulps. Both
+    backward passes keep only the input and the weight alive.
     """
     if x.data.ndim < 3:
         raise ConfigurationError(f"conv2d expects CxHxW input or a batch of them, got shape {x.shape}")
@@ -485,62 +488,56 @@ def _conv_kernel(spec: ConvSpec):
     ``(dw, dx)``: dw float64 with one weight-sized block per sample, dx with
     the input's shape and dtype, None where not needed.
     """
-    if spec.stride == 1 and spec.kernel_h == spec.kernel_w == 1 and spec.groups == 1:
-        return _conv_1x1
+    # Depthwise first: with one channel it has groups 1 as well.
     if (spec.stride == 1 and spec.kernel_h == spec.kernel_w == 3
             and spec.groups == spec.in_channels == spec.out_channels):
         return _conv_depthwise3
-    return _conv_einsum
+    if spec.groups == 1:
+        return _conv_dense
+    raise ConfigurationError(f"{spec}: a grouped conv must be depthwise 3x3 at stride 1")
 
 
-def _conv_einsum(xd: np.ndarray, spec: ConvSpec, wd: np.ndarray):
-    """Any shape: one einsum over sliding windows of the zero-padded input."""
-    kh, kw, s, grp = spec.kernel_h, spec.kernel_w, spec.stride, spec.groups
-    pad_h, pad_w = (kh - 1) // 2, (kw - 1) // 2
+def _conv_dense(xd: np.ndarray, spec: ConvSpec, wd: np.ndarray):
+    """Groups 1: one GEMM per sample of the weight and the stack of its kh*kw strided taps.
+
+    Tap (u, v) is every stride-th pixel from (u, v) on of the input zero-padded
+    by (k-1)//2. The stack holds their C_in*kh*kw rows in the weight's (i, u, v)
+    order; a 1x1 at stride 1 is its own stack. dw is the gradient times the
+    stack in float64, dx the transposed weight times the gradient in its dtype,
+    added tap by tap into a zero-padded buffer. The backward keeps only the
+    input and the weight alive, and stacks the taps again for dw.
+    """
+    kh, kw, s = spec.kernel_h, spec.kernel_w, spec.stride
     n, c_in, h, w = xd.shape
-    ci_g = spec.in_channels // grp
-    co_g = spec.out_channels // grp
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    h_out, w_out = (h + 2 * ph - kh) // s + 1, (w + 2 * pw - kw) // s + 1
+    one_tap = kh == kw == s == 1
+    w2 = wd.reshape(spec.out_channels, -1)
+    taps = [(slice(u, u + s * h_out, s), slice(v, v + s * w_out, s))  # rows, columns of tap (u, v)
+            for u in range(kh) for v in range(kw)]
 
-    xp = np.pad(xd, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)))
-    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
-    h_out, w_out = windows.shape[2], windows.shape[3]
-    xv = windows.reshape(n, grp, ci_g, h_out, w_out, kh, kw)
-    wv = wd.reshape(grp, co_g, ci_g, kh, kw)
-    out = np.einsum("ngihwuv,goiuv->ngohw", xv, wv, dtype=np.float64, optimize=True)
+    def stack():
+        if one_tap:
+            return xd.reshape(n, c_in, h * w)
+        xp = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else xd
+        return np.stack([xp[:, :, rows, cols] for rows, cols in taps], axis=2).reshape(n, -1, h_out * w_out)
+
+    out = np.matmul(w2, stack(), dtype=np.float64)
 
     def grads(g, need_w, need_x):
-        gv = g.reshape(n, grp, co_g, h_out, w_out)
-        dw = dx = None
-        if need_w:
-            dw = np.einsum("ngihwuv,ngohw->ngoiuv", xv, gv, dtype=np.float64, optimize=True)
-        if need_x:
-            dxp = np.zeros_like(xp)
-            for u in range(kh):
-                for v in range(kw):
-                    patch = np.einsum("goi,ngohw->ngihw", wv[:, :, :, u, v], gv, optimize=True)
-                    dxp[:, :, u : u + s * h_out : s, v : v + s * w_out : s] += patch.reshape(
-                        n, c_in, h_out, w_out
-                    )
-            dx = dxp[:, :, pad_h : pad_h + h, pad_w : pad_w + w]
-        return dw, dx
+        g2 = g.reshape(n, spec.out_channels, h_out * w_out)
+        dw = np.matmul(g2, stack().transpose(0, 2, 1), dtype=np.float64) if need_w else None
+        if not need_x:
+            return dw, None
+        if one_tap:
+            return dw, (w2.T @ g2).reshape(xd.shape).astype(xd.dtype, copy=False)
+        dtaps = (w2.T @ g2).reshape(n, c_in, len(taps), h_out, w_out)
+        dxp = np.zeros((n, c_in, h + 2 * ph, w + 2 * pw), xd.dtype)
+        for k, (rows, cols) in enumerate(taps):
+            dxp[:, :, rows, cols] += dtaps[:, :, k]
+        return dw, dxp[:, :, ph : ph + h, pw : pw + w]
 
     return out.reshape(n, spec.out_channels, h_out, w_out), grads
-
-
-def _conv_1x1(xd: np.ndarray, spec: ConvSpec, wd: np.ndarray):
-    """1x1, stride 1, groups 1: one GEMM over C x (H*W) per sample."""
-    n, c_in, h, w = xd.shape
-    x2 = xd.reshape(n, c_in, h * w)
-    w2 = wd.reshape(spec.out_channels, c_in)
-    out = np.matmul(w2, x2, dtype=np.float64)
-
-    def grads(g, need_w, need_x):
-        g2 = g.reshape(n, spec.out_channels, h * w)
-        dw = np.matmul(g2, x2.transpose(0, 2, 1), dtype=np.float64) if need_w else None
-        dx = (w2.T @ g2).reshape(xd.shape).astype(xd.dtype, copy=False) if need_x else None
-        return dw, dx
-
-    return out.reshape(n, spec.out_channels, h, w), grads
 
 
 # Elements in the buffers of one block of depthwise rows, all of them together:

@@ -1,6 +1,7 @@
 import hashlib
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,23 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(ConfigurationError, match="digest"):
             load_checkpoint(path)
+
+    def test_load_holds_the_file_once(self, tmp_path):
+        net = build_frenet(tiny_config(base_size=16), seed=0)
+        state = AdamState(step=1)
+        for name, p in net.parameters().items():
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.ones_like(p.data)
+        path = tmp_path / "net.fckpt"
+        save_checkpoint(path, net, adam=state)
+        tracemalloc.start()
+        try:
+            ckpt = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ckpt.adam_v) == len(ckpt.params)
+        assert peak <= 1.25 * path.stat().st_size
 
     def test_saved_without_optimizer_state(self, tmp_path):
         net = build_frenet(tiny_config(base_size=16), seed=0)

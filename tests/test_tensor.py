@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from frenet import tensor
 from frenet.arch import build_frenet, tiny_config
@@ -81,7 +82,7 @@ class TestConv2d:
         want = conv2d_loop_oracle(x, weight, bias)
         assert np.abs(out.data - want).max() < 1e-5
 
-    @pytest.mark.parametrize("stride,groups,kh", [(2, 1, 2), (1, 2, 3), (2, 4, 2)])
+    @pytest.mark.parametrize("stride,groups,kh", [(2, 1, 2)])
     def test_strided_grouped_vs_oracle(self, stride, groups, kh):
         rng = np.random.default_rng(stride * 10 + groups)
         c_in, c_out = 4, 4
@@ -130,10 +131,48 @@ def conv_with_grads(x, spec, weight, bias, need_x, need_w, g):
     return out.data, xt.grad, wt.grad, None if bt is None else bt.grad
 
 
+def conv_einsum(xd, spec, wd):
+    """Any groups, kernel and stride: one einsum over sliding windows of the zero-padded input.
+
+    A kernel with conv2d's calling convention (see ``tensor._conv_kernel``),
+    written independently of both of its kernels: the oracle they are held to.
+    """
+    kh, kw, s, grp = spec.kernel_h, spec.kernel_w, spec.stride, spec.groups
+    pad_h, pad_w = (kh - 1) // 2, (kw - 1) // 2
+    n, c_in, h, w = xd.shape
+    ci_g = spec.in_channels // grp
+    co_g = spec.out_channels // grp
+
+    xp = np.pad(xd, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)))
+    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
+    h_out, w_out = windows.shape[2], windows.shape[3]
+    xv = windows.reshape(n, grp, ci_g, h_out, w_out, kh, kw)
+    wv = wd.reshape(grp, co_g, ci_g, kh, kw)
+    out = np.einsum("ngihwuv,goiuv->ngohw", xv, wv, dtype=np.float64, optimize=True)
+
+    def grads(g, need_w, need_x):
+        gv = g.reshape(n, grp, co_g, h_out, w_out)
+        dw = dx = None
+        if need_w:
+            dw = np.einsum("ngihwuv,ngohw->ngoiuv", xv, gv, dtype=np.float64, optimize=True)
+        if need_x:
+            dxp = np.zeros_like(xp)
+            for u in range(kh):
+                for v in range(kw):
+                    patch = np.einsum("goi,ngohw->ngihw", wv[:, :, :, u, v], gv, optimize=True)
+                    dxp[:, :, u : u + s * h_out : s, v : v + s * w_out : s] += patch.reshape(
+                        n, c_in, h_out, w_out
+                    )
+            dx = dxp[:, :, pad_h : pad_h + h, pad_w : pad_w + w]
+        return dw, dx
+
+    return out.reshape(n, spec.out_channels, h_out, w_out), grads
+
+
 def einsum_conv_with_grads(*args):
-    """The same with every shape sent through the einsum kernel, the oracle of the direct ones."""
+    """The same with every shape sent through the einsum oracle instead of conv2d's kernels."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tensor, "_conv_kernel", lambda spec: tensor._conv_einsum)
+        mp.setattr(tensor, "_conv_kernel", lambda spec: conv_einsum)
         return conv_with_grads(*args)
 
 
@@ -142,19 +181,39 @@ def einsum_conv_with_grads(*args):
 # once more. Measured at most 4 on random shapes up to 130x130; float32 is exact.
 DEPTHWISE_F64_ULPS = 8
 
+# The same for the dense kernel's 2x2/stride-2 and 3x3 kinds, in the units of the
+# compared dtype: on out, dx and dw in float64, and on dx in float32. Its GEMMs sum in
+# another order than einsum, which itself changes its float32 loop order with the
+# shape. Measured at most 5 on 1,200 random shapes up to 128 channels and 64x64
+# outputs (float32 dx: at most 4 on 800), and on five float64 shapes up to 130x130.
+DENSE_ULPS = 8
 
-def check_direct_kernel(kind, channels, h, w, has_bias, dtype, need, seed, batch=None):
+# Kernel size and stride of each kind of conv.
+KINDS = {"1x1": (1, 1), "down": (2, 2), "3x3": (3, 1), "depthwise": (3, 1)}
+
+# The dense convs of the tiny and the paper preset as (kind, in, out, output side):
+# intro, final and each Down at base 32 and 64, and two of the paper's 1x1 convs.
+PRESET_DENSE = [("3x3", 4, 4, 32), ("down", 4, 8, 16), ("down", 8, 16, 8),
+                ("3x3", 4, 32, 32), ("3x3", 32, 4, 32), ("down", 32, 64, 16), ("down", 64, 128, 8),
+                ("down", 128, 256, 4), ("1x1", 32, 64, 32), ("1x1", 64, 32, 16)]
+
+
+def check_direct_kernel(kind, channels, h, w, has_bias, dtype, need, seed, batch=None, c_out=None,
+                        exact=False):
+    """Compare a kind's kernel with the oracle on an h x w output (from a 2h x 2w input for down).
+
+    float32 results are equal bit for bit, except dx of the down and 3x3 kinds,
+    which is held to DENSE_ULPS unless ``exact``.
+    """
     rng = np.random.default_rng(seed)
     lead = () if batch is None else (batch,)
-    if kind == "1x1":
-        c_out = int(rng.integers(1, 65))
-        spec = ConvSpec(channels, c_out, 1, 1, has_bias=has_bias)
-        assert tensor._conv_kernel(spec) is tensor._conv_1x1
-    else:
-        c_out = channels
-        spec = ConvSpec(channels, channels, 3, 3, groups=channels, has_bias=has_bias)
-        assert tensor._conv_kernel(spec) is tensor._conv_depthwise3
-    x = rng.standard_normal(lead + (channels, h, w)).astype(dtype)
+    if c_out is None:
+        c_out = channels if kind == "depthwise" else int(rng.integers(1, 65))
+    k, stride = KINDS[kind]
+    groups = channels if kind == "depthwise" else 1
+    spec = ConvSpec(channels, c_out, k, k, stride=stride, groups=groups, has_bias=has_bias)
+    assert tensor._conv_kernel(spec) is (tensor._conv_depthwise3 if kind == "depthwise" else tensor._conv_dense)
+    x = rng.standard_normal(lead + (channels, h * spec.stride, w * spec.stride)).astype(dtype)
     weight = rng.standard_normal(spec.weight_shape).astype(dtype)
     bias = rng.standard_normal(c_out).astype(dtype) if has_bias else None
     g = rng.standard_normal(lead + (c_out, h, w)).astype(dtype)
@@ -163,32 +222,35 @@ def check_direct_kernel(kind, channels, h, w, has_bias, dtype, need, seed, batch
     want = einsum_conv_with_grads(x, spec, weight, bias, need_x, need_w, g)
     abs_bias = None if bias is None else np.abs(bias)
     scale = einsum_conv_with_grads(np.abs(x), spec, np.abs(weight), abs_bias, need_x, need_w, np.abs(g))
+    f64 = dtype == np.float64
     for name, a, b, size in zip(("out", "dx", "dw", "dbias"), got, want, scale):
         assert (a is None) == (b is None), name
         if a is None:
             continue
         assert a.dtype == b.dtype and a.shape == b.shape, name
-        if kind == "depthwise" and dtype == np.float64 and name in ("out", "dw"):
+        if kind == "depthwise" and f64 and name in ("out", "dw"):
             assert np.all(np.abs(a - b) <= DEPTHWISE_F64_ULPS * np.spacing(size)), name
+        elif kind in ("down", "3x3") and name != "dbias" and (f64 or (name == "dx" and not exact)):
+            assert np.all(np.abs(a - b) <= DENSE_ULPS * np.spacing(size)), name
         else:
             assert np.array_equal(a, b), name
 
 
 class TestDirectConvKernels:
-    """The 1x1 GEMM and depthwise-3x3 kernels against the einsum kernel."""
+    """The dense and depthwise-3x3 kernels against the einsum oracle."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("need", ["x", "w"])
     @pytest.mark.parametrize("has_bias", [True, False])
     @pytest.mark.parametrize("h,w", [(1, 1), (2, 2), (5, 7)])
     @pytest.mark.parametrize("channels", [1, 3, 64])
-    @pytest.mark.parametrize("kind", ["1x1", "depthwise"])
+    @pytest.mark.parametrize("kind", ["1x1", "depthwise", "down", "3x3"])
     def test_matches_einsum_kernel(self, kind, channels, h, w, has_bias, need, dtype):
         check_direct_kernel(kind, channels, h, w, has_bias, dtype, need, seed=channels * 100 + h * 10 + w)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
-        st.sampled_from(["1x1", "depthwise"]),
+        st.sampled_from(list(KINDS)),
         st.integers(1, 64),
         st.integers(1, 12),
         st.integers(1, 12),
@@ -199,6 +261,14 @@ class TestDirectConvKernels:
     )
     def test_random_shapes_match_einsum_kernel(self, kind, channels, h, w, has_bias, dtype, need, seed):
         check_direct_kernel(kind, channels, h, w, has_bias, dtype, need, seed)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 8])
+    @pytest.mark.parametrize("kind,c_in,c_out,side", PRESET_DENSE)
+    def test_preset_convs_match_einsum_kernel_bit_for_bit(self, kind, c_in, c_out, side, batch, dtype):
+        seed = batch * 1000 + c_in * 10 + side
+        check_direct_kernel(kind, c_in, side, side, True, dtype, "both", seed, batch=batch, c_out=c_out,
+                            exact=True)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rows_per_block", [1, 4, 7])
@@ -213,10 +283,32 @@ class TestDirectConvKernels:
         seed = batch * 1000 + channels * 100 + h * 10 + w
         check_direct_kernel("depthwise", channels, h, w, True, dtype, "both", seed, batch=batch)
 
-    def test_other_shapes_keep_the_einsum_kernel(self):
-        for spec in (ConvSpec(4, 8, 3, 3), ConvSpec(4, 8, 2, 2, stride=2), ConvSpec(4, 4, 1, 1, groups=2),
-                     ConvSpec(4, 8, 3, 3, groups=4), ConvSpec(4, 4, 5, 5, groups=4)):
-            assert tensor._conv_kernel(spec) is tensor._conv_einsum
+    @pytest.mark.parametrize("kind", ["1x1", "down", "3x3"])
+    def test_dense_backward_keeps_only_input_and_weight(self, kind):
+        rng = np.random.default_rng(5)
+        k, stride = KINDS[kind]
+        spec = ConvSpec(3, 4, k, k, stride=stride)
+        x = Tensor(rng.standard_normal((2, 3, 8, 8)).astype(np.float32), requires_grad=True)
+        weight = Tensor(rng.standard_normal(spec.weight_shape).astype(np.float32), requires_grad=True)
+        out = conv2d(x, spec, weight)
+        kept, cells = [], [c.cell_contents for c in out._backward.__closure__]
+        while cells:  # every array reachable through the closures of the node's backward
+            value = cells.pop()
+            if isinstance(value, np.ndarray):
+                kept.append(value)
+            elif callable(value) and getattr(value, "__closure__", None):
+                cells.extend(c.cell_contents for c in value.__closure__)
+        assert kept and all(np.shares_memory(a, x.data) or np.shares_memory(a, weight.data) for a in kept)
+
+    def test_grouped_specs_other_than_depthwise_3x3_raise(self):
+        for spec in (ConvSpec(4, 8, 3, 3), ConvSpec(4, 8, 2, 2, stride=2), ConvSpec(4, 8, 5, 5)):
+            assert tensor._conv_kernel(spec) is tensor._conv_dense
+        for spec in (ConvSpec(4, 4, 3, 3, groups=2), ConvSpec(4, 4, 2, 2, stride=2, groups=4),
+                     ConvSpec(4, 4, 1, 1, groups=2), ConvSpec(4, 8, 3, 3, groups=4),
+                     ConvSpec(4, 4, 5, 5, groups=4), ConvSpec(4, 4, 3, 3, stride=2, groups=4)):
+            x = Tensor(np.zeros((4, 8, 8), np.float32))
+            with pytest.raises(ConfigurationError, match="grouped"):
+                conv2d(x, spec, Tensor(np.zeros(spec.weight_shape, np.float32)))
 
 
 class TestNoGrad:
