@@ -129,20 +129,21 @@ def patch_weighted_sum(x: Tensor, kernels: Tensor, grid: PatchGrid) -> Tensor:
     patches = x.data.reshape(lead + (c, m, ph, n, pw))
     kview = kernels.data.reshape(kernels.shape[:-2] + (m, n, ph, pw))
     out = np.einsum("...cipjq,...ijpq->...ijc", patches, kview, optimize=True).reshape(lead + (m * n, c))
+    rx, rk, x_shape, k_shape = x._record, kernels._record, x.shape, kernels.shape
 
     def bw(g):
         gv = g.reshape(lead + (m, n, c))
-        if kernels.requires_grad:
+        if rk is not None:
             # One einsum per sample: over a batch, einsum may sum C in another
             # order (it does for 1x1 patches), and the bits would change.
             dk = np.stack([
                 np.einsum("cipjq,ijc->ijpq", xs, gs, optimize=True)
                 for xs, gs in zip(patches.reshape((-1, c, m, ph, n, pw)), gv.reshape(-1, m, n, c))
             ])
-            _accumulate(kernels, _unbroadcast(dk.reshape(lead + (m * n, ph * pw)), kernels.shape))
-        if x.requires_grad:
+            _accumulate(rk, _unbroadcast(dk.reshape(lead + (m * n, ph * pw)), k_shape))
+        if rx is not None:
             dx = np.einsum("...ijpq,...ijc->...cipjq", kview, gv, optimize=True)
-            _accumulate(x, dx.reshape(x.shape))
+            _accumulate(rx, dx.reshape(x_shape))
 
     return _node(np.ascontiguousarray(out), (x, kernels), bw)
 
@@ -157,14 +158,15 @@ def patch_scale(x: Tensor, factors: Tensor, grid: PatchGrid) -> Tensor:
     patches = x.data.reshape(lead + (c, m, ph, n, pw))
     fview = np.moveaxis(factors.data.reshape(lead + (m, n, c)), -1, -3)[..., None, :, None]
     out = (patches * fview).reshape(x.shape)
+    rx, rf, x_shape, f_shape = x._record, factors._record, x.shape, factors.shape
 
     def bw(g):
         gp = g.reshape(patches.shape)
-        if factors.requires_grad:
+        if rf is not None:
             df = np.einsum("...cipjq,...cipjq->...ijc", gp, patches, optimize=True)
-            _accumulate(factors, df.reshape(factors.shape))
-        if x.requires_grad:
-            _accumulate(x, (gp * fview).reshape(x.shape))
+            _accumulate(rf, df.reshape(f_shape))
+        if rx is not None:
+            _accumulate(rx, (gp * fview).reshape(x_shape))
 
     return _node(np.ascontiguousarray(out), (x, factors), bw)
 

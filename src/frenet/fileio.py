@@ -95,7 +95,7 @@ def _write_record(fh, name: str, array: np.ndarray) -> None:
     fh.write(encoded)
     fh.write(struct.pack("<I", arr.ndim))
     fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    fh.write(arr.tobytes())
+    fh.write(memoryview(arr))  # the array's own buffer, not a bytes copy
 
 
 def _read_record(reader: _Reader) -> tuple[str, np.ndarray]:

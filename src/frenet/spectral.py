@@ -58,12 +58,13 @@ def fft2d(x: Tensor) -> ComplexTensor:
     spec = scipy.fft.fft2(x.data, axes=(-2, -1), norm="ortho")
     re_data = np.ascontiguousarray(spec.real)
     im_data = np.ascontiguousarray(spec.imag)
+    rx = x._record
 
     def bw_re(g):
-        _accumulate(x, scipy.fft.ifft2(g, axes=(-2, -1), norm="ortho").real.astype(g.dtype))
+        _accumulate(rx, scipy.fft.ifft2(g, axes=(-2, -1), norm="ortho").real.astype(g.dtype))
 
     def bw_im(g):
-        _accumulate(x, -scipy.fft.ifft2(g, axes=(-2, -1), norm="ortho").imag.astype(g.dtype))
+        _accumulate(rx, -scipy.fft.ifft2(g, axes=(-2, -1), norm="ortho").imag.astype(g.dtype))
 
     return ComplexTensor(_node(re_data, (x,), bw_re, "fft2d"), _node(im_data, (x,), bw_im))
 
@@ -79,11 +80,12 @@ def ifft2d(spectrum: ComplexTensor) -> Tensor:
     re, im = spectrum.re, spectrum.im
     full = scipy.fft.ifft2(re.data + 1j * im.data, axes=(-2, -1), norm="ortho")
     out = np.ascontiguousarray(full.real)
+    r_re, r_im = re._record, im._record
 
     def bw(g):
         forward = scipy.fft.fft2(g, axes=(-2, -1), norm="ortho")
-        _accumulate(re, np.ascontiguousarray(forward.real).astype(g.dtype))
-        _accumulate(im, np.ascontiguousarray(forward.imag).astype(g.dtype))
+        _accumulate(r_re, np.ascontiguousarray(forward.real).astype(g.dtype))
+        _accumulate(r_im, np.ascontiguousarray(forward.imag).astype(g.dtype))
 
     return _node(out, (re, im), bw, "ifft2d")
 

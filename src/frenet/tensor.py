@@ -1,11 +1,14 @@
 """Dense float tensors with reverse-mode differentiation.
 
 Values are immutable from the caller's perspective: every operation returns a
-fresh Tensor and records a backward closure when any input participates in
-gradient tracking. The tape is the implicit graph of those closures; it lives
-only for one forward/backward pass and is never shared between threads.
-``backward()`` frees it node by node as it sweeps, so a training step's
-activations go as soon as their gradients have passed through them.
+fresh Tensor. When any input takes a gradient, the result also gets a graph
+record: the records of its parents, its backward closure and its gradient.
+A leaf that takes a gradient is its own record. The graph never holds an op
+output, so it keeps no activation by itself: a closure captures at forward
+time the arrays and shapes its backward reads, and an op output that no
+backward reads is freed as soon as the forward drops it. The graph lives only for one forward/backward pass and is never
+shared between threads. ``backward()`` frees it record by record as it
+sweeps, so what a closure kept goes as soon as its gradient has passed.
 Inside ``no_grad()`` nothing is recorded, so a forward keeps no graph alive.
 Inside ``observe(fn)`` each new node is also passed to ``fn``, to be counted.
 
@@ -44,11 +47,15 @@ class Tensor:
 
     ``data`` is row-major with length equal to the product of ``shape``.
     ``grad`` is filled by ``backward()`` on the leaves that require gradients
-    (parameters, and inputs made with ``requires_grad=True``); a node an op
-    made is freed by the sweep and keeps no ``grad``.
+    (parameters, and inputs made with ``requires_grad=True``). A leaf is its
+    own graph record. A Tensor an op made while recording holds a separate
+    record (``_Node``) that keeps the gradient, the backward closure and the
+    parents' records, but not ``data``: the graph never holds an activation.
+    ``_parents`` and ``_backward`` read the record; ``_backward`` can be
+    replaced through the Tensor, and ``backward()`` calls what was set.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -57,8 +64,7 @@ class Tensor:
         self.data: np.ndarray = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -72,6 +78,26 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
+    @property
+    def _record(self) -> Tensor | _Node | None:
+        """What a graph holds of this tensor: its op's record, itself if it is a
+        leaf that requires gradients, else None (it takes no gradient)."""
+        if self._node is not None:
+            return self._node
+        return self if self.requires_grad else None
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self) -> Callable[[np.ndarray], None] | None:
+        return None if self._node is None else self._node._backward
+
+    @_backward.setter
+    def _backward(self, fn: Callable[[np.ndarray], None]) -> None:
+        self._node._backward = fn
+
     def item(self) -> float:
         return float(self.data)
 
@@ -81,19 +107,19 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar output that frees the graph as it goes.
 
-        Accumulates ``grad`` on every leaf in the tape that requires gradients.
-        Once an interior node (one an op made, with a backward closure) has
-        passed its gradient on, it drops its ``grad``, parents and closure, so
-        what it kept alive is freed by reference count during the sweep. A
-        freed node raises EvaluationError if a later ``backward()`` reaches it.
-        Uses an iterative topological order so deep networks do not hit the
-        recursion limit.
+        Accumulates ``grad`` on every leaf in the graph that requires gradients.
+        Once an op's record has passed its gradient on, it drops its ``grad``,
+        parents and closure, so the arrays the closure kept alive are freed by
+        reference count during the sweep. A freed record raises
+        EvaluationError if a later ``backward()`` reaches it. Uses an iterative
+        topological order so deep networks do not hit the recursion limit.
         """
         if self.data.ndim != 0:
             raise EvaluationError("backward() requires a scalar output")
-        order: list[Tensor] = []
+        root = self if self._node is None else self._node
+        order: list[Tensor | _Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Tensor | _Node, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -104,16 +130,39 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in seen and parent.requires_grad:
+                if id(parent) not in seen:
                     stack.append((parent, False))
-        self.grad = np.ones((), dtype=self.data.dtype)
+        root.grad = np.ones((), dtype=self.data.dtype)
         while order:
-            node = order.pop()  # popped, so the list keeps no swept node alive
+            node = order.pop()  # popped, so the list keeps no swept record alive
             if node._backward is None:
                 continue
             if node.grad is not None:
                 node._backward(node.grad)
             node.grad, node._parents, node._backward = None, (), _freed
+
+
+class _Node:
+    """The graph record of an op's result: parents' records, backward closure and grad.
+
+    ``data`` is an empty array of the result's dtype, so a walk over the graph
+    finds the dtype but counts only the arrays the closures captured.
+    """
+
+    __slots__ = ("data", "grad", "_parents", "_backward")
+
+    def __init__(self, dtype: np.dtype, parents: tuple, backward: Callable[[np.ndarray], None]):
+        self.data = _EMPTY[dtype]
+        self.grad: np.ndarray | None = None
+        self._parents = parents
+        self._backward = backward
+
+    @property
+    def _record(self) -> _Node:
+        return self
+
+
+_EMPTY = {np.dtype(dt): np.empty(0, dt) for dt in (np.float32, np.float64)}
 
 
 def _freed(g: np.ndarray) -> None:
@@ -194,7 +243,7 @@ def _setting(name: str, value):
 
 
 def no_grad():
-    """Record no tape inside the block: results keep no parents and no backward closure.
+    """Record no graph inside the block: results get no record, so no parents and no closure.
 
     The arithmetic is unchanged, so outputs equal those with recording on.
     """
@@ -219,21 +268,28 @@ def section(name: str):
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None],
           op: str | None = None, spec: ConvSpec | None = None) -> Tensor:
-    """Wrap an op result; the backward closure is kept only when needed."""
+    """Wrap an op result; it gets a record only when recording and some parent needs a gradient.
+
+    The record keeps the records of the parents that take a gradient and
+    ``backward``, which must capture arrays and records, never a Tensor.
+    """
     out = Tensor(data)
-    if _recording and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+    if _recording:
+        records = tuple([r for p in parents if (r := p._record) is not None])
+        if records:
+            out.requires_grad = True
+            out._node = _Node(out.data.dtype, records, backward)
     if _observer is not None:
         _observer(op, _section, out, parents, spec)
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
+def _accumulate(t: Tensor | _Node | None, g: np.ndarray) -> None:
+    """Add ``g`` to the gradient of ``t``'s record; None, or a Tensor with none, takes nothing."""
+    r = None if t is None else t._record
+    if r is None:
         return
-    t.grad = g if t.grad is None else t.grad + g
+    r.grad = g if r.grad is None else r.grad + g
 
 
 def _sum_batch(g: np.ndarray, ndim: int) -> np.ndarray:
@@ -270,69 +326,78 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
+    ra, rb, a_shape, b_shape = a._record, b._record, a.shape, b.shape
 
     def bw(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape))
+        if ra is not None:
+            _accumulate(ra, _unbroadcast(g, a_shape))
+        if rb is not None:
+            _accumulate(rb, _unbroadcast(g, b_shape))
 
     return _node(out, (a, b), bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
+    ra, rb, a_shape, b_shape = a._record, b._record, a.shape, b.shape
 
     def bw(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, -_unbroadcast(g, b.shape))
+        if ra is not None:
+            _accumulate(ra, _unbroadcast(g, a_shape))
+        if rb is not None:
+            _accumulate(rb, -_unbroadcast(g, b_shape))
 
     return _node(out, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
+    ad, bd = a.data, b.data
+    out = ad * bd
+    ra, rb = a._record, b._record
 
     def bw(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if ra is not None:
+            _accumulate(ra, _unbroadcast(g * bd, ad.shape))
+        if rb is not None:
+            _accumulate(rb, _unbroadcast(g * ad, bd.shape))
 
     return _node(out, (a, b), bw)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     out = a.data * s
+    ra = a._record
 
     def bw(g):
-        _accumulate(a, g * s)
+        _accumulate(ra, g * s)
 
     return _node(out, (a,), bw)
 
 
 def abs_(a: Tensor) -> Tensor:
     """Elementwise |x|; the subgradient at exact zero is taken as 0."""
-    out = np.abs(a.data)
+    ad = a.data
+    out = np.abs(ad)
+    ra = a._record
 
     def bw(g):
-        _accumulate(a, g * np.sign(a.data))
+        _accumulate(ra, g * np.sign(ad))
 
     return _node(out, (a,), bw)
 
 
 def mean_all(a: Tensor) -> Tensor:
     """Mean of each sample's last three axes (of every axis when there are at most three)."""
-    lead = a.shape[:-3]
-    axes = tuple(range(len(lead), a.data.ndim))
-    out = a.data.mean(axis=axes, dtype=np.float64).astype(a.dtype)
-    n = math.prod(a.shape[len(lead) :])
+    shape, dtype = a.shape, a.dtype
+    lead = shape[:-3]
+    axes = tuple(range(len(lead), len(shape)))
+    out = a.data.mean(axis=axes, dtype=np.float64).astype(dtype)
+    n = math.prod(shape[len(lead) :])
     keep = lead + (1,) * len(axes)
+    ra = a._record
 
     def bw(g):
-        _accumulate(a, np.broadcast_to((g / n).reshape(keep), a.shape).astype(a.dtype))
+        _accumulate(ra, np.broadcast_to((g / n).reshape(keep), shape).astype(dtype))
 
     return _node(out, (a,), bw)
 
@@ -344,40 +409,45 @@ def sum_in_order(a: Tensor) -> Tensor:
     by a chain of ``add``.
     """
     out = _sum_batch(a.data.reshape(-1), 0)
+    ra, shape = a._record, a.shape
 
     def bw(g):
-        _accumulate(a, np.broadcast_to(g, a.shape))
+        _accumulate(ra, np.broadcast_to(g, shape))
 
     return _node(out, (a,), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes; leading axes are a batch."""
-    out = a.data @ b.data
+    ad, bd = a.data, b.data
+    out = ad @ bd
+    ra, rb = a._record, b._record
 
     def bw(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+        if ra is not None:
+            _accumulate(ra, _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
+        if rb is not None:
+            _accumulate(rb, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
 
     return _node(out, (a, b), bw, "matmul")
 
 
 def transpose2d(a: Tensor) -> Tensor:
     out = a.data.T.copy()
+    ra = a._record
 
     def bw(g):
-        _accumulate(a, g.T)
+        _accumulate(ra, g.T)
 
     return _node(out, (a,), bw)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = a.data.reshape(shape)
+    ra, a_shape = a._record, a.shape
 
     def bw(g):
-        _accumulate(a, g.reshape(a.shape))
+        _accumulate(ra, g.reshape(a_shape))
 
     return _node(out, (a,), bw)
 
@@ -386,21 +456,23 @@ def concat_channels(parts: Iterable[Tensor]) -> Tensor:
     parts = tuple(parts)
     out = np.concatenate([p.data for p in parts], axis=-3)
     offsets = np.cumsum([0] + [p.shape[-3] for p in parts])
+    records = [p._record for p in parts]
 
     def bw(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[..., lo:hi, :, :])
+        for r, lo, hi in zip(records, offsets[:-1], offsets[1:]):
+            _accumulate(r, g[..., lo:hi, :, :])
 
     return _node(out, parts, bw)
 
 
 def slice_channels(a: Tensor, start: int, stop: int) -> Tensor:
     out = a.data[..., start:stop, :, :]
+    ra, shape = a._record, a.shape
 
     def bw(g):
-        full = np.zeros(a.shape, dtype=g.dtype)
+        full = np.zeros(shape, dtype=g.dtype)
         full[..., start:stop, :, :] = g
-        _accumulate(a, full)
+        _accumulate(ra, full)
 
     return _node(out, (a,), bw)
 
@@ -408,9 +480,10 @@ def slice_channels(a: Tensor, start: int, stop: int) -> Tensor:
 def roll2d(a: Tensor, shift_h: int, shift_w: int) -> Tensor:
     """Circular shift along the last two axes."""
     out = np.roll(a.data, (shift_h, shift_w), axis=(-2, -1))
+    ra = a._record
 
     def bw(g):
-        _accumulate(a, np.roll(g, (-shift_h, -shift_w), axis=(-2, -1)))
+        _accumulate(ra, np.roll(g, (-shift_h, -shift_w), axis=(-2, -1)))
 
     return _node(out, (a,), bw)
 
@@ -465,17 +538,19 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None = None
     out = out.reshape(lead + out.shape[1:])
 
     parents = (x, weight) if bias is None else (x, weight, bias)
+    rx, rw, rb = x._record, weight._record, None if bias is None else bias._record
+    x_shape, w_shape = x.shape, weight.shape
 
     def bw(g):
         g = g.reshape((-1,) + g.shape[-3:])
-        dw, dx = grads(g, weight.requires_grad, x.requires_grad)
+        dw, dx = grads(g, rw is not None, rx is not None)
         if dw is not None:
-            dw = dw.reshape((-1,) + weight.shape).astype(g.dtype)
-            _accumulate(weight, _sum_batch(dw, weight.data.ndim))
+            dw = dw.reshape((-1,) + w_shape).astype(g.dtype)
+            _accumulate(rw, _sum_batch(dw, len(w_shape)))
         if dx is not None:
-            _accumulate(x, dx.reshape(x.shape))
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, _sum_batch(g.sum(axis=(-2, -1)), 1))
+            _accumulate(rx, dx.reshape(x_shape))
+        if rb is not None:
+            _accumulate(rb, _sum_batch(g.sum(axis=(-2, -1)), 1))
 
     return _node(out, parents, bw, "conv2d", spec)
 
@@ -502,10 +577,11 @@ def _conv_dense(xd: np.ndarray, spec: ConvSpec, wd: np.ndarray):
 
     Tap (u, v) is every stride-th pixel from (u, v) on of the input zero-padded
     by (k-1)//2. The stack holds their C_in*kh*kw rows in the weight's (i, u, v)
-    order; a 1x1 at stride 1 is its own stack. dw is the gradient times the
-    stack in float64, dx the transposed weight times the gradient in its dtype,
-    added tap by tap into a zero-padded buffer. The backward keeps only the
-    input and the weight alive, and stacks the taps again for dw.
+    order, built straight in float64; a 1x1 at stride 1 is its own stack. dw
+    is the gradient times the stack in float64, dx the transposed weight times
+    the gradient in its dtype, added tap by tap into a zero-padded buffer. The
+    backward keeps only the input and the weight alive, and stacks the taps
+    again for dw.
     """
     kh, kw, s = spec.kernel_h, spec.kernel_w, spec.stride
     n, c_in, h, w = xd.shape
@@ -520,7 +596,8 @@ def _conv_dense(xd: np.ndarray, spec: ConvSpec, wd: np.ndarray):
         if one_tap:
             return xd.reshape(n, c_in, h * w)
         xp = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else xd
-        return np.stack([xp[:, :, rows, cols] for rows, cols in taps], axis=2).reshape(n, -1, h_out * w_out)
+        taps64 = np.stack([xp[:, :, rows, cols] for rows, cols in taps], axis=2, dtype=np.float64)
+        return taps64.reshape(n, -1, h_out * w_out)
 
     out = np.matmul(w2, stack(), dtype=np.float64)
 
@@ -556,15 +633,14 @@ def _conv_depthwise3(xd: np.ndarray, spec: ConvSpec, wd: np.ndarray):
     (2-u)*(W+2)+(2-v). dw is one float64 dot product of length H*W per row
     and tap.
 
-    The backward keeps only the input and the weight alive, and pads them
-    again block by block when it runs.
+    The backward keeps only the input and the weight alive: it pads the input
+    again block by block and tiles the weight per row when it runs.
     """
     n, c, h, w = xd.shape
     rows = xd.reshape(n * c, h, w)
-    w9 = np.tile(wd.reshape(c, 9), (n, 1))
     offsets = [u * (w + 2) + v for u in range(3) for v in range(3)]
     out = np.empty((n, c, h, w), np.result_type(xd, wd))
-    _correlate3(rows, w9.astype(np.float64), offsets, out.reshape(rows.shape))
+    _correlate3(rows, np.tile(wd.reshape(c, 9).astype(np.float64), (n, 1)), offsets, out.reshape(rows.shape))
 
     def grads(g, need_w, need_x):
         dw = dx = None
@@ -580,6 +656,7 @@ def _conv_depthwise3(xd: np.ndarray, spec: ConvSpec, wd: np.ndarray):
             dw = dw.reshape(n, c, 9)
         if need_x:
             dx = np.empty(xd.shape, xd.dtype)
+            w9 = np.tile(wd.reshape(c, 9), (n, 1))
             _correlate3(g_rows, w9, [offsets[-1] - start for start in offsets], dx.reshape(rows.shape))
         return dw, dx
 
@@ -636,19 +713,21 @@ def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-
     var = np.square(centered).mean(axis=-3, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
-    out = gamma.data[:, None, None] * xhat + beta.data[:, None, None]
+    gamma3 = gamma.data[:, None, None]
+    out = gamma3 * xhat + beta.data[:, None, None]
+    rx, rg, rb = x._record, gamma._record, beta._record
 
     def bw(g):
-        if beta.requires_grad:
-            _accumulate(beta, _sum_batch(g.sum(axis=(-2, -1)), 1))
-        if gamma.requires_grad:
-            _accumulate(gamma, _sum_batch((g * xhat).sum(axis=(-2, -1)), 1))
-        if x.requires_grad:
-            dxhat = g * gamma.data[:, None, None]
+        if rb is not None:
+            _accumulate(rb, _sum_batch(g.sum(axis=(-2, -1)), 1))
+        if rg is not None:
+            _accumulate(rg, _sum_batch((g * xhat).sum(axis=(-2, -1)), 1))
+        if rx is not None:
+            dxhat = g * gamma3
             mean_dxhat = dxhat.mean(axis=-3, keepdims=True)
             mean_dxhat_xhat = (dxhat * xhat).mean(axis=-3, keepdims=True)
             dx = inv_std * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
-            _accumulate(x, dx)
+            _accumulate(rx, dx)
 
     return _node(out, (x, gamma, beta), bw)
 
@@ -657,16 +736,24 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+def _gaussian_cdf(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (1.0 + erf(x * _INV_SQRT2))
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian error linear unit x * Phi(x) (erf form, no tanh approximation)."""
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    out = x.data * cdf
+    """Exact Gaussian error linear unit x * Phi(x) (erf form, no tanh approximation).
+
+    The backward keeps only the input and computes Phi(x) again.
+    """
+    xd = x.data
+    out = xd * _gaussian_cdf(xd)
+    rx = x._record
 
     def bw(g):
-        pdf = np.exp(-0.5 * np.square(x.data)) * _INV_SQRT_2PI
-        _accumulate(x, g * (cdf + x.data * pdf))
+        pdf = np.exp(-0.5 * np.square(xd)) * _INV_SQRT_2PI
+        _accumulate(rx, g * (_gaussian_cdf(xd) + xd * pdf))
 
-    return _node(out.astype(x.dtype), (x,), bw)
+    return _node(out.astype(xd.dtype, copy=False), (x,), bw)
 
 
 def simple_gate(x: Tensor) -> Tensor:
@@ -677,9 +764,10 @@ def simple_gate(x: Tensor) -> Tensor:
     half = c // 2
     first, second = x.data[..., :half, :, :], x.data[..., half:, :, :]
     out = first * second
+    rx = x._record
 
     def bw(g):
-        _accumulate(x, np.concatenate([g * second, g * first], axis=-3))
+        _accumulate(rx, np.concatenate([g * second, g * first], axis=-3))
 
     return _node(out, (x,), bw)
 
@@ -688,9 +776,10 @@ def global_avg_pool(x: Tensor) -> Tensor:
     """Per-channel mean over all spatial positions, kept as Cx1x1."""
     h, w = x.shape[-2:]
     out = x.data.mean(axis=(-2, -1), keepdims=True, dtype=np.float64).astype(x.dtype)
+    rx, shape = x._record, x.shape
 
     def bw(g):
-        _accumulate(x, np.broadcast_to(g / (h * w), x.shape).astype(g.dtype))
+        _accumulate(rx, np.broadcast_to(g / (h * w), shape).astype(g.dtype))
 
     return _node(out, (x,), bw)
 
@@ -709,13 +798,15 @@ def depth_to_space(x: Tensor, factor: int = 2) -> Tensor:
         .reshape(lead + (c_out, h * r, w * r))
     )
 
+    rx, shape = x._record, x.shape
+
     def bw(g):
         dg = (
             g.reshape(-1, c_out, h, r, w, r)
             .transpose(0, 1, 3, 5, 2, 4)
-            .reshape(x.shape)
+            .reshape(shape)
         )
-        _accumulate(x, dg)
+        _accumulate(rx, dg)
 
     return _node(np.ascontiguousarray(out), (x,), bw)
 

@@ -19,6 +19,7 @@ from frenet.fileio import (
     write_pgm16,
 )
 from frenet.rawdata import PreprocessSpec
+from frenet.runconfig import render_checkpoint_config
 from frenet.tensor import ConfigurationError, Tensor
 from frenet.train import AdamState
 
@@ -162,6 +163,32 @@ class TestCheckpoint:
             save_checkpoint(path, net)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["best.fckpt"]
+
+    def test_bytes_match_an_independent_writer(self, tmp_path):
+        net = build_frenet(tiny_config(base_size=16), seed=2)
+        rng = np.random.default_rng(3)
+        state = AdamState(step=9)
+        for name, p in net.parameters().items():
+            state.m[name] = rng.standard_normal(p.shape).astype(np.float32)
+            state.v[name] = rng.uniform(0, 1, p.shape).astype(np.float32)
+        path = tmp_path / "net.fckpt"
+        save_checkpoint(path, net, adam=state)
+
+        def record(name, arr):
+            encoded = name.encode("utf-8")
+            return (struct.pack("<I", len(encoded)) + encoded + struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape)
+                    + arr.astype("<f4").tobytes())
+
+        params = net.parameters()
+        config = render_checkpoint_config(net.cfg, PreprocessSpec()).encode("utf-8")
+        expected = b"".join([
+            CKPT_MAGIC, struct.pack("<I", len(params)),
+            *(record(name, p.data) for name, p in params.items()),
+            struct.pack("<I", 2 * len(params)),
+            *(record(f"adam.{k}.{name}", getattr(state, k)[name]) for name in params for k in "mv"),
+            struct.pack("<II", 9, len(config)), config, hashlib.sha256(config).digest(),
+        ])
+        assert path.read_bytes() == expected
 
     def test_digest_matches_sha256_of_config(self, tmp_path):
         net = build_frenet(tiny_config(base_size=16), seed=0)
