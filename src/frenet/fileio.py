@@ -20,6 +20,7 @@ import math
 import os
 import struct
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,8 +40,16 @@ def write_ften(path: str | Path, array: np.ndarray) -> None:
         fh.write(arr.tobytes())
 
 
+class _Payload(NamedTuple):
+    """Where a record's floats start in its file, and their shape."""
+
+    offset: int
+    shape: tuple[int, ...]
+
+
 class _Reader:
-    """Reads an open binary file front to back, after checking its magic.
+    """Parses an open binary file front to back, after checking its magic;
+    payloads can be skipped and read later by where they lie.
 
     A read past the end raises ConfigurationError naming the file and the offset.
     """
@@ -70,12 +79,24 @@ class _Reader:
         """u32 rank then u32 dims."""
         return self.unpack(f"<{self.unpack('<I')[0]}I")
 
-    def floats(self, dims: tuple[int, ...]) -> np.ndarray:
-        """The next 32-bit little-endian floats, read straight into a new array of shape ``dims``."""
-        data = np.empty(dims, dtype="<f4")
-        self._need(data.nbytes)
-        self.fh.readinto(data.reshape(-1))  # through a view: its buffer bookkeeping dies with it
-        return data.astype(np.float32, copy=False)  # no copy on a little-endian host
+    def skip(self, dims: tuple[int, ...]) -> _Payload:
+        """Seek over the next 32-bit floats of shape ``dims``; returns where they lie."""
+        payload = _Payload(self.offset, dims)
+        self._need(4 * math.prod(dims))
+        self.fh.seek(self.offset)
+        return payload
+
+    def floats(self, payload: _Payload, out: np.ndarray | None = None) -> np.ndarray:
+        """The 32-bit little-endian floats at ``payload``, read straight into ``out``
+        (a C-contiguous float32 array of its shape) or into a new array."""
+        data = np.empty(payload.shape, dtype=np.float32) if out is None else out
+        self.fh.seek(payload.offset)
+        # through a view: its buffer bookkeeping dies with it
+        if self.fh.readinto(memoryview(data[...]).cast("B")) != data.nbytes:
+            raise ConfigurationError(f"{self.path}: truncated at byte {payload.offset}")
+        if data.dtype != np.dtype("<f4"):  # a big-endian host
+            data.byteswap(inplace=True)
+        return data
 
 
 def read_ften(path: str | Path) -> np.ndarray:
@@ -85,7 +106,7 @@ def read_ften(path: str | Path) -> np.ndarray:
         left, expected = reader.size - reader.offset, 4 * math.prod(dims)
         if left != expected:
             raise ConfigurationError(f"{path}: payload size {left} != {expected}")
-        return reader.floats(dims)
+        return reader.floats(_Payload(reader.offset, dims))
 
 
 def _write_record(fh, name: str, array: np.ndarray) -> None:
@@ -98,14 +119,15 @@ def _write_record(fh, name: str, array: np.ndarray) -> None:
     fh.write(memoryview(arr))  # the array's own buffer, not a bytes copy
 
 
-def _read_record(reader: _Reader) -> tuple[str, np.ndarray]:
+def _read_record(reader: _Reader, payload: Callable[[tuple[int, ...]], object]) -> tuple[str, object]:
+    """A record's name and what ``payload`` makes of its floats, given their dims."""
     (name_len,) = reader.unpack("<I")
     offset = reader.offset
     try:
         name = reader.read(name_len).decode("utf-8")
     except UnicodeDecodeError:
         raise ConfigurationError(f"{reader.path}: record name at byte {offset} is not UTF-8") from None
-    return name, reader.floats(reader.dims())
+    return name, payload(reader.dims())
 
 
 def save_checkpoint(path: str | Path, net, adam=None, step: int = 0,
@@ -154,75 +176,90 @@ class Checkpoint:
         self.config_text = config_text
 
 
+def _parse_checkpoint(reader: _Reader, payload: Callable[[tuple[int, ...]], object]) -> tuple:
+    """Parse every record and the trailer; ``payload(dims)`` reads or skips each record's floats.
+
+    Returns (params, adam_m, adam_v, step, config_text), the tables mapping
+    record names to what ``payload`` made of them.
+    """
+    params = dict(_read_record(reader, payload) for _ in range(reader.unpack("<I")[0]))
+    moments: dict[str, dict] = {"adam.m.": {}, "adam.v.": {}}
+    for _ in range(reader.unpack("<I")[0]):
+        name, data = _read_record(reader, payload)
+        if name[:7] not in moments:
+            raise ConfigurationError(f"{reader.path}: unexpected moment record {name!r}")
+        moments[name[:7]][name[7:]] = data
+    step, config_len = reader.unpack("<II")
+    trailer = reader.read(config_len + 32)
+    encoded, digest = trailer[:config_len], trailer[config_len:]
+    if hashlib.sha256(encoded).digest() != digest:
+        raise ConfigurationError(f"{reader.path}: config digest mismatch (corrupt checkpoint)")
+    return params, moments["adam.m."], moments["adam.v."], step, encoded.decode("utf-8")
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Parse a .fckpt file record by record, each straight into its own array."""
     with open(path, "rb") as fh:
         reader = _Reader(fh, path, CKPT_MAGIC, ".fckpt")
-        params = dict(_read_record(reader) for _ in range(reader.unpack("<I")[0]))
-        moments: dict[str, dict[str, np.ndarray]] = {"adam.m.": {}, "adam.v.": {}}
-        for _ in range(reader.unpack("<I")[0]):
-            name, data = _read_record(reader)
-            if name[:7] not in moments:
-                raise ConfigurationError(f"{path}: unexpected moment record {name!r}")
-            moments[name[:7]][name[7:]] = data
-        step, config_len = reader.unpack("<II")
-        trailer = reader.read(config_len + 32)
-    encoded, digest = trailer[:config_len], trailer[config_len:]
-    if hashlib.sha256(encoded).digest() != digest:
-        raise ConfigurationError(f"{path}: config digest mismatch (corrupt checkpoint)")
-    return Checkpoint(params, moments["adam.m."], moments["adam.v."], step, encoded.decode("utf-8"))
+        return Checkpoint(*_parse_checkpoint(reader, lambda dims: reader.floats(reader.skip(dims))))
 
 
 def restore_network(path: str | Path):
     """Rebuild the network a checkpoint describes and load its parameters.
 
-    Parameters and optimizer moments must be finite: one NaN weight would
-    turn every output pixel into NaN. Returns (net, preprocess_spec,
-    adam_state, step).
+    The headers are parsed first, to reach the config; each parameter's
+    floats are then read straight into the built network's own array, so
+    the weights exist once. Parameters and optimizer moments must be finite:
+    one NaN weight would turn every output pixel into NaN. Returns (net,
+    preprocess_spec, adam_state, step).
     """
     from .arch import build_frenet
     from .train import AdamState
 
-    ckpt = load_checkpoint(path)
-    net_cfg, preprocess = parse_checkpoint_config(ckpt.config_text)
-    net = build_frenet(net_cfg)
-    params = net.parameters()
-    missing = sorted(set(params) - set(ckpt.params))
-    extra = sorted(set(ckpt.params) - set(params))
-    if missing or extra:
-        raise ConfigurationError(
-            f"{path}: parameter tree mismatch (missing {missing[:3]}, extra {extra[:3]})"
-        )
-    for name, p in params.items():
-        stored = ckpt.params[name]
-        if stored.shape != p.data.shape:
+    with open(path, "rb") as fh:
+        reader = _Reader(fh, path, CKPT_MAGIC, ".fckpt")
+        stored, adam_m, adam_v, step, config_text = _parse_checkpoint(reader, reader.skip)
+        net_cfg, preprocess = parse_checkpoint_config(config_text)
+        net = build_frenet(net_cfg)
+        params = net.parameters()
+        missing = sorted(set(params) - set(stored))
+        extra = sorted(set(stored) - set(params))
+        if missing or extra:
             raise ConfigurationError(
-                f"{path}: shape mismatch for {name}: {stored.shape} vs {p.data.shape}"
+                f"{path}: parameter tree mismatch (missing {missing[:3]}, extra {extra[:3]})"
             )
-        if not np.isfinite(stored).all():
-            raise ConfigurationError(f"{path}: parameter {name} holds non-finite values (NaN or Inf)")
-        p.data = stored
-    unpaired = sorted(set(ckpt.adam_m) ^ set(ckpt.adam_v))
-    unknown = sorted(set(ckpt.adam_m) - set(params))
-    if unpaired or unknown:
-        raise ConfigurationError(
-            f"{path}: optimizer moment mismatch (unpaired {unpaired[:3]}, unknown {unknown[:3]})"
-        )
-    state = AdamState(step=ckpt.step)
-    for name, m in ckpt.adam_m.items():
-        v = ckpt.adam_v[name]
-        if m.shape != params[name].data.shape or v.shape != m.shape:
+        for name, p in params.items():
+            shape = stored[name].shape
+            if shape != p.data.shape:
+                raise ConfigurationError(f"{path}: shape mismatch for {name}: {shape} vs {p.data.shape}")
+        unpaired = sorted(set(adam_m) ^ set(adam_v))
+        unknown = sorted(set(adam_m) - set(params))
+        if unpaired or unknown:
             raise ConfigurationError(
-                f"{path}: moment shape mismatch for {name}: {m.shape}/{v.shape} "
-                f"vs {params[name].data.shape}"
+                f"{path}: optimizer moment mismatch (unpaired {unpaired[:3]}, unknown {unknown[:3]})"
             )
+        for name, m in adam_m.items():
+            shape, v = params[name].data.shape, adam_v[name]
+            if m.shape != shape or v.shape != shape:
+                raise ConfigurationError(
+                    f"{path}: moment shape mismatch for {name}: {m.shape}/{v.shape} vs {shape}"
+                )
+        for name, p in params.items():
+            if not np.isfinite(reader.floats(stored[name], out=p.data)).all():
+                raise ConfigurationError(f"{path}: parameter {name} holds non-finite values (NaN or Inf)")
+        for table in (adam_m, adam_v):
+            for name, payload in table.items():
+                table[name] = reader.floats(payload)
+    state = AdamState(step=step)
+    for name, m in adam_m.items():
+        v = adam_v[name]
         if not (np.isfinite(m).all() and np.isfinite(v).all()):
             raise ConfigurationError(
                 f"{path}: optimizer moments of {name} hold non-finite values (NaN or Inf)"
             )
         state.m[name] = m
         state.v[name] = v
-    return net, preprocess, state, ckpt.step
+    return net, preprocess, state, step
 
 
 def write_pgm16(path: str | Path, plane: np.ndarray) -> None:

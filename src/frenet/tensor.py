@@ -11,6 +11,9 @@ shared between threads. ``backward()`` frees it record by record as it
 sweeps, so what a closure kept goes as soon as its gradient has passed.
 Inside ``no_grad()`` nothing is recorded, so a forward keeps no graph alive.
 Inside ``observe(fn)`` each new node is also passed to ``fn``, to be counted.
+Recording, observer and ``section`` label are per context (``contextvars``):
+a thread sets them only for itself, and a worker run in a copy of its
+caller's context (``contextvars.copy_context()``) starts from the caller's.
 
 Image ops read the last three axes as CxHxW and treat any leading axes as a
 batch. Each sample is computed exactly as it would be alone, and a gradient
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -226,20 +230,19 @@ class ConvSpec:
         return (self.out_channels, self.in_channels // self.groups, self.kernel_h, self.kernel_w)
 
 
-_recording = True
-_observer: Callable | None = None
-_section: str | None = None
+_recording: ContextVar[bool] = ContextVar("recording", default=True)
+_observer: ContextVar[Callable | None] = ContextVar("observer", default=None)
+_section: ContextVar[str | None] = ContextVar("section", default=None)
 
 
 @contextmanager
-def _setting(name: str, value):
-    """Set the module global ``name`` inside the block; restore it on exit, also on a raise."""
-    previous = globals()[name]
-    globals()[name] = value
+def _setting(var: ContextVar, value):
+    """Set ``var`` inside the block; restore it on exit, also on a raise."""
+    token = var.set(value)
     try:
         yield
     finally:
-        globals()[name] = previous
+        var.reset(token)
 
 
 def no_grad():
@@ -247,7 +250,7 @@ def no_grad():
 
     The arithmetic is unchanged, so outputs equal those with recording on.
     """
-    return _setting("_recording", False)
+    return _setting(_recording, False)
 
 
 def observe(fn: Callable):
@@ -257,13 +260,13 @@ def observe(fn: Callable):
     only, so once per transform), else None; ``spec`` is a conv2d's ConvSpec.
     ``section`` is the innermost label: a section (``enc1``) or a block path (``enc1.blk0``).
     """
-    return _setting("_observer", fn)
+    return _setting(_observer, fn)
 
 
 def section(name: str):
     """Label the nodes made inside the block ``name`` for the observer; an inner
     label such as the block path ``enc1.blk0`` replaces an outer ``enc1`` until it exits."""
-    return _setting("_section", name)
+    return _setting(_section, name)
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None],
@@ -274,13 +277,14 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.nd
     ``backward``, which must capture arrays and records, never a Tensor.
     """
     out = Tensor(data)
-    if _recording:
+    if _recording.get():
         records = tuple([r for p in parents if (r := p._record) is not None])
         if records:
             out.requires_grad = True
             out._node = _Node(out.data.dtype, records, backward)
-    if _observer is not None:
-        _observer(op, _section, out, parents, spec)
+    observer = _observer.get()
+    if observer is not None:
+        observer(op, _section.get(), out, parents, spec)
     return out
 
 

@@ -9,7 +9,10 @@ its items into one batch and runs one forward and one backward.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -236,6 +239,7 @@ def train(
                 )
             loss.backward()
             adam_step(params, state, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+            net.zero_grad()  # no gradient outlives its step, through validation and checkpoints
             step_losses.append(value)
             emit(f"epoch {epoch} step {state.step} lr {lr:.6g} loss {value:.6f}")
             if cfg.max_steps is not None and state.step >= cfg.max_steps:
@@ -278,12 +282,43 @@ def raised_cosine_profile(window: int) -> np.ndarray:
     return np.square(np.sin(math.pi * t))
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def blas_threads() -> int:
+    """The threads one BLAS call may use, as OpenBLAS reads them from the
+    environment: the first positive count in ``OPENBLAS_NUM_THREADS``,
+    ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``, else one per usable CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return usable_cpus()
+
+
+def tile_workers(tiles: int) -> int:
+    """Tiles forwarded at once: the usable CPUs that BLAS leaves idle, at least one.
+
+    BLAS threads multiply with these, so at BLAS's default of one thread per
+    CPU tiles run one at a time; at one BLAS thread, one per usable CPU.
+    """
+    return min(tiles, max(1, usable_cpus() // blas_threads()))
+
+
 def sliding_window_infer(forward: Callable[[Tensor], Tensor], image: Tensor,
                          window: int, overlap: int) -> Tensor:
     """Tile the image, run ``forward`` per tile, and blend with raised-cosine weights.
 
-    Tiles run one after another, with no tape, and are blended in index order,
-    in float64.
+    Tiles run with no tape on a pool of ``tile_workers`` threads, concurrently
+    when BLAS leaves CPUs idle; each task runs in a copy of the caller's
+    context, so the caller's ``observe`` applies there too. Their outputs are
+    blended in index order, in float64, so the result does not depend on
+    which tile finishes first. A tile's error reaches the caller as raised.
     A single tile comes back bit-identical to its forward output: weighting and
     normalizing by the same positive weight is exact once rounded to float32.
     """
@@ -296,13 +331,20 @@ def sliding_window_infer(forward: Callable[[Tensor], Tensor], image: Tensor,
     profile = raised_cosine_profile(window)
     weight = np.outer(profile, profile)
     stride = window - overlap
+    corners = [(y0, x0) for y0 in _tile_positions(h, window, stride)
+               for x0 in _tile_positions(w, window, stride)]
+
+    def run(corner: tuple[int, int], context: contextvars.Context) -> np.ndarray:
+        y0, x0 = corner
+        tile = Tensor(np.ascontiguousarray(image.data[:, y0 : y0 + window, x0 : x0 + window]))
+        return context.run(forward, tile).data
+
     acc_val = np.zeros((c, h, w))
     acc_w = np.zeros((h, w))
-    with no_grad():
-        for y0 in _tile_positions(h, window, stride):
-            for x0 in _tile_positions(w, window, stride):
-                tile = Tensor(np.ascontiguousarray(image.data[:, y0 : y0 + window, x0 : x0 + window]))
-                out = forward(tile).data.astype(np.float64)
-                acc_val[:, y0 : y0 + window, x0 : x0 + window] += out * weight
-                acc_w[y0 : y0 + window, x0 : x0 + window] += weight
+    with no_grad(), ThreadPoolExecutor(tile_workers(len(corners))) as pool:
+        contexts = [contextvars.copy_context() for _ in corners]
+        # map yields in submission order and, on a raise, cancels the tiles not yet started
+        for (y0, x0), out in zip(corners, pool.map(run, corners, contexts)):
+            acc_val[:, y0 : y0 + window, x0 : x0 + window] += out.astype(np.float64) * weight
+            acc_w[y0 : y0 + window, x0 : x0 + window] += weight
     return Tensor((acc_val / acc_w).astype(np.float32))

@@ -314,6 +314,27 @@ def test_infer_rejects_bad_tiling(tmp_path, capsys, in_channels, flags):
     assert not out.exists()
 
 
+def test_infer_error_in_a_later_tile_is_runtime_error(tmp_path, capsys, monkeypatch):
+    # tiles run on worker threads; the third one's error must still end the command cleanly
+    from frenet import arch
+    from frenet.tensor import ConfigurationError
+
+    ckpt, image = _tiny_checkpoint(tmp_path)
+    forward, calls = arch.FrENet.forward, []
+
+    def failing_forward(net, tile):
+        calls.append(None)
+        if len(calls) == 3:
+            raise ConfigurationError("tile 3 cannot be restored")
+        return forward(net, tile)
+
+    monkeypatch.setattr(arch.FrENet, "forward", failing_forward)
+    out = tmp_path / "out.pgm"
+    assert main(["infer", "--checkpoint", str(ckpt), "--input", str(image), "--output", str(out)]) == 1
+    assert "tile 3 cannot be restored" in _assert_one_error_line(capsys)
+    assert not out.exists()
+
+
 def test_unpaired_adam_moments_is_runtime_error(tmp_path, capsys):
     from frenet.arch import build_frenet, tiny_config
     from frenet.fileio import save_checkpoint

@@ -106,6 +106,24 @@ class TestCheckpoint:
         assert len(ckpt.adam_v) == len(ckpt.params)
         assert peak <= 1.25 * path.stat().st_size
 
+    def test_restore_holds_the_weights_once(self, tmp_path):
+        # the payloads are read straight into the built network's parameters,
+        # not into a loaded copy beside a randomly initialised one
+        net = build_frenet(tiny_config(base_size=16, width=48), seed=0)
+        weights = sum(p.data.nbytes for p in net.parameters().values())
+        assert weights >= 10 * 2**20
+        path = tmp_path / "net.fckpt"
+        save_checkpoint(path, net)
+        tracemalloc.start()
+        try:
+            restored = restore_network(path)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * weights
+        for name, p in net.parameters().items():
+            assert np.array_equal(restored.parameters()[name].data, p.data)
+
     def test_saved_without_optimizer_state(self, tmp_path):
         net = build_frenet(tiny_config(base_size=16), seed=0)
         path = tmp_path / "net.fckpt"
@@ -233,28 +251,16 @@ def test_restore_rejects_mismatched_geometry(tmp_path):
     net16 = build_frenet(tiny_config(base_size=16), seed=0)
     path = tmp_path / "n.fckpt"
     save_checkpoint(path, net16)
-    ckpt = load_checkpoint(path)
-    # tamper: rename one record so the trees disagree
-    ckpt_params = dict(ckpt.params)
-    moved = ckpt_params.pop("final.bias")
-    ckpt_params["final.bias_typo"] = moved
-
-    import frenet.fileio as fio
-
-    class Fake:
-        params = ckpt_params
-        adam_m = {}
-        adam_v = {}
-        step = 0
-        config_text = ckpt.config_text
-
-    orig = fio.load_checkpoint
-    fio.load_checkpoint = lambda p: Fake()
-    try:
+    blob = path.read_bytes()
+    for old, new in [
+        (b"final.bias", b"final.bixs"),  # one record renamed: the trees disagree
+        (b"intro.weight" + struct.pack("<5I", 4, 4, 4, 3, 3),  # same payload, other shape
+         b"intro.weight" + struct.pack("<5I", 4, 2, 8, 3, 3)),
+    ]:
+        assert blob.count(old) == 1
+        path.write_bytes(blob.replace(old, new))
         with pytest.raises(ConfigurationError, match="mismatch"):
             restore_network(path)
-    finally:
-        fio.load_checkpoint = orig
 
 
 class TestTruncation:
@@ -274,6 +280,23 @@ class TestTruncation:
             cut_path.write_bytes(blob[:cut])
             with pytest.raises(ConfigurationError, match="cut.fckpt"):
                 load_checkpoint(cut_path)
+
+    def test_restore_on_checkpoint_prefixes(self, tmp_path):
+        # restore parses the headers first and reads the payloads after the
+        # network is built; a cut anywhere must stop it in the first pass
+        net = build_frenet(tiny_config(base_size=16), seed=0)
+        state = AdamState(step=1)
+        for name, p in net.parameters().items():
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.ones_like(p.data)
+        path = tmp_path / "net.fckpt"
+        save_checkpoint(path, net, adam=state)
+        blob = path.read_bytes()
+        cut_path = tmp_path / "cut.fckpt"
+        for cut in (5, 14, 40, len(blob) // 3, len(blob) // 2, len(blob) - 100, len(blob) - 1):
+            cut_path.write_bytes(blob[:cut])
+            with pytest.raises(ConfigurationError, match="cut.fckpt"):
+                restore_network(cut_path)
 
     def test_ften_prefixes(self, tmp_path):
         path = tmp_path / "x.ften"

@@ -1,4 +1,5 @@
 import gc
+import threading
 import weakref
 
 import numpy as np
@@ -479,6 +480,48 @@ class TestObserve:
         self._conv()
         assert [label for _, label, *_ in inner] == ["b"]
         assert [label for _, label, *_ in outer] == ["a", "a"]
+
+
+class TestStatePerThread:
+    """Recording, observer and section label are per context, so per thread."""
+
+    def _conv(self):
+        x = Tensor(np.ones((3, 4, 4), dtype=np.float32))
+        w = Tensor(np.ones((2, 3, 1, 1), dtype=np.float32), requires_grad=True)
+        return conv2d(x, ConvSpec(3, 2, 1, 1, has_bias=False), w)
+
+    def test_no_label_observer_or_recording_crosses_threads(self):
+        seen = []
+        inside, probed = threading.Event(), threading.Event()
+
+        def record(op, label, out, parents, spec):
+            seen.append((label, threading.current_thread().name, out._backward is not None))
+
+        def observed():
+            with observe(record), section("a"), no_grad():
+                self._conv()
+                inside.set()
+                probed.wait(10)
+                self._conv()
+            with observe(record):
+                self._conv()  # all three restored on exit
+
+        def bare():
+            inside.wait(10)
+            self._conv()  # inside neither: the other thread's observer must not see it
+            with observe(record):
+                self._conv()
+            probed.set()
+
+        threads = [threading.Thread(target=observed, name="A"), threading.Thread(target=bare, name="B")]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(20)
+        with observe(record):
+            self._conv()
+        assert seen == [("a", "A", False), (None, "B", True), ("a", "A", False), (None, "A", True),
+                        (None, "MainThread", True)]
 
 
 class TestBackwardFreesTheTape:

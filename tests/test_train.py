@@ -1,3 +1,6 @@
+import importlib
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 
 from frenet.arch import build_frenet, tiny_config
 from frenet.rawdata import PreprocessSpec, gen_dataset
-from frenet.tensor import ConfigurationError, EvaluationError, Parameter, Tensor, no_grad
+from frenet.tensor import ConfigurationError, EvaluationError, Parameter, Tensor, no_grad, observe
 from frenet.train import (
     AdamState,
     TrainConfig,
@@ -13,8 +16,11 @@ from frenet.train import (
     baseline_psnr,
     cosine_lr,
     loss_total,
+    raised_cosine_profile,
     sliding_window_infer,
+    tile_workers,
     train,
+    usable_cpus,
     validation_psnr,
 )
 
@@ -189,6 +195,22 @@ class TestTrainLoop:
         loss_total(net.forward(blurred), sharp, 0.01).backward()
         assert all(p.grad is not None for p in net.parameters().values())
 
+    def test_no_gradient_outlives_its_step(self, monkeypatch):
+        # validation and the checkpoint writes run with every gradient dropped
+        corpus = tiny_corpus(count=6, size=16)
+        net = build_frenet(tiny_config(base_size=8), seed=4)
+        module, held = importlib.import_module("frenet.train"), []
+        validate = module.validation_psnr
+
+        def counting(net, pairs, batch):
+            held.append(sum(p.grad is not None for p in net.parameters().values()))
+            return validate(net, pairs, batch)
+
+        monkeypatch.setattr(module, "validation_psnr", counting)
+        train(net, corpus, TrainConfig(epochs=2, batch=2, val_count=2, seed=4))
+        assert held == [0, 0]
+        assert all(p.grad is None for p in net.parameters().values())
+
     def test_empty_corpus_rejected(self):
         net = build_frenet(tiny_config(base_size=8), seed=7)
         with pytest.raises(ConfigurationError, match="empty"):
@@ -197,6 +219,43 @@ class TestTrainLoop:
 
 def _identity(tile):
     return Tensor(tile.data.copy())
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.fixture
+def blas_env(monkeypatch):
+    """Set the BLAS thread variables the tile pool reads; unset ones mean BLAS's default."""
+    for var in _BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+
+    def set_env(**values):
+        for var, value in values.items():
+            monkeypatch.setenv(var, value)
+
+    return set_env
+
+
+@pytest.fixture
+def one_blas_thread(blas_env):
+    blas_env(OPENBLAS_NUM_THREADS="1")
+
+
+@pytest.mark.parametrize("env, cpus, tiles, workers", [
+    ({}, 8, 9, 1),  # BLAS's default: one thread per CPU, none left idle
+    ({"OPENBLAS_NUM_THREADS": "1"}, 8, 9, 8),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 8, 3, 3),  # at most one per tile
+    ({"OMP_NUM_THREADS": "2"}, 8, 9, 4),
+    ({"GOTO_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 8, 9, 2),
+    ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 8, 9, 2),
+    ({"OPENBLAS_NUM_THREADS": "16"}, 8, 9, 1),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "two"}, 8, 9, 1),  # neither counts
+])
+def test_tile_workers_leave_blas_its_cpus(monkeypatch, blas_env, env, cpus, tiles, workers):
+    blas_env(**env)
+    monkeypatch.setattr(importlib.import_module("frenet.train"), "usable_cpus", lambda: cpus)
+    assert tile_workers(tiles) == workers
 
 
 class TestSlidingWindow:
@@ -229,6 +288,72 @@ class TestSlidingWindow:
         image = Tensor(np.random.default_rng(10).uniform(0, 1, (4, 16, 16)).astype(np.float32))
         sliding_window_infer(forward, image, 8, 4)
         assert len(tapes) == 9 and all(t is None for t in tapes)
+
+    @pytest.mark.usefixtures("one_blas_thread")
+    def test_tiles_equal_a_sequential_loop(self):
+        # window 8, stride 5: tiles start at 0, 5, 10 and a ragged 13 (rows) / 11 (columns)
+        net = build_frenet(tiny_config(base_size=8), seed=12)
+        image = Tensor(np.random.default_rng(13).uniform(0, 1, (4, 21, 19)).astype(np.float32))
+        weight = np.outer(raised_cosine_profile(8), raised_cosine_profile(8))
+        acc_val, acc_w = np.zeros((4, 21, 19)), np.zeros((21, 19))
+        with no_grad():
+            for y0 in (0, 5, 10, 13):
+                for x0 in (0, 5, 10, 11):
+                    tile = Tensor(np.ascontiguousarray(image.data[:, y0 : y0 + 8, x0 : x0 + 8]))
+                    acc_val[:, y0 : y0 + 8, x0 : x0 + 8] += net.forward(tile).data.astype(np.float64) * weight
+                    acc_w[y0 : y0 + 8, x0 : x0 + 8] += weight
+        expected = (acc_val / acc_w).astype(np.float32)
+        assert np.array_equal(sliding_window_infer(net.forward, image, 8, 3).data, expected)
+
+    @pytest.mark.skipif(usable_cpus() < 2, reason="one usable CPU: the pool has one thread")
+    @pytest.mark.usefixtures("one_blas_thread")
+    def test_tiles_run_concurrently(self):
+        # the first two tiles must meet at the barrier, so they run at the same time
+        meet, threads = threading.Barrier(2, timeout=10), []
+
+        def forward(tile):
+            if len(threads) < 2:
+                threads.append(threading.get_ident())
+                meet.wait()
+            return _identity(tile)
+
+        sliding_window_infer(forward, Tensor(np.zeros((1, 24, 24))), 8, 4)
+        assert len(set(threads)) == 2 and threading.get_ident() not in threads
+
+    def test_tiles_run_one_at_a_time_at_blas_default(self, blas_env):
+        threads = []
+
+        def forward(tile):
+            threads.append(threading.get_ident())
+            return _identity(tile)
+
+        sliding_window_infer(forward, Tensor(np.zeros((1, 24, 24))), 8, 4)
+        assert len(threads) == 25 and len(set(threads)) == 1
+
+    @pytest.mark.usefixtures("one_blas_thread")
+    def test_callers_observer_sees_every_tile(self):
+        net = build_frenet(tiny_config(base_size=8), seed=9)
+        image = Tensor(np.random.default_rng(10).uniform(0, 1, (4, 16, 16)).astype(np.float32))
+        seen = []
+        with observe(lambda op, label, out, parents, spec: seen.append((op, label))):
+            net.forward(Tensor(image.data[:, :8, :8]))
+            per_tile = list(seen)
+            seen.clear()
+            sliding_window_infer(net.forward, image, 8, 4)
+        assert sorted(seen, key=repr) == sorted(9 * per_tile, key=repr)
+
+    @pytest.mark.usefixtures("one_blas_thread")
+    def test_a_tiles_error_reaches_the_caller(self):
+        calls = []
+
+        def forward(tile):
+            calls.append(None)
+            if len(calls) == 3:
+                raise ConfigurationError("tile 3 is bad")
+            return _identity(tile)
+
+        with pytest.raises(ConfigurationError, match="tile 3 is bad"):
+            sliding_window_infer(forward, Tensor(np.zeros((1, 64, 64))), 8, 4)
 
     def test_window_larger_than_image_rejected(self):
         with pytest.raises(ConfigurationError, match="window"):
