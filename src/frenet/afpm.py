@@ -28,6 +28,7 @@ from .tensor import (
     matmul,
     reshape,
     transpose2d,
+    uniform,
 )
 
 KBG_HIDDEN = 16
@@ -82,14 +83,13 @@ def make_patch_grid(h: int, w: int, target: int = 8) -> PatchGrid:
 class KernelBiasGenerator:
     """Two linear layers with a GELU in between, mapping a distance to out_dim values."""
 
-    def __init__(self, prefix: str, rng: np.random.Generator, out_dim: int, hidden: int = KBG_HIDDEN):
+    def __init__(self, prefix: str, rng: np.random.Generator | None, out_dim: int,
+                 hidden: int = KBG_HIDDEN):
         self.out_dim = out_dim
         self.hidden = hidden
-        b1 = 1.0
-        b2 = 1.0 / math.sqrt(hidden)
-        self.w1 = Parameter(f"{prefix}.w1", rng.uniform(-b1, b1, size=(hidden, 1)).astype(np.float32))
+        self.w1 = Parameter(f"{prefix}.w1", uniform(rng, 1.0, (hidden, 1)))
         self.b1 = Parameter(f"{prefix}.b1", np.zeros(hidden, dtype=np.float32))
-        self.w2 = Parameter(f"{prefix}.w2", rng.uniform(-b2, b2, size=(out_dim, hidden)).astype(np.float32))
+        self.w2 = Parameter(f"{prefix}.w2", uniform(rng, 1.0 / math.sqrt(hidden), (out_dim, hidden)))
         self.b2 = Parameter(f"{prefix}.b2", np.zeros(out_dim, dtype=np.float32))
 
     def __call__(self, distances: np.ndarray) -> Tensor:
@@ -180,7 +180,7 @@ class Afpm:
     not built and the aggregation degrades to fixed per-patch average pooling.
     """
 
-    def __init__(self, prefix: str, rng: np.random.Generator, channels: int,
+    def __init__(self, prefix: str, rng: np.random.Generator | None, channels: int,
                  grid: PatchGrid, adaptive: bool = True):
         self.channels = channels
         self.grid = grid
@@ -192,10 +192,8 @@ class Afpm:
             self.kernel_kbg = KernelBiasGenerator(f"{prefix}.kernel_kbg", rng, out_dim=patch_len)
             self.bias_kbg = KernelBiasGenerator(f"{prefix}.bias_kbg", rng, out_dim=1)
         self.proj_spec = ConvSpec(channels, channels, 1, 1)
-        bound = 1.0 / math.sqrt(channels)
         self.proj_weight = Parameter(
-            f"{prefix}.proj.weight",
-            rng.uniform(-bound, bound, size=self.proj_spec.weight_shape).astype(np.float32),
+            f"{prefix}.proj.weight", uniform(rng, 1.0 / math.sqrt(channels), self.proj_spec.weight_shape)
         )
         self.proj_bias = Parameter(f"{prefix}.proj.bias", np.zeros(channels, dtype=np.float32))
 
@@ -222,6 +220,6 @@ class Afpm:
         grid = self.grid
         mn = grid.rows * grid.cols
         plen = grid.patch_h * grid.patch_w
-        uniform = Tensor(np.full((mn, plen), 1.0 / plen, dtype=x.dtype))
-        aggregated = patch_weighted_sum(x, uniform, grid)
+        averaging = Tensor(np.full((mn, plen), 1.0 / plen, dtype=x.dtype))
+        aggregated = patch_weighted_sum(x, averaging, grid)
         return patch_scale(x, self._project(aggregated), grid)

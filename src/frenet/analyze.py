@@ -66,8 +66,10 @@ def count_ops(run: Callable[[], object]) -> tuple[dict[str | None, int], int]:
 
 
 def count_params_macs(cfg: NetworkConfig) -> EfficiencyReport:
-    """Exact parameter total (from the built tree) plus MACs and FFT flops of one forward."""
-    net = build_frenet(cfg, seed=0)
+    """Exact parameter total (from the built tree) plus MACs and FFT flops of one forward.
+
+    Both depend only on shapes, so the network is built without initial values."""
+    net = build_frenet(cfg, seed=None)
     base = cfg.base_size
     zeros = Tensor(np.zeros((cfg.in_channels, base, base), dtype=np.float32))
     sections, fft_flops = count_ops(lambda: net.forward(zeros))

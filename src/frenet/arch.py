@@ -41,6 +41,7 @@ from .tensor import (
     parameters_of,
     section,
     simple_gate,
+    uniform,
 )
 
 # Published efficiency figures for the preset configs (params, conv MACs on the
@@ -150,20 +151,17 @@ def tiny_config(base_size: int = 16, **overrides) -> NetworkConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def _kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    # Fan-in uniform bound 1/sqrt(fan_in); the gated/multiplicative blocks blow
-    # up under hotter schemes.
-    bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
 class Conv:
     """Convolution layer owning its spec, weight, and optional bias."""
 
-    def __init__(self, prefix: str, rng: np.random.Generator, spec: ConvSpec):
+    def __init__(self, prefix: str, rng: np.random.Generator | None, spec: ConvSpec):
         self.spec = spec
+        # Fan-in uniform bound 1/sqrt(fan_in); the gated/multiplicative blocks blow
+        # up under hotter schemes.
         fan_in = (spec.in_channels // spec.groups) * spec.kernel_h * spec.kernel_w
-        self.weight = Parameter(f"{prefix}.weight", _kaiming_uniform(rng, spec.weight_shape, fan_in))
+        self.weight = Parameter(
+            f"{prefix}.weight", uniform(rng, 1.0 / math.sqrt(fan_in), spec.weight_shape)
+        )
         self.bias = (
             Parameter(f"{prefix}.bias", np.zeros(spec.out_channels, dtype=np.float32))
             if spec.has_bias
@@ -175,9 +173,12 @@ class Conv:
 
 
 class LayerNormChannels:
-    def __init__(self, prefix: str, channels: int, eps: float = 1e-5):
+    def __init__(self, prefix: str, rng: np.random.Generator | None, channels: int,
+                 eps: float = 1e-5):
         self.eps = eps
-        self.gamma = Parameter(f"{prefix}.gamma", np.ones(channels, dtype=np.float32))
+        # unit scale, or zero like every parameter of a network built without an rng
+        scale = 0.0 if rng is None else 1.0
+        self.gamma = Parameter(f"{prefix}.gamma", np.full(channels, scale, dtype=np.float32))
         self.beta = Parameter(f"{prefix}.beta", np.zeros(channels, dtype=np.float32))
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -187,7 +188,7 @@ class LayerNormChannels:
 class Sca:
     """Simplified channel attention: pooled 1x1 projection rescales every channel."""
 
-    def __init__(self, prefix: str, rng: np.random.Generator, channels: int):
+    def __init__(self, prefix: str, rng: np.random.Generator | None, channels: int):
         self.proj = Conv(f"{prefix}.proj", rng, ConvSpec(channels, channels, 1, 1))
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -206,12 +207,12 @@ class Facm:
     node are that spectrum unpacked and un-shifted, where an observer reads it.
     """
 
-    def __init__(self, prefix: str, rng: np.random.Generator, channels: int,
+    def __init__(self, prefix: str, rng: np.random.Generator | None, channels: int,
                  cfg: NetworkConfig, grid: PatchGrid):
         self.channels = channels
         self.cfg = cfg
         packed = 2 * channels
-        self.norm = LayerNormChannels(f"{prefix}.norm", packed)
+        self.norm = LayerNormChannels(f"{prefix}.norm", rng, packed)
         self.conv_in = Conv(f"{prefix}.conv_in", rng, ConvSpec(packed, 2 * packed, 1, 1))
         self.dw = Conv(
             f"{prefix}.dw", rng,
@@ -250,7 +251,8 @@ class Facm:
 class Ffn:
     """Gated dual-branch feed-forward: two expand+depthwise paths multiplied, projected back."""
 
-    def __init__(self, prefix: str, rng: np.random.Generator, channels: int, expand: float):
+    def __init__(self, prefix: str, rng: np.random.Generator | None, channels: int,
+                 expand: float):
         hidden = math.ceil(expand * channels)
         self.branch1_conv = Conv(f"{prefix}.branch1.conv", rng, ConvSpec(channels, hidden, 1, 1))
         self.branch1_dw = Conv(f"{prefix}.branch1.dw", rng, ConvSpec(hidden, hidden, 3, 3, groups=hidden))
@@ -267,7 +269,7 @@ class Ffn:
 class FreBlock:
     """FACM then FFN; the nodes made inside carry the block's path (``enc1.blk0``) as label."""
 
-    def __init__(self, name: str, rng: np.random.Generator, channels: int,
+    def __init__(self, name: str, rng: np.random.Generator | None, channels: int,
                  cfg: NetworkConfig, grid: PatchGrid):
         self.name = name
         self.facm = Facm(f"{name}.facm", rng, channels, cfg, grid)
@@ -282,7 +284,7 @@ class FreBlock:
 class Down:
     """2x2 stride-2 convolution doubling the channel count."""
 
-    def __init__(self, prefix: str, rng: np.random.Generator, channels: int):
+    def __init__(self, prefix: str, rng: np.random.Generator | None, channels: int):
         self.conv = Conv(prefix, rng, ConvSpec(channels, 2 * channels, 2, 2, stride=2))
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -295,7 +297,7 @@ class Down:
 class Up:
     """1x1 conv, depth-to-space by 2, then 1x1 conv: 2C x H x W -> C x 2H x 2W."""
 
-    def __init__(self, prefix: str, rng: np.random.Generator, in_channels: int):
+    def __init__(self, prefix: str, rng: np.random.Generator | None, in_channels: int):
         if in_channels % 4:
             raise ConfigurationError(
                 f"upsampling needs channels divisible by 4 after the first conv, got {in_channels}"
@@ -320,12 +322,17 @@ class _DecStage:
 
 
 class FrENet:
-    """The assembled network; parameters carry deterministic dotted-path names."""
+    """The assembled network; parameters carry deterministic dotted-path names.
 
-    def __init__(self, cfg: NetworkConfig, seed: int = 0):
+    ``seed`` draws the initial weights; ``seed=None`` draws nothing and leaves
+    every parameter zero, with the names, shapes and order of a seeded build,
+    for a network whose values come from a checkpoint.
+    """
+
+    def __init__(self, cfg: NetworkConfig, seed: int | None = 0):
         cfg.validate()
         self.cfg = cfg
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         c_in, width = cfg.in_channels, cfg.width
         self.intro = Conv("intro", rng, ConvSpec(c_in, width, 3, 3))
 
@@ -427,6 +434,7 @@ class FrENet:
         return out
 
 
-def build_frenet(cfg: NetworkConfig, seed: int = 0) -> FrENet:
-    """Construct the network; raises ConfigurationError listing every violation."""
+def build_frenet(cfg: NetworkConfig, seed: int | None = 0) -> FrENet:
+    """Construct the network, with every parameter zero when ``seed`` is None;
+    raises ConfigurationError listing every violation."""
     return FrENet(cfg, seed=seed)

@@ -190,11 +190,16 @@ def _parse_checkpoint(reader: _Reader, payload: Callable[[tuple[int, ...]], obje
             raise ConfigurationError(f"{reader.path}: unexpected moment record {name!r}")
         moments[name[:7]][name[7:]] = data
     step, config_len = reader.unpack("<II")
+    offset = reader.offset
     trailer = reader.read(config_len + 32)
     encoded, digest = trailer[:config_len], trailer[config_len:]
     if hashlib.sha256(encoded).digest() != digest:
         raise ConfigurationError(f"{reader.path}: config digest mismatch (corrupt checkpoint)")
-    return params, moments["adam.m."], moments["adam.v."], step, encoded.decode("utf-8")
+    try:
+        config_text = encoded.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ConfigurationError(f"{reader.path}: config at byte {offset} is not UTF-8") from None
+    return params, moments["adam.m."], moments["adam.v."], step, config_text
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -207,9 +212,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 def restore_network(path: str | Path):
     """Rebuild the network a checkpoint describes and load its parameters.
 
-    The headers are parsed first, to reach the config; each parameter's
-    floats are then read straight into the built network's own array, so
-    the weights exist once. Parameters and optimizer moments must be finite:
+    The headers are parsed first, to reach the config; the network is built
+    from it without initial values (no random draws), and each parameter's
+    floats are then read straight into its own array, so the weights exist
+    once. Parameters and optimizer moments must be finite:
     one NaN weight would turn every output pixel into NaN. Returns (net,
     preprocess_spec, adam_state, step).
     """
@@ -220,7 +226,7 @@ def restore_network(path: str | Path):
         reader = _Reader(fh, path, CKPT_MAGIC, ".fckpt")
         stored, adam_m, adam_v, step, config_text = _parse_checkpoint(reader, reader.skip)
         net_cfg, preprocess = parse_checkpoint_config(config_text)
-        net = build_frenet(net_cfg)
+        net = build_frenet(net_cfg, seed=None)
         params = net.parameters()
         missing = sorted(set(params) - set(stored))
         extra = sorted(set(stored) - set(params))

@@ -186,6 +186,14 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={tuple(self.shape)})"
 
 
+def uniform(rng: np.random.Generator | None, bound: float, shape: tuple[int, ...]) -> np.ndarray:
+    """Float32 draws from U(-bound, bound), or zeros when there is no ``rng``
+    (a network about to be filled from a checkpoint)."""
+    if rng is None:
+        return np.zeros(shape, dtype=np.float32)
+    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+
+
 def parameters_of(obj) -> Iterator[Parameter]:
     """Every Parameter reachable from ``obj`` through attributes, lists and tuples.
 

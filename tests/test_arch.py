@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -387,6 +388,30 @@ class TestBuild:
         last = {s: len(sections) - 1 - sections[::-1].index(s) for s in ("dec3", "dec2", "dec1")}
         assert last["dec3"] < first["dec2"] and last["dec2"] < first["dec1"]
         assert sections.index("mid") < first["dec3"]
+
+    @pytest.mark.parametrize("cfg, digest", [
+        (tiny_config(), "bd1ab2c03ffdf46846119e89de72f4e091956b5303cabbb0ecf24cde634838ed"),
+        (frenet_config(), "1fe67ed6844d1eb418c0fc8f6f0989db36f4745a6dfe2897428e79631743fd99"),
+    ])
+    def test_seeded_initialisation_is_pinned(self, cfg, digest):
+        # sha256 of every parameter's float32 bytes in record order; a change in
+        # what is drawn, or in what order, changes every trained result
+        h = hashlib.sha256()
+        for p in build_frenet(cfg, seed=0).parameters().values():
+            h.update(p.data.tobytes())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("cfg", [
+        tiny_config(),
+        tiny_config(use_pooling_variant=True, use_global_branch=False, global_residual=True),
+    ])
+    def test_unseeded_build_is_the_seeded_tree_of_zeros(self, cfg):
+        seeded = build_frenet(cfg, seed=0).parameters()
+        empty = build_frenet(cfg, seed=None).parameters()
+        assert list(empty) == list(seeded)
+        for name, p in empty.items():
+            assert (p.data.shape, p.data.dtype) == (seeded[name].data.shape, seeded[name].data.dtype)
+            assert not p.data.any()
 
 
 class TestNetworkForward:

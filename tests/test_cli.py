@@ -1,3 +1,5 @@
+import hashlib
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -350,6 +352,25 @@ def test_unpaired_adam_moments_is_runtime_error(tmp_path, capsys):
     ckpt.write_bytes(ckpt.read_bytes().replace(b"adam.v.intro.weight", b"adam.m.intro.weight"))
     assert main(["dump-kernels", "--checkpoint", str(ckpt), "--out", str(tmp_path / "k")]) == 1
     _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["dump-kernels", "infer"])
+def test_checkpoint_config_not_utf8_is_runtime_error(tmp_path, capsys, command):
+    from frenet.fileio import load_checkpoint
+
+    ckpt, image = _tiny_checkpoint(tmp_path)
+    blob = ckpt.read_bytes()
+    # keep the step; replace the config length, text and digest
+    config_len = len(load_checkpoint(ckpt).config_text.encode())
+    ckpt.write_bytes(blob[: len(blob) - 32 - config_len - 4] + struct.pack("<I", 1) + b"\xff"
+                     + hashlib.sha256(b"\xff").digest())
+    if command == "infer":
+        argv = ["infer", "--checkpoint", str(ckpt), "--input", str(image),
+                "--output", str(tmp_path / "out.pgm")]
+    else:
+        argv = ["dump-kernels", "--checkpoint", str(ckpt), "--out", str(tmp_path / "k")]
+    assert main(argv) == 1
+    assert "not UTF-8" in _assert_one_error_line(capsys)
 
 
 def test_infer_on_short_pgm_is_runtime_error(tmp_path, capsys):

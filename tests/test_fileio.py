@@ -1,6 +1,7 @@
 import hashlib
 import re
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -107,8 +108,8 @@ class TestCheckpoint:
         assert peak <= 1.25 * path.stat().st_size
 
     def test_restore_holds_the_weights_once(self, tmp_path):
-        # the payloads are read straight into the built network's parameters,
-        # not into a loaded copy beside a randomly initialised one
+        # the network is built empty and the payloads are read straight into
+        # its parameters, not into a loaded copy beside them
         net = build_frenet(tiny_config(base_size=16, width=48), seed=0)
         weights = sum(p.data.nbytes for p in net.parameters().values())
         assert weights >= 10 * 2**20
@@ -123,6 +124,39 @@ class TestCheckpoint:
         assert peak <= 1.25 * weights
         for name, p in net.parameters().items():
             assert np.array_equal(restored.parameters()[name].data, p.data)
+
+    def test_restore_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        net = build_frenet(tiny_config(base_size=16), seed=3)
+        path = tmp_path / "net.fckpt"
+        save_checkpoint(path, net)
+        default_rng = np.random.default_rng
+
+        def guarded(*args, **kwargs):
+            caller = sys._getframe(1).f_globals.get("__name__")
+            if caller in ("frenet.arch", "frenet.afpm"):
+                raise AssertionError(f"{caller} drew initial weights")
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", guarded)
+        restored = restore_network(path)[0].parameters()
+        assert list(restored) == list(net.parameters())
+        for name, p in net.parameters().items():
+            assert np.array_equal(restored[name].data, p.data)
+
+    @pytest.mark.parametrize("read", [load_checkpoint, restore_network])
+    def test_config_that_is_not_utf8_rejected(self, tmp_path, read):
+        net = build_frenet(tiny_config(base_size=16), seed=0)
+        path = tmp_path / "net.fckpt"
+        save_checkpoint(path, net)
+        blob = path.read_bytes()
+        # the trailer is step, config length, config text, digest; a valid digest
+        # of a config that does not decode
+        config_len = len(render_checkpoint_config(net.cfg, PreprocessSpec()).encode())
+        head = blob[: len(blob) - 32 - config_len - 4]
+        path.write_bytes(head + struct.pack("<I", 1) + b"\xff" + hashlib.sha256(b"\xff").digest())
+        with pytest.raises(ConfigurationError,
+                           match=f"^{re.escape(str(path))}: config at byte {len(head) + 4} is not UTF-8"):
+            read(path)
 
     def test_saved_without_optimizer_state(self, tmp_path):
         net = build_frenet(tiny_config(base_size=16), seed=0)
