@@ -17,7 +17,6 @@ import numpy as np
 
 from .tensor import (
     ConfigurationError,
-    ConvSpec,
     Parameter,
     Tensor,
     _accumulate,
@@ -25,9 +24,7 @@ from .tensor import (
     _unbroadcast,
     add,
     gelu,
-    matmul,
-    reshape,
-    transpose2d,
+    linear,
     uniform,
 )
 
@@ -86,7 +83,6 @@ class KernelBiasGenerator:
     def __init__(self, prefix: str, rng: np.random.Generator | None, out_dim: int,
                  hidden: int = KBG_HIDDEN):
         self.out_dim = out_dim
-        self.hidden = hidden
         self.w1 = Parameter(f"{prefix}.w1", uniform(rng, 1.0, (hidden, 1)))
         self.b1 = Parameter(f"{prefix}.b1", np.zeros(hidden, dtype=np.float32))
         self.w2 = Parameter(f"{prefix}.w2", uniform(rng, 1.0 / math.sqrt(hidden), (out_dim, hidden)))
@@ -95,13 +91,7 @@ class KernelBiasGenerator:
     def __call__(self, distances: np.ndarray) -> Tensor:
         """Evaluate the generator for an array of distances; returns distances.shape + (out_dim,)."""
         d = Tensor(np.asarray(distances, dtype=self.w1.dtype)[..., None])
-        hidden = gelu(add(matmul(d, transpose2d(self.w1)), _row(self.b1)))
-        return add(matmul(hidden, transpose2d(self.w2)), _row(self.b2))
-
-
-def _row(bias: Tensor) -> Tensor:
-    """A bias as a 1xK row, so adding it to a stack of rows sums its gradient within each sample."""
-    return reshape(bias, (1,) + bias.shape)
+        return linear(gelu(linear(d, self.w1, self.b1)), self.w2, self.b2)
 
 
 def _check_tiling(x: Tensor, grid: PatchGrid) -> None:
@@ -182,7 +172,6 @@ class Afpm:
 
     def __init__(self, prefix: str, rng: np.random.Generator | None, channels: int,
                  grid: PatchGrid, adaptive: bool = True):
-        self.channels = channels
         self.grid = grid
         self.adaptive = adaptive
         patch_len = grid.patch_h * grid.patch_w
@@ -191,17 +180,15 @@ class Afpm:
         if adaptive:
             self.kernel_kbg = KernelBiasGenerator(f"{prefix}.kernel_kbg", rng, out_dim=patch_len)
             self.bias_kbg = KernelBiasGenerator(f"{prefix}.bias_kbg", rng, out_dim=1)
-        self.proj_spec = ConvSpec(channels, channels, 1, 1)
         self.proj_weight = Parameter(
-            f"{prefix}.proj.weight", uniform(rng, 1.0 / math.sqrt(channels), self.proj_spec.weight_shape)
+            f"{prefix}.proj.weight", uniform(rng, 1.0 / math.sqrt(channels), (channels, channels, 1, 1))
         )
         self.proj_bias = Parameter(f"{prefix}.proj.bias", np.zeros(channels, dtype=np.float32))
 
     def _project(self, aggregated: Tensor) -> Tensor:
         # The 1x1 projection acts on Cx1x1 vectors; over the patch batch that
-        # is exactly a matmul against the (C, C) weight plane.
-        w2d = reshape(self.proj_weight, (self.channels, self.channels))
-        return add(matmul(aggregated, transpose2d(w2d)), _row(self.proj_bias))
+        # is exactly an affine map with the (C, C) weight plane.
+        return linear(aggregated, self.proj_weight, self.proj_bias)
 
     def __call__(self, x: Tensor) -> Tensor:
         if not self.adaptive:

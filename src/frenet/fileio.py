@@ -20,7 +20,7 @@ import math
 import os
 import struct
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,15 +119,15 @@ def _write_record(fh, name: str, array: np.ndarray) -> None:
     fh.write(memoryview(arr))  # the array's own buffer, not a bytes copy
 
 
-def _read_record(reader: _Reader, payload: Callable[[tuple[int, ...]], object]) -> tuple[str, object]:
-    """A record's name and what ``payload`` makes of its floats, given their dims."""
+def _read_record(reader: _Reader) -> tuple[str, _Payload]:
+    """A record's name and where its floats lie; the floats are skipped."""
     (name_len,) = reader.unpack("<I")
     offset = reader.offset
     try:
         name = reader.read(name_len).decode("utf-8")
     except UnicodeDecodeError:
         raise ConfigurationError(f"{reader.path}: record name at byte {offset} is not UTF-8") from None
-    return name, payload(reader.dims())
+    return name, reader.skip(reader.dims())
 
 
 def save_checkpoint(path: str | Path, net, adam=None, step: int = 0,
@@ -167,28 +167,19 @@ def save_checkpoint(path: str | Path, net, adam=None, step: int = 0,
         tmp.unlink(missing_ok=True)  # gone after a successful replace
 
 
-class Checkpoint:
-    def __init__(self, params, adam_m, adam_v, step, config_text):
-        self.params: dict[str, np.ndarray] = params
-        self.adam_m: dict[str, np.ndarray] = adam_m
-        self.adam_v: dict[str, np.ndarray] = adam_v
-        self.step = step
-        self.config_text = config_text
-
-
-def _parse_checkpoint(reader: _Reader, payload: Callable[[tuple[int, ...]], object]) -> tuple:
-    """Parse every record and the trailer; ``payload(dims)`` reads or skips each record's floats.
+def _parse_checkpoint(reader: _Reader) -> tuple:
+    """Parse every record header and the trailer, skipping the floats.
 
     Returns (params, adam_m, adam_v, step, config_text), the tables mapping
-    record names to what ``payload`` made of them.
+    record names to where their floats lie.
     """
-    params = dict(_read_record(reader, payload) for _ in range(reader.unpack("<I")[0]))
+    params = dict(_read_record(reader) for _ in range(reader.unpack("<I")[0]))
     moments: dict[str, dict] = {"adam.m.": {}, "adam.v.": {}}
     for _ in range(reader.unpack("<I")[0]):
-        name, data = _read_record(reader, payload)
+        name, payload = _read_record(reader)
         if name[:7] not in moments:
             raise ConfigurationError(f"{reader.path}: unexpected moment record {name!r}")
-        moments[name[:7]][name[7:]] = data
+        moments[name[:7]][name[7:]] = payload
     step, config_len = reader.unpack("<II")
     offset = reader.offset
     trailer = reader.read(config_len + 32)
@@ -200,13 +191,6 @@ def _parse_checkpoint(reader: _Reader, payload: Callable[[tuple[int, ...]], obje
     except UnicodeDecodeError:
         raise ConfigurationError(f"{reader.path}: config at byte {offset} is not UTF-8") from None
     return params, moments["adam.m."], moments["adam.v."], step, config_text
-
-
-def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Parse a .fckpt file record by record, each straight into its own array."""
-    with open(path, "rb") as fh:
-        reader = _Reader(fh, path, CKPT_MAGIC, ".fckpt")
-        return Checkpoint(*_parse_checkpoint(reader, lambda dims: reader.floats(reader.skip(dims))))
 
 
 def restore_network(path: str | Path):
@@ -224,7 +208,7 @@ def restore_network(path: str | Path):
 
     with open(path, "rb") as fh:
         reader = _Reader(fh, path, CKPT_MAGIC, ".fckpt")
-        stored, adam_m, adam_v, step, config_text = _parse_checkpoint(reader, reader.skip)
+        stored, adam_m, adam_v, step, config_text = _parse_checkpoint(reader)
         net_cfg, preprocess = parse_checkpoint_config(config_text)
         net = build_frenet(net_cfg, seed=None)
         params = net.parameters()

@@ -265,7 +265,8 @@ def observe(fn: Callable):
     """Call ``fn(op, section, out, parents, spec)`` for every node made inside the block.
 
     ``op`` names the nodes of conv2d, matmul, ifft2d and fft2d (its real part
-    only, so once per transform), else None; ``spec`` is a conv2d's ConvSpec.
+    only, so once per transform), else None; a linear node is named "matmul",
+    with ``x`` as its first parent. ``spec`` is a conv2d's ConvSpec.
     ``section`` is the innermost label: a section (``enc1``) or a block path (``enc1.blk0``).
     """
     return _setting(_observer, fn)
@@ -452,6 +453,34 @@ def transpose2d(a: Tensor) -> Tensor:
         _accumulate(ra, g.T)
 
     return _node(out, (a,), bw)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w.T + b`` over the last axis, as one node; axes before the last two are a batch.
+
+    ``w`` is (out, in), with any trailing size-1 axes (a 1x1 conv weight).
+    Bit for bit ``add(matmul(x, transpose2d(w)), reshape(b, (1, out)))``: the
+    weight gradient sums the per-sample ``x.T @ g`` in index order, and the
+    bias gradient sums within each sample first. The observer sees a "matmul".
+    """
+    m, k = w.shape[0], x.shape[-1]
+    if x.data.ndim < 2 or tuple(w.shape) != (m, k) + (1,) * (w.data.ndim - 2) or tuple(b.shape) != (m,):
+        raise ConfigurationError(
+            f"linear expects x (..., n, in), w (out, in) and b (out,), got {x.shape}, {w.shape}, {b.shape}"
+        )
+    xd, wt = x.data, w.data.reshape(m, k).T.copy()
+    out = xd @ wt + b.data
+    rx, rw, rb, w_shape = x._record, w._record, b._record, w.shape
+
+    def bw(g):
+        if rx is not None:
+            _accumulate(rx, g @ wt.T)
+        if rw is not None:
+            _accumulate(rw, _sum_batch(np.swapaxes(xd, -1, -2) @ g, 2).T.reshape(w_shape))
+        if rb is not None:
+            _accumulate(rb, _unbroadcast(g, (1, m)).reshape(m))
+
+    return _node(out, (x, w, b), bw, "matmul")
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:

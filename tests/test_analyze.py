@@ -131,7 +131,7 @@ def test_walk_matches_runtime_operation_count(monkeypatch):
     import frenet.arch as arch_mod
     from frenet.tensor import Tensor as T
     from frenet.tensor import conv2d as real_conv2d
-    from frenet.tensor import matmul as real_matmul
+    from frenet.tensor import linear as real_linear
 
     counted = {"macs": 0}
 
@@ -144,14 +144,14 @@ def test_walk_matches_runtime_operation_count(monkeypatch):
         )
         return out
 
-    def counting_matmul(a, b):
-        n, k = a.shape
-        _, m = b.shape
+    def counting_linear(x, w, b):
+        n, k = x.shape
+        m = w.shape[0]
         counted["macs"] += n * k * m
-        return real_matmul(a, b)
+        return real_linear(x, w, b)
 
     monkeypatch.setattr(arch_mod, "conv2d", counting_conv2d)
-    monkeypatch.setattr(afpm_mod, "matmul", counting_matmul)
+    monkeypatch.setattr(afpm_mod, "linear", counting_linear)
 
     cfg = tiny_config(base_size=32)
     net = build_frenet(cfg, seed=0)

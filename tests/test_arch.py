@@ -470,6 +470,15 @@ class TestNetworkForward:
         assert unpacked.shape == (1, 128, 128)
         assert np.isfinite(unpacked.data).all()
 
+    @pytest.mark.parametrize("pooling, nodes", [(False, 204), (True, 169)])
+    def test_nodes_per_forward_are_pinned(self, pooling, nodes):
+        # each AFPM affine map (generator layers, projection) is one linear node
+        net = build_frenet(tiny_config(base_size=32, use_pooling_variant=pooling), seed=0)
+        made = []
+        with observe(lambda op, label, out, parents, spec: made.append(op)):
+            net.forward(Tensor(np.zeros((4, 32, 32), dtype=np.float32)))
+        assert len(made) == nodes
+
     def test_shape_law_each_scale(self):
         net = build_frenet(tiny_config(base_size=32), seed=5)
         _, trace = forward_with_sections(net, Tensor(np.zeros((4, 32, 32), dtype=np.float32)))

@@ -356,12 +356,13 @@ def test_unpaired_adam_moments_is_runtime_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["dump-kernels", "infer"])
 def test_checkpoint_config_not_utf8_is_runtime_error(tmp_path, capsys, command):
-    from frenet.fileio import load_checkpoint
+    from frenet.runconfig import render_checkpoint_config
 
     ckpt, image = _tiny_checkpoint(tmp_path)
     blob = ckpt.read_bytes()
     # keep the step; replace the config length, text and digest
-    config_len = len(load_checkpoint(ckpt).config_text.encode())
+    net, preprocess = restore_network(ckpt)[:2]
+    config_len = len(render_checkpoint_config(net.cfg, preprocess).encode())
     ckpt.write_bytes(blob[: len(blob) - 32 - config_len - 4] + struct.pack("<I", 1) + b"\xff"
                      + hashlib.sha256(b"\xff").digest())
     if command == "infer":

@@ -11,7 +11,6 @@ from frenet.arch import build_frenet, tiny_config
 from frenet.fileio import (
     CKPT_MAGIC,
     FTEN_MAGIC,
-    load_checkpoint,
     read_ften,
     read_pgm16,
     restore_network,
@@ -88,24 +87,7 @@ class TestCheckpoint:
         blob[-40] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(ConfigurationError, match="digest"):
-            load_checkpoint(path)
-
-    def test_load_holds_the_file_once(self, tmp_path):
-        net = build_frenet(tiny_config(base_size=16), seed=0)
-        state = AdamState(step=1)
-        for name, p in net.parameters().items():
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.ones_like(p.data)
-        path = tmp_path / "net.fckpt"
-        save_checkpoint(path, net, adam=state)
-        tracemalloc.start()
-        try:
-            ckpt = load_checkpoint(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(ckpt.adam_v) == len(ckpt.params)
-        assert peak <= 1.25 * path.stat().st_size
+            restore_network(path)
 
     def test_restore_holds_the_weights_once(self, tmp_path):
         # the network is built empty and the payloads are read straight into
@@ -143,8 +125,7 @@ class TestCheckpoint:
         for name, p in net.parameters().items():
             assert np.array_equal(restored[name].data, p.data)
 
-    @pytest.mark.parametrize("read", [load_checkpoint, restore_network])
-    def test_config_that_is_not_utf8_rejected(self, tmp_path, read):
+    def test_config_that_is_not_utf8_rejected(self, tmp_path):
         net = build_frenet(tiny_config(base_size=16), seed=0)
         path = tmp_path / "net.fckpt"
         save_checkpoint(path, net)
@@ -156,22 +137,16 @@ class TestCheckpoint:
         path.write_bytes(head + struct.pack("<I", 1) + b"\xff" + hashlib.sha256(b"\xff").digest())
         with pytest.raises(ConfigurationError,
                            match=f"^{re.escape(str(path))}: config at byte {len(head) + 4} is not UTF-8"):
-            read(path)
+            restore_network(path)
 
     def test_saved_without_optimizer_state(self, tmp_path):
         net = build_frenet(tiny_config(base_size=16), seed=0)
         path = tmp_path / "net.fckpt"
         save_checkpoint(path, net, step=5)
-        ckpt = load_checkpoint(path)
-        assert ckpt.step == 5
-        assert not ckpt.adam_m and not ckpt.adam_v
-        assert set(ckpt.params) == set(net.parameters())
-
-    def test_records_follow_parameter_order(self, tmp_path):
-        net = build_frenet(tiny_config(base_size=16), seed=0)
-        path = tmp_path / "net.fckpt"
-        save_checkpoint(path, net)
-        assert list(load_checkpoint(path).params) == list(net.parameters())
+        restored, _, adam, step = restore_network(path)
+        assert step == 5 and adam.step == 5
+        assert not adam.m and not adam.v
+        assert set(restored.parameters()) == set(net.parameters())
 
     @pytest.mark.parametrize("tamper", ["unpaired", "unknown", "shape"])
     def test_unmatched_adam_moments_rejected(self, tmp_path, tamper):
@@ -246,9 +221,10 @@ class TestCheckpoint:
         net = build_frenet(tiny_config(base_size=16), seed=0)
         path = tmp_path / "net.fckpt"
         save_checkpoint(path, net)
-        ckpt = load_checkpoint(path)
+        restored, preprocess, _, _ = restore_network(path)
+        config_text = render_checkpoint_config(restored.cfg, preprocess)
         blob = path.read_bytes()
-        assert blob[-32:] == hashlib.sha256(ckpt.config_text.encode()).digest()
+        assert blob[-32:] == hashlib.sha256(config_text.encode()).digest()
 
 
 class TestPnm:
@@ -301,21 +277,6 @@ class TestTruncation:
     """Every prefix of a valid file either parses or raises ConfigurationError."""
 
     def test_checkpoint_prefixes(self, tmp_path):
-        net = build_frenet(tiny_config(base_size=16), seed=0)
-        state = AdamState(step=1)
-        for name, p in net.parameters().items():
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.ones_like(p.data)
-        path = tmp_path / "net.fckpt"
-        save_checkpoint(path, net, adam=state)
-        blob = path.read_bytes()
-        cut_path = tmp_path / "cut.fckpt"
-        for cut in [*range(0, 64), *range(64, len(blob), 97), len(blob) - 1]:
-            cut_path.write_bytes(blob[:cut])
-            with pytest.raises(ConfigurationError, match="cut.fckpt"):
-                load_checkpoint(cut_path)
-
-    def test_restore_on_checkpoint_prefixes(self, tmp_path):
         # restore parses the headers first and reads the payloads after the
         # network is built; a cut anywhere must stop it in the first pass
         net = build_frenet(tiny_config(base_size=16), seed=0)
@@ -327,7 +288,8 @@ class TestTruncation:
         save_checkpoint(path, net, adam=state)
         blob = path.read_bytes()
         cut_path = tmp_path / "cut.fckpt"
-        for cut in (5, 14, 40, len(blob) // 3, len(blob) // 2, len(blob) - 100, len(blob) - 1):
+        for cut in [*range(0, 64), *range(64, len(blob), 97),
+                    len(blob) // 3, len(blob) // 2, len(blob) - 100, len(blob) - 1]:
             cut_path.write_bytes(blob[:cut])
             with pytest.raises(ConfigurationError, match="cut.fckpt"):
                 restore_network(cut_path)

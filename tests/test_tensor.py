@@ -25,6 +25,7 @@ from frenet.tensor import (
     gelu,
     global_avg_pool,
     layer_norm_channels,
+    linear,
     matmul,
     mean_all,
     mul,
@@ -348,6 +349,7 @@ BACKWARD_KEEPS = {
     "mean_all": _case(mean_all, [_IMAGE], set()),
     "sum_in_order": _case(sum_in_order, [(2, 3)], set()),
     "matmul": _case(matmul, [(2, 3, 4), (4, 5)], {0, 1}),
+    "linear": _case(linear, [(2, 3, 4), (5, 4), (5,)], {0}, own=True),
     "transpose2d": _case(transpose2d, [(3, 4)], set()),
     "reshape": _case(lambda a: reshape(a, (2, 4, 64)), [_IMAGE], set()),
     "concat_channels": _case(lambda a, b: concat_channels((a, b)), [_IMAGE, _IMAGE], set(), own=True),
@@ -584,10 +586,12 @@ class TestBackwardFreesTheTape:
 
     def test_node_outputs_die_with_the_sweep_without_gc(self):
         net, x, target = self._net_and_batch()
-        refs, first = [], []
+        refs, first, convs = [], [], []
 
         def record(op, label, out, parents, spec):
             refs.append(weakref.ref(out.data))
+            if op == "conv2d":
+                convs.append(op)
             if not first and out._backward is not None:
                 first.append(out)
 
@@ -596,9 +600,10 @@ class TestBackwardFreesTheTape:
         try:
             with observe(record):
                 loss = loss_total(net.forward(x), target, 0.01)
-            # Only what a backward closure reads outlives the forward.
+            # Only what a backward closure reads outlives the forward; every
+            # conv keeps its input, so more outputs live than there are convs.
             alive = [r for r in refs if r() is not None]
-            assert 100 < len(alive) < len(refs) // 2
+            assert len(convs) < len(alive) < len(refs) // 2
             # The forward's first node is swept last: when its closure runs,
             # every node made after it must already be gone.
             node = first.pop()
@@ -632,6 +637,39 @@ class TestBackwardFreesTheTape:
         assert pred.requires_grad and pred._parents == ()
         with pytest.raises(EvaluationError, match="freed"):
             loss_total(pred, target, 0.0).backward()
+
+
+class TestLinear:
+    @pytest.mark.parametrize("x_shape, w_shape", [((6, 5), (3, 5)), ((8, 6, 5), (3, 5)),
+                                                  ((2, 16, 4), (4, 4, 1, 1))])
+    def test_bits_of_the_chain_it_replaces(self, x_shape, w_shape):
+        rng = np.random.default_rng(12)
+        arrays = [rng.standard_normal(shape).astype(np.float32) for shape in (x_shape, w_shape, w_shape[:1])]
+        g = rng.standard_normal(x_shape[:-1] + w_shape[:1]).astype(np.float32)
+        m, k = w_shape[:2]
+
+        def chain(x, w, b):
+            return add(matmul(x, transpose2d(reshape(w, (m, k)))), reshape(b, (1, m)))
+
+        results = []
+        for fn in (linear, chain):
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            ops = []
+            with observe(lambda op, label, out, parents, spec: ops.append(op)):
+                out = fn(*leaves)
+            sum_in_order(mul(out, Tensor(g))).backward()
+            results.append((out.data, ops, *(t.grad for t in leaves)))
+        (out, ops, *grads), (want, _, *want_grads) = results
+        assert ops == ["matmul"]
+        assert np.array_equal(out, want)
+        for got, expected in zip(grads, want_grads):
+            assert got.shape == expected.shape and np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("shapes", [[(5,), (3, 5), (3,)], [(2, 5), (3, 4), (3,)],
+                                        [(2, 5), (3, 5, 2), (3,)], [(2, 5), (3, 5), (5,)]])
+    def test_shape_mismatch_rejected(self, shapes):
+        with pytest.raises(ConfigurationError, match="linear expects"):
+            linear(*(Tensor(np.zeros(shape, np.float32)) for shape in shapes))
 
 
 class TestLayerNorm:
