@@ -33,8 +33,8 @@ from .tensor import (
     add,
     conv2d,
     depth_to_space,
+    gelu_mul,
     global_avg_pool,
-    gelu,
     is_power_of_two,
     layer_norm_channels,
     mul,
@@ -261,9 +261,9 @@ class Ffn:
         self.proj = Conv(f"{prefix}.proj", rng, ConvSpec(hidden, channels, 1, 1))
 
     def __call__(self, f_in: Tensor) -> Tensor:
-        gated = gelu(self.branch1_dw(self.branch1_conv(f_in)))
+        gate = self.branch1_dw(self.branch1_conv(f_in))
         value = self.branch2_dw(self.branch2_conv(f_in))
-        return add(f_in, self.proj(mul(gated, value)))
+        return add(f_in, self.proj(gelu_mul(gate, value)))
 
 
 class FreBlock:

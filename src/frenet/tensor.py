@@ -11,7 +11,9 @@ shared between threads. ``backward()`` frees it record by record as it
 sweeps, so what a closure kept goes as soon as its gradient has passed.
 Inside ``no_grad()`` nothing is recorded, so a forward keeps no graph alive.
 Inside ``observe(fn)`` each new node is also passed to ``fn``, to be counted.
-Recording, observer and ``section`` label are per context (``contextvars``):
+Inside ``on_leaf(fn)``, ``backward()`` passes each leaf to ``fn`` as soon as
+its gradient is final, so a caller can use and drop it mid-sweep.
+Recording, observer, leaf hook and ``section`` label are per context (``contextvars``):
 a thread sets them only for itself, and a worker run in a copy of its
 caller's context (``contextvars.copy_context()``) starts from the caller's.
 
@@ -112,6 +114,9 @@ class Tensor:
         """Reverse-mode sweep from a scalar output that frees the graph as it goes.
 
         Accumulates ``grad`` on every leaf in the graph that requires gradients.
+        Inside ``on_leaf(fn)`` it calls ``fn(leaf)`` when the sweep reaches a
+        leaf that holds a gradient: every consumer of the leaf comes first in
+        the sweep, so that gradient is final, and ``fn`` may drop it.
         Once an op's record has passed its gradient on, it drops its ``grad``,
         parents and closure, so the arrays the closure kept alive are freed by
         reference count during the sweep. A freed record raises
@@ -137,9 +142,12 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         root.grad = np.ones((), dtype=self.data.dtype)
+        hook = _on_leaf.get()
         while order:
             node = order.pop()  # popped, so the list keeps no swept record alive
-            if node._backward is None:
+            if node._backward is None:  # a leaf
+                if hook is not None and node.grad is not None:
+                    hook(node)
                 continue
             if node.grad is not None:
                 node._backward(node.grad)
@@ -241,6 +249,7 @@ class ConvSpec:
 _recording: ContextVar[bool] = ContextVar("recording", default=True)
 _observer: ContextVar[Callable | None] = ContextVar("observer", default=None)
 _section: ContextVar[str | None] = ContextVar("section", default=None)
+_on_leaf: ContextVar[Callable | None] = ContextVar("on_leaf", default=None)
 
 
 @contextmanager
@@ -270,6 +279,12 @@ def observe(fn: Callable):
     ``section`` is the innermost label: a section (``enc1``) or a block path (``enc1.blk0``).
     """
     return _setting(_observer, fn)
+
+
+def on_leaf(fn: Callable[[Tensor], None]):
+    """Inside the block, ``backward()`` calls ``fn(leaf)`` once for each leaf that
+    holds a gradient, as soon as that gradient is final."""
+    return _setting(_on_leaf, fn)
 
 
 def section(name: str):
@@ -461,20 +476,21 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     ``w`` is (out, in), with any trailing size-1 axes (a 1x1 conv weight).
     Bit for bit ``add(matmul(x, transpose2d(w)), reshape(b, (1, out)))``: the
     weight gradient sums the per-sample ``x.T @ g`` in index order, and the
-    bias gradient sums within each sample first. The observer sees a "matmul".
+    bias gradient sums within each sample first. The backward keeps ``x`` and
+    the weight itself, not a transposed copy. The observer sees a "matmul".
     """
     m, k = w.shape[0], x.shape[-1]
     if x.data.ndim < 2 or tuple(w.shape) != (m, k) + (1,) * (w.data.ndim - 2) or tuple(b.shape) != (m,):
         raise ConfigurationError(
             f"linear expects x (..., n, in), w (out, in) and b (out,), got {x.shape}, {w.shape}, {b.shape}"
         )
-    xd, wt = x.data, w.data.reshape(m, k).T.copy()
-    out = xd @ wt + b.data
+    xd, w2 = x.data, w.data.reshape(m, k)
+    out = xd @ w2.T + b.data
     rx, rw, rb, w_shape = x._record, w._record, b._record, w.shape
 
     def bw(g):
         if rx is not None:
-            _accumulate(rx, g @ wt.T)
+            _accumulate(rx, g @ w2)
         if rw is not None:
             _accumulate(rw, _sum_batch(np.swapaxes(xd, -1, -2) @ g, 2).T.reshape(w_shape))
         if rb is not None:
@@ -795,6 +811,26 @@ def gelu(x: Tensor) -> Tensor:
         _accumulate(rx, g * (_gaussian_cdf(xd) + xd * pdf))
 
     return _node(out.astype(xd.dtype, copy=False), (x,), bw)
+
+
+def gelu_mul(a: Tensor, b: Tensor) -> Tensor:
+    """``gelu(a) * b`` as one node, bit for bit ``mul(gelu(a), b)``.
+
+    The backward keeps only ``a`` and ``b``, and computes gelu(a) and Phi(a) again.
+    """
+    ad, bd = a.data, b.data
+    out = (ad * _gaussian_cdf(ad)).astype(ad.dtype, copy=False) * bd
+    ra, rb = a._record, b._record
+
+    def bw(g):
+        cdf = _gaussian_cdf(ad)
+        if ra is not None:
+            pdf = np.exp(-0.5 * np.square(ad)) * _INV_SQRT_2PI
+            _accumulate(ra, _unbroadcast(g * bd, ad.shape) * (cdf + ad * pdf))
+        if rb is not None:
+            _accumulate(rb, _unbroadcast(g * (ad * cdf).astype(ad.dtype, copy=False), bd.shape))
+
+    return _node(out, (a, b), bw)
 
 
 def simple_gate(x: Tensor) -> Tensor:

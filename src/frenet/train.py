@@ -4,7 +4,8 @@ The loss is mean absolute error plus a weighted frequency-reconstruction term:
 the L1 distance between the real/imaginary parts of the orthonormal spectra of
 prediction and target. One epoch is one seeded-shuffle pass over the corpus;
 the learning rate follows cosine annealing per epoch. A training step stacks
-its items into one batch and runs one forward and one backward.
+its items into one batch and runs one forward and one backward, inside which
+Adam updates each parameter as soon as its gradient is final and drops it.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .tensor import (
     add,
     mean_all,
     no_grad,
+    on_leaf,
     scale,
     sub,
     sum_in_order,
@@ -112,23 +114,29 @@ def adam_step(
 ) -> None:
     """Standard bias-corrected Adam update, in place; missing gradients count as zero."""
     state.step += 1
-    t = state.step
     for p in params:
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        m = state.m.setdefault(p.name, np.zeros_like(p.data))
-        v = state.v.setdefault(p.name, np.zeros_like(p.data))
-        step, denom = np.empty_like(p.data), np.empty_like(p.data)
-        m *= beta1
-        m += np.multiply(g, 1.0 - beta1, out=step)
-        v *= beta2
-        v += np.multiply(np.square(g, out=step), 1.0 - beta2, out=step)
-        np.divide(m, 1.0 - beta1**t, out=step)  # m_hat
-        np.divide(v, 1.0 - beta2**t, out=denom)  # v_hat
-        np.sqrt(denom, out=denom)
-        denom += eps
-        step *= lr
-        step /= denom
-        p.data -= step
+        adam_update(p, state, lr, beta1, beta2, eps)
+
+
+def adam_update(p: Parameter, state: AdamState, lr: float, beta1: float, beta2: float,
+                eps: float) -> None:
+    """Adam's update of one parameter at step ``state.step``, in place; a missing gradient counts as zero."""
+    t = state.step
+    g = p.grad if p.grad is not None else np.zeros_like(p.data)
+    m = state.m.setdefault(p.name, np.zeros_like(p.data))
+    v = state.v.setdefault(p.name, np.zeros_like(p.data))
+    step, denom = np.empty_like(p.data), np.empty_like(p.data)
+    m *= beta1
+    m += np.multiply(g, 1.0 - beta1, out=step)
+    v *= beta2
+    v += np.multiply(np.square(g, out=step), 1.0 - beta2, out=step)
+    np.divide(m, 1.0 - beta1**t, out=step)  # m_hat
+    np.divide(v, 1.0 - beta2**t, out=denom)  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step *= lr
+    step /= denom
+    p.data -= step
 
 
 @dataclass
@@ -180,6 +188,10 @@ def train(
     When ``val_pairs`` is None the last ``cfg.val_count`` corpus items are held
     out, keeping at least one for training; a split that holds out nothing is
     an error. Aborts with the last good checkpoint if the loss turns non-finite.
+    A step updates each parameter inside the backward sweep, as soon as its
+    gradient is final, and drops the gradient; the parameters the sweep does
+    not reach are updated after it with a zero gradient. Bit for bit, that is
+    ``backward()`` followed by ``adam_step``.
     """
     from .fileio import save_checkpoint
 
@@ -237,9 +249,21 @@ def train(
                     f"non-finite loss {value} at epoch {epoch} batch {k} "
                     f"(batch indices {list(map(int, batch))})"
                 )
-            loss.backward()
-            adam_step(params, state, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
-            net.zero_grad()  # no gradient outlives its step, through validation and checkpoints
+            state.step += 1
+            for p in params:  # the moments' order is the parameters' order, as adam_step makes it
+                state.m.setdefault(p.name, np.zeros_like(p.data))
+                state.v.setdefault(p.name, np.zeros_like(p.data))
+            pending = {id(p): p for p in params}
+
+            def update(p: Parameter) -> None:
+                adam_update(p, state, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+                p.grad = None  # no gradient outlives its update
+                del pending[id(p)]
+
+            with on_leaf(update):
+                loss.backward()
+            for p in list(pending.values()):  # not reached by the sweep: a zero gradient
+                update(p)
             step_losses.append(value)
             emit(f"epoch {epoch} step {state.step} lr {lr:.6g} loss {value:.6f}")
             if cfg.max_steps is not None and state.step >= cfg.max_steps:

@@ -23,6 +23,7 @@ from frenet.tensor import (
     conv2d,
     depth_to_space,
     gelu,
+    gelu_mul,
     global_avg_pool,
     layer_norm_channels,
     linear,
@@ -31,6 +32,7 @@ from frenet.tensor import (
     mul,
     no_grad,
     observe,
+    on_leaf,
     reshape,
     roll2d,
     scale,
@@ -349,7 +351,7 @@ BACKWARD_KEEPS = {
     "mean_all": _case(mean_all, [_IMAGE], set()),
     "sum_in_order": _case(sum_in_order, [(2, 3)], set()),
     "matmul": _case(matmul, [(2, 3, 4), (4, 5)], {0, 1}),
-    "linear": _case(linear, [(2, 3, 4), (5, 4), (5,)], {0}, own=True),
+    "linear": _case(linear, [(2, 3, 4), (5, 4), (5,)], {0, 1}),
     "transpose2d": _case(transpose2d, [(3, 4)], set()),
     "reshape": _case(lambda a: reshape(a, (2, 4, 64)), [_IMAGE], set()),
     "concat_channels": _case(lambda a, b: concat_channels((a, b)), [_IMAGE, _IMAGE], set(), own=True),
@@ -361,6 +363,7 @@ BACKWARD_KEEPS = {
     "conv2d-depthwise": _case_conv("depthwise"),
     "layer_norm_channels": _case(layer_norm_channels, [_IMAGE, (4,), (4,)], {1}, own=True),
     "gelu": _case(gelu, [_IMAGE], {0}),
+    "gelu_mul": _case(gelu_mul, [_IMAGE, _IMAGE], {0, 1}),
     "simple_gate": _case(simple_gate, [_IMAGE], {0}),
     "global_avg_pool": _case(global_avg_pool, [_IMAGE], set()),
     "depth_to_space": _case(depth_to_space, [_IMAGE], set()),
@@ -432,6 +435,60 @@ class TestNoGrad:
             with no_grad():
                 1 / 0
         assert self._graph()._backward is not None
+
+
+class TestOnLeaf:
+    def _leaves(self):
+        rng = np.random.default_rng(14)
+        return [Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+                for shape in ((4, 5, 5), (4, 1, 3, 3), (6, 4, 1, 1), (6,), (3,))]
+
+    def _loss(self, x, w1, w2, b2, unused):
+        # x feeds three consumers and w2 two; ``unused`` takes a gradient but the loss never reads it
+        h = gelu(conv2d(x, ConvSpec(4, 4, 3, 3, groups=4), w1))
+        return mean_all(mul(conv2d(add(h, x), ConvSpec(4, 6, 1, 1), w2, b2), conv2d(x, ConvSpec(4, 6, 1, 1), w2)))
+
+    def test_each_leaf_handed_over_once_with_its_final_grad(self):
+        plain = self._leaves()
+        self._loss(*plain).backward()
+        hooked, handed = self._leaves(), []
+        with on_leaf(lambda leaf: handed.append((leaf, leaf.grad.copy()))):
+            self._loss(*hooked).backward()
+        assert sorted(hooked.index(leaf) for leaf, _ in handed) == [0, 1, 2, 3]
+        for leaf, grad in handed:
+            assert np.array_equal(grad, plain[hooked.index(leaf)].grad)
+        assert plain[4].grad is None and hooked[4].grad is None
+
+    def test_nesting_and_exceptions_restore_the_hook(self):
+        handed = []
+        with on_leaf(handed.append):
+            with on_leaf(lambda leaf: None):
+                self._loss(*self._leaves()).backward()
+            assert handed == []
+            self._loss(*self._leaves()).backward()
+            assert len(handed) == 4
+        self._loss(*self._leaves()).backward()
+        with pytest.raises(ZeroDivisionError):
+            with on_leaf(handed.append):
+                1 / 0
+        self._loss(*self._leaves()).backward()
+        assert len(handed) == 4
+
+
+class TestGeluMul:
+    @pytest.mark.parametrize("shape", [(4, 8, 8), (8, 4, 8, 8)])
+    def test_bits_of_mul_of_gelu(self, shape):
+        rng = np.random.default_rng(15)
+        arrays = [rng.standard_normal(shape).astype(np.float32) for _ in range(2)]
+        g = rng.standard_normal(shape).astype(np.float32)
+        results = []
+        for fn in (gelu_mul, lambda a, b: mul(gelu(a), b)):
+            a, b = (Tensor(arr, requires_grad=True) for arr in arrays)
+            out = fn(a, b)
+            sum_in_order(mul(out, Tensor(g))).backward()
+            results.append((out.data, a.grad, b.grad))
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestObserve:

@@ -18,6 +18,7 @@ from frenet.train import (
     loss_total,
     raised_cosine_profile,
     sliding_window_infer,
+    stack,
     tile_workers,
     train,
     usable_cpus,
@@ -210,6 +211,64 @@ class TestTrainLoop:
         train(net, corpus, TrainConfig(epochs=2, batch=2, val_count=2, seed=4))
         assert held == [0, 0]
         assert all(p.grad is None for p in net.parameters().values())
+
+    def test_steps_in_the_sweep_equal_backward_then_adam_step(self, monkeypatch):
+        # ``idle`` is a parameter the loss never reads: it takes Adam's zero-gradient update
+        class WithIdle:
+            def __init__(self, seed):
+                self.net = build_frenet(tiny_config(base_size=8), seed=seed)
+                self.idle = Parameter("idle", np.linspace(-1, 1, 5, dtype=np.float32))
+
+            def parameters(self):
+                return {**self.net.parameters(), "idle": self.idle}
+
+            def zero_grad(self):
+                self.net.zero_grad()
+                self.idle.grad = None
+
+            def forward(self, x):
+                return self.net.forward(x)
+
+        corpus = tiny_corpus(count=6, size=16)
+        cfg = TrainConfig(epochs=1, batch=3, val_count=0, seed=9, lr0=0.01)
+        module, states = importlib.import_module("frenet.train"), []
+        monkeypatch.setattr(module, "AdamState", lambda: states.append(AdamState()) or states[-1])
+        swept = WithIdle(seed=2)
+        train(swept, corpus, cfg, val_pairs=[])
+
+        plain, want = WithIdle(seed=2), AdamState()
+        params = list(plain.parameters().values())
+        order = np.random.default_rng(cfg.seed).permutation(len(corpus))
+        for k in range(2):
+            batch = order[k * cfg.batch : (k + 1) * cfg.batch]
+            plain.zero_grad()
+            loss_total(plain.forward(stack([corpus[i][0] for i in batch])),
+                       stack([corpus[i][1] for i in batch]), cfg.fr_weight).backward()
+            adam_step(params, want, cosine_lr(0, 1, cfg.lr0, cfg.lr_min))
+        (got,) = states
+        assert got.step == want.step == 2
+        assert list(got.m) == list(want.m) == list(got.v) == list(plain.parameters())
+        for name, p in swept.parameters().items():
+            assert np.array_equal(p.data, plain.parameters()[name].data), name
+            assert np.array_equal(got.m[name], want.m[name]) and np.array_equal(got.v[name], want.v[name])
+        assert not np.any(got.m["idle"]) and np.array_equal(swept.idle.data, np.linspace(-1, 1, 5, dtype=np.float32))
+
+    def test_gradients_do_not_pile_up(self, monkeypatch):
+        # each parameter is updated, and its gradient dropped, as soon as the sweep reaches it
+        corpus = tiny_corpus(count=4, size=32)
+        net = build_frenet(tiny_config(), seed=1)
+        params = list(net.parameters().values())
+        module, held = importlib.import_module("frenet.train"), []
+        update = module.adam_update
+
+        def counting(p, *args):
+            held.append(sum(q.grad is not None for q in params))
+            return update(p, *args)
+
+        monkeypatch.setattr(module, "adam_update", counting)
+        train(net, corpus, TrainConfig(epochs=1, batch=4, max_steps=1, val_count=0, seed=1), val_pairs=[])
+        assert len(held) == len(params) == 166
+        assert max(held) < len(params) // 3  # backward() then adam_step would hold all 166
 
     def test_empty_corpus_rejected(self):
         net = build_frenet(tiny_config(base_size=8), seed=7)
