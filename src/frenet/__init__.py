@@ -10,12 +10,10 @@ from .arch import (
     FrENet,
     NetworkConfig,
     build_frenet,
-    frenet_config,
-    frenet_plus_config,
     tiny_config,
 )
 from .gradcheck import GradCheckReport, grad_check
-from .metrics import MetricReport, psnr, ssim
+from .metrics import psnr
 from .rawdata import (
     BlurKernel,
     PreprocessSpec,

@@ -101,7 +101,8 @@ class NetworkConfig:
             bad.append("every scale needs at least one block")
         if self.bottleneck_blocks < 1:
             bad.append(f"bottleneck_blocks must be >= 1, got {self.bottleneck_blocks}")
-        if not is_power_of_two(self.base_size) or self.base_size % (1 << self.scales):
+        # a power of two is divisible by 2^scales exactly when scales < its bit length
+        if not is_power_of_two(self.base_size) or self.scales >= self.base_size.bit_length():
             bad.append(
                 f"base_size must be a power of two divisible by 2^scales, got {self.base_size}"
             )
@@ -117,24 +118,6 @@ class NetworkConfig:
         bad = self.violations()
         if bad:
             raise ConfigurationError("invalid config: " + "; ".join(bad))
-
-
-def frenet_config(**overrides) -> NetworkConfig:
-    """Width-32, 24-block preset (enc 4-3-2, bottleneck 6, dec 4-3-2, 3 scales)."""
-    cfg = NetworkConfig(name="frenet")
-    return replace(cfg, **overrides) if overrides else cfg
-
-
-def frenet_plus_config(**overrides) -> NetworkConfig:
-    """Width-64, 20-block preset."""
-    cfg = NetworkConfig(
-        name="frenet-plus",
-        width=64,
-        enc_blocks=(4, 4, 1),
-        bottleneck_blocks=2,
-        dec_blocks=(4, 4, 1),
-    )
-    return replace(cfg, **overrides) if overrides else cfg
 
 
 def tiny_config(base_size: int = 16, **overrides) -> NetworkConfig:

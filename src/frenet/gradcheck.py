@@ -48,9 +48,6 @@ class GradCheckReport:
     def worst(self) -> float:
         return max((p.rel_error for p in self.probes), default=0.0)
 
-    def failures(self) -> list[Probe]:
-        return [p for p in self.probes if not p.ok]
-
     def summary(self) -> str:
         return (
             f"{sum(p.ok for p in self.probes)}/{len(self.probes)} probes within "

@@ -1,19 +1,12 @@
-"""PSNR and SSIM image quality metrics."""
+"""PSNR image quality metric."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import ConfigurationError, Tensor
-
-SSIM_WINDOW = 11
-SSIM_SIGMA = 1.5
-SSIM_K1 = 0.01
-SSIM_K2 = 0.03
 
 
 def psnr(a: Tensor, b: Tensor, peak: float = 1.0) -> float:
@@ -24,65 +17,3 @@ def psnr(a: Tensor, b: Tensor, peak: float = 1.0) -> float:
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(peak * peak / mse)
-
-
-def _gaussian_window(size: int, sigma: float) -> np.ndarray:
-    offs = np.arange(size) - (size - 1) / 2.0
-    g = np.exp(-(offs**2) / (2.0 * sigma * sigma))
-    w = np.outer(g, g)
-    return w / w.sum()
-
-
-def _ssim_plane(a: np.ndarray, b: np.ndarray, peak: float) -> float:
-    window = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
-    c1 = (SSIM_K1 * peak) ** 2
-    c2 = (SSIM_K2 * peak) ** 2
-    wa = sliding_window_view(a, (SSIM_WINDOW, SSIM_WINDOW))
-    wb = sliding_window_view(b, (SSIM_WINDOW, SSIM_WINDOW))
-    mu_a = np.einsum("hwuv,uv->hw", wa, window, optimize=True)
-    mu_b = np.einsum("hwuv,uv->hw", wb, window, optimize=True)
-    aa = np.einsum("hwuv,uv->hw", wa * wa, window, optimize=True)
-    bb = np.einsum("hwuv,uv->hw", wb * wb, window, optimize=True)
-    ab = np.einsum("hwuv,uv->hw", wa * wb, window, optimize=True)
-    var_a = aa - mu_a**2
-    var_b = bb - mu_b**2
-    cov = ab - mu_a * mu_b
-    num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
-    den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
-    return float(np.mean(num / den))
-
-
-def ssim(a: Tensor, b: Tensor, peak: float = 1.0) -> float:
-    """Mean local SSIM with an 11x11 gaussian window (sigma 1.5), averaged over channels."""
-    if a.shape != b.shape:
-        raise ConfigurationError(f"ssim shape mismatch {tuple(a.shape)} vs {tuple(b.shape)}")
-    da, db = a.data.astype(np.float64), b.data.astype(np.float64)
-    if da.ndim == 2:
-        da, db = da[None], db[None]
-    if da.shape[-1] < SSIM_WINDOW or da.shape[-2] < SSIM_WINDOW:
-        raise ConfigurationError(
-            f"image {da.shape[-2]}x{da.shape[-1]} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window"
-        )
-    return float(np.mean([_ssim_plane(da[c], db[c], peak) for c in range(da.shape[0])]))
-
-
-@dataclass
-class MetricReport:
-    psnr_db: float
-    ssim: float
-    per_image: list[tuple[float, float]] = field(default_factory=list)
-
-
-def evaluate_pairs(pairs: list[tuple[Tensor, Tensor]], peak: float = 1.0) -> MetricReport:
-    per_image = [(psnr(a, b, peak), ssim(a, b, peak)) for a, b in pairs]
-    mean_psnr = float(np.mean([p for p, _ in per_image]))
-    mean_ssim = float(np.mean([s for _, s in per_image]))
-    return MetricReport(psnr_db=mean_psnr, ssim=mean_ssim, per_image=per_image)
-
-
-def format_metric_report(report: MetricReport) -> str:
-    lines = [
-        f"image {i} psnr {p:.4f} ssim {s:.6f}" for i, (p, s) in enumerate(report.per_image)
-    ]
-    lines.append(f"aggregate psnr {report.psnr_db:.4f} ssim {report.ssim:.6f}")
-    return "\n".join(lines)

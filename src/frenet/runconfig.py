@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable, get_type_hints
+from typing import get_type_hints
 
 from .arch import NetworkConfig
 from .rawdata import PreprocessSpec
@@ -54,8 +54,6 @@ class RunConfig:
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if value is None:
-        return "none"
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     return f"{value:g}" if isinstance(value, float) else str(value)
@@ -152,30 +150,14 @@ def parse_run_config(text: str) -> RunConfig:
     return cfg
 
 
-def _render(sections: dict[str, object], keys: Iterable[str]) -> str:
+def render_checkpoint_config(network: NetworkConfig, preprocess: PreprocessSpec) -> str:
+    """Canonical network + preprocess subset stored inside checkpoints."""
+    sections = {"network": network, "preprocess": preprocess}
     lines = []
-    for key in keys:
+    for key in _CHECKPOINT_KEYS:
         section, name, _ = _SCHEMA[key]
         lines.append(f"{key} = {_fmt(getattr(sections[section], name))}")
     return "\n".join(lines) + "\n"
-
-
-def render_run_config(cfg: RunConfig) -> str:
-    return _render(vars(cfg), _SCHEMA)
-
-
-def default_run_config() -> RunConfig:
-    return RunConfig(
-        network=NetworkConfig(name="frenet"),
-        train=TrainConfig(),
-        preprocess=PreprocessSpec(),
-        data=DatasetParams(),
-    )
-
-
-def render_checkpoint_config(network: NetworkConfig, preprocess: PreprocessSpec) -> str:
-    """Canonical network + preprocess subset stored inside checkpoints."""
-    return _render({"network": network, "preprocess": preprocess}, _CHECKPOINT_KEYS)
 
 
 def parse_checkpoint_config(text: str) -> tuple[NetworkConfig, PreprocessSpec]:

@@ -196,10 +196,14 @@ class Parameter(Tensor):
 
 def uniform(rng: np.random.Generator | None, bound: float, shape: tuple[int, ...]) -> np.ndarray:
     """Float32 draws from U(-bound, bound), or zeros when there is no ``rng``
-    (a network about to be filled from a checkpoint)."""
-    if rng is None:
-        return np.zeros(shape, dtype=np.float32)
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+    (a network about to be filled from a checkpoint). A shape numpy cannot
+    allocate is a configuration error."""
+    try:
+        if rng is None:
+            return np.zeros(shape, dtype=np.float32)
+        return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigurationError(f"cannot allocate a weight of shape {shape}: {exc}") from exc
 
 
 def parameters_of(obj) -> Iterator[Parameter]:

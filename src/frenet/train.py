@@ -144,9 +144,6 @@ class TrainResult:
     step_losses: list[float]
     val_psnr: list[float]
     best_psnr: float
-    log_lines: list[str]
-    final_checkpoint: Path | None
-    best_checkpoint: Path | None
 
 
 def stack(tensors: Sequence[Tensor]) -> Tensor:
@@ -169,11 +166,6 @@ def validation_psnr(net, pairs: Sequence[tuple[Tensor, Tensor]], batch: int = 1)
     return float(np.mean(scores))
 
 
-def baseline_psnr(pairs: Sequence[tuple[Tensor, Tensor]]) -> float:
-    """PSNR of the blurred inputs themselves (the no-op deblurrer)."""
-    return float(np.mean([psnr(bayer_unpack(b), bayer_unpack(s)) for b, s in pairs]))
-
-
 def train(
     net,
     corpus: Sequence[tuple[Tensor, Tensor]],
@@ -183,7 +175,7 @@ def train(
     log: Callable[[str], None] | None = None,
     preprocess=None,
 ) -> TrainResult:
-    """Seeded SGD-over-epochs driver writing ".fckpt" checkpoints and a line log.
+    """Seeded Adam-over-epochs driver writing ".fckpt" checkpoints and a line log.
 
     When ``val_pairs`` is None the last ``cfg.val_count`` corpus items are held
     out, keeping at least one for training; a split that holds out nothing is
@@ -221,14 +213,12 @@ def train(
         if log is not None:
             log(text)
 
-    def write_ckpt(path: Path) -> Path:
+    def write_ckpt(path: Path) -> None:
         save_checkpoint(path, net, adam=state, step=state.step, preprocess=preprocess)
-        return path
 
     step_losses: list[float] = []
     val_history: list[float] = []
     best = -math.inf
-    best_path = final_path = None
     steps_per_epoch = max(len(corpus) // cfg.batch, 1)
     done = False
 
@@ -244,7 +234,7 @@ def train(
             value = loss.item()
             if not math.isfinite(value):
                 if out_dir is not None:
-                    final_path = write_ckpt(out_dir / "final.fckpt")
+                    write_ckpt(out_dir / "final.fckpt")
                 raise EvaluationError(
                     f"non-finite loss {value} at epoch {epoch} batch {k} "
                     f"(batch indices {list(map(int, batch))})"
@@ -276,20 +266,17 @@ def train(
             if score > best:
                 best = score
                 if out_dir is not None:
-                    best_path = write_ckpt(out_dir / "best.fckpt")
+                    write_ckpt(out_dir / "best.fckpt")
         if done:
             break
 
     if out_dir is not None:
-        final_path = write_ckpt(out_dir / "final.fckpt")
+        write_ckpt(out_dir / "final.fckpt")
         (out_dir / "training.log").write_text("\n".join(lines) + "\n")
     return TrainResult(
         step_losses=step_losses,
         val_psnr=val_history,
         best_psnr=best,
-        log_lines=lines,
-        final_checkpoint=final_path,
-        best_checkpoint=best_path,
     )
 
 

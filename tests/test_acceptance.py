@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from frenet.analyze import count_params_macs
-from frenet.arch import build_frenet, frenet_config, tiny_config
+from frenet.arch import NetworkConfig, build_frenet, tiny_config
 from frenet.gradcheck import grad_check
 from frenet.rawdata import (
     PreprocessSpec,
@@ -22,7 +22,8 @@ from frenet.rawdata import (
     save_corpus,
 )
 from frenet.tensor import Tensor
-from frenet.train import TrainConfig, baseline_psnr, loss_total, sliding_window_infer, train
+from frenet.metrics import psnr
+from frenet.train import TrainConfig, loss_total, sliding_window_infer, train
 from frenet.verify import afpm_suite, grad_suite, spectral_suite
 
 
@@ -57,7 +58,7 @@ def test_a3_training_sanity():
     )
     corpus = [(it.blurred, it.sharp) for it in items]
     val, train_items = corpus[-16:], corpus[:-16]
-    base = baseline_psnr(val)
+    base = float(np.mean([psnr(bayer_unpack(b), bayer_unpack(s)) for b, s in val]))
 
     net = build_frenet(tiny_config(base_size=32, global_residual=True), seed=7)
     cfg = TrainConfig(lr0=1e-2, epochs=50, batch=8, max_steps=300, seed=7, val_count=0)
@@ -121,7 +122,7 @@ def test_a4_ablation_machinery():
 
 
 def test_a5_efficiency_accounting():
-    cfg = frenet_config()
+    cfg = NetworkConfig(name="frenet")
     report = count_params_macs(cfg)
     assert report.reference_params == pytest.approx(19.76e6)
     assert report.reference_macs == pytest.approx(2.22e9)

@@ -4,7 +4,7 @@ import numpy as np
 
 from frenet.afpm import KBG_HIDDEN, make_patch_grid
 from frenet.analyze import count_ops, count_params_macs
-from frenet.arch import build_frenet, frenet_config, frenet_plus_config, tiny_config
+from frenet.arch import NetworkConfig, build_frenet, tiny_config
 from frenet.tensor import ConvSpec, Tensor, conv2d, section
 
 
@@ -28,7 +28,7 @@ def test_single_conv_mac_formula():
 
 
 def test_frenet_figures_pinned():
-    report = count_params_macs(frenet_config())
+    report = count_params_macs(NetworkConfig(name="frenet"))
     assert (report.params, report.conv_macs, report.fft_flops) == (21_104_350, 2_133_829_632, 77_987_840)
     assert list(report.sections.items()) == [
         ("intro", 4_718_592),
@@ -102,13 +102,19 @@ def test_fft_flops_formula():
     assert report.fft_flops == want
 
 
+def frenet_plus():
+    """The paper's width-64, 20-block preset."""
+    return NetworkConfig(name="frenet-plus", width=64, enc_blocks=(4, 4, 1), bottleneck_blocks=2,
+                         dec_blocks=(4, 4, 1))
+
+
 def test_presets_advertised_block_totals():
-    assert frenet_config().block_total == 24
-    assert frenet_plus_config().block_total == 20
+    assert NetworkConfig(name="frenet").block_total == 24
+    assert frenet_plus().block_total == 20
 
 
 def test_frenet_plus_builds_and_reports_reference():
-    cfg = frenet_plus_config()
+    cfg = frenet_plus()
     net = build_frenet(cfg, seed=0)
     report = count_params_macs(cfg)
     assert report.params == net.param_count()

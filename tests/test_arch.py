@@ -13,7 +13,6 @@ from frenet.arch import (
     Sca,
     Up,
     build_frenet,
-    frenet_config,
     tiny_config,
 )
 from frenet.afpm import make_patch_grid
@@ -343,7 +342,7 @@ def tiny_param_count_formula(cfg: NetworkConfig) -> int:
 
 class TestBuild:
     def test_frenet_preset_builds_with_reference_scale_params(self):
-        cfg = frenet_config()
+        cfg = NetworkConfig(name="frenet")
         net = build_frenet(cfg)
         count = net.param_count()
         assert abs(count / 19.76e6 - 1.0) <= 0.25
@@ -380,7 +379,7 @@ class TestBuild:
 
     def test_parameter_order_is_build_order(self):
         # This order is the checkpoint record order; changing it changes every saved file.
-        names = list(build_frenet(frenet_config()).parameters())
+        names = list(build_frenet(NetworkConfig(name="frenet")).parameters())
         assert names[:3] == ["intro.weight", "intro.bias", "enc1.down.weight"]
         assert names[-1] == "final.bias"
         sections = [name.split(".")[0] for name in names]
@@ -391,7 +390,7 @@ class TestBuild:
 
     @pytest.mark.parametrize("cfg, digest", [
         (tiny_config(), "bd1ab2c03ffdf46846119e89de72f4e091956b5303cabbb0ecf24cde634838ed"),
-        (frenet_config(), "1fe67ed6844d1eb418c0fc8f6f0989db36f4745a6dfe2897428e79631743fd99"),
+        (NetworkConfig(name="frenet"), "1fe67ed6844d1eb418c0fc8f6f0989db36f4745a6dfe2897428e79631743fd99"),
     ])
     def test_seeded_initialisation_is_pinned(self, cfg, digest):
         # sha256 of every parameter's float32 bytes in record order; a change in
@@ -460,7 +459,7 @@ class TestNetworkForward:
     def test_full_raw_patch_round_trip(self):
         # a 128x128 raw patch packs to 4x64x64, runs the full-size preset, and
         # unpacks back to 128x128
-        net = build_frenet(frenet_config(), seed=0)
+        net = build_frenet(NetworkConfig(name="frenet"), seed=0)
         raw = gen_sharp(9, 128, 128)
         packed = bayer_pack(raw)
         assert packed.shape == (4, 64, 64)

@@ -9,7 +9,7 @@ be trained one item at a time.
 import numpy as np
 import pytest
 
-from frenet.arch import build_frenet, frenet_config, tiny_config
+from frenet.arch import NetworkConfig, build_frenet, tiny_config
 from frenet.tensor import Tensor, add, no_grad, scale, sum_in_order
 from frenet.train import loss_total, validation_psnr
 
@@ -30,7 +30,7 @@ def _inputs(cfg, n, seed):
 
 @pytest.mark.parametrize("cfg, n", [
     *[(cfg, 5) for cfg in TINY_VARIANTS.values()],
-    (frenet_config(), 2),
+    (NetworkConfig(name="frenet"), 2),
 ], ids=[*TINY_VARIANTS, "frenet"])
 def test_batched_forward_equals_per_item_forwards(cfg, n):
     net = build_frenet(cfg, seed=3)

@@ -1,6 +1,5 @@
 import hashlib
 import struct
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,37 +7,17 @@ import pytest
 from frenet.cli import main
 from frenet.fileio import read_ften, read_pgm16, restore_network, write_ften, write_pgm16
 from frenet.rawdata import bayer_pack, bayer_unpack, gen_sharp, preprocess_raw, to_sensor_counts
-from frenet.runconfig import default_run_config, render_run_config
 from frenet.tensor import Tensor
 
-
-def tiny_run_config(base_size=16, count=10, **train_overrides):
-    cfg = default_run_config()
-    cfg.network.name = "tiny"
-    cfg.network.width = 4
-    cfg.network.scales = 2
-    cfg.network.enc_blocks = (1, 1)
-    cfg.network.bottleneck_blocks = 1
-    cfg.network.dec_blocks = (1, 1)
-    cfg.network.base_size = base_size
-    cfg.network.global_residual = True
-    cfg.data.count = count
-    cfg.data.image_size = base_size * 2
-    cfg.train.epochs = 2
-    cfg.train.batch = 4
-    cfg.train.val_count = 2
-    cfg.train.seed = 11
-    for key, value in train_overrides.items():
-        setattr(cfg.train, key, value)
-    return cfg
+from conftest import config_text, write_config
 
 
 @pytest.fixture
 def workdir(tmp_path):
-    cfg = tiny_run_config()
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(render_run_config(cfg))
-    return tmp_path, cfg_path, cfg
+    """A tiny base-16 recipe: a 10-pair corpus of 32x32 RAW images, 2 epochs of 4-item batches."""
+    cfg_path = write_config(tmp_path / "run.cfg", base_size=16, image_size=32, count=10,
+                            lr0="0.001", epochs=2, batch=4, val_count=2, seed=11, max_steps="none")
+    return tmp_path, cfg_path
 
 
 def test_usage_errors_exit_two(capsys):
@@ -82,25 +61,14 @@ def test_missing_config_is_runtime_error(tmp_path, capsys):
 
 def test_bad_config_key_is_runtime_error(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
-    path.write_text(render_run_config(default_run_config()) + "bogus = 1\n")
+    path.write_text(config_text("frenet") + "bogus = 1\n")
     assert main(["analyze", "--config", str(path)]) == 1
     assert "unknown keys" in capsys.readouterr().err
 
 
-def _tiny_cfg(path, **values):
-    """Write configs/tiny.cfg to ``path`` with the given keys set to new raw values."""
-    def edit(line):
-        key = line.partition(" = ")[0]
-        return f"{key} = {values[key]}" if key in values else line
-
-    lines = (Path(__file__).resolve().parents[1] / "configs" / "tiny.cfg").read_text().splitlines()
-    path.write_text("\n".join(map(edit, lines)) + "\n")
-    return path
-
-
 @pytest.mark.parametrize("key, raw", [("max_steps", "abc"), ("ffn_expand", "nan"), ("lr0", "inf")])
 def test_unparsable_config_value_is_runtime_error(tmp_path, capsys, key, raw):
-    path = _tiny_cfg(tmp_path / "bad.cfg", **{key: raw})
+    path = write_config(tmp_path / "bad.cfg", **{key: raw})
     assert main(["analyze", "--config", str(path)]) == 1
     _assert_one_error_line(capsys)
 
@@ -116,17 +84,17 @@ def test_training_that_would_skip_its_limits_is_runtime_error(tmp_path, capsys, 
     # used to leave every parameter NaN with exit 0, adam_beta2 = 1 and
     # adam_eps = 0 gave NaN after one step, and adam_eps = -1 trained silently.
     data, run = tmp_path / "data", tmp_path / "run"
-    assert main(["datagen", "--config", str(_tiny_cfg(tmp_path / "data.cfg", count=6)),
+    assert main(["datagen", "--config", str(write_config(tmp_path / "data.cfg", count=6)),
                  "--out", str(data)]) == 0
     capsys.readouterr()
-    cfg = _tiny_cfg(tmp_path / "bad.cfg", count=6, epochs=1, **{key: raw})
+    cfg = write_config(tmp_path / "bad.cfg", count=6, epochs=1, **{key: raw})
     assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(run)]) == 1
     assert key in _assert_one_error_line(capsys)
     assert not (run / "final.fckpt").exists()
 
 
 def test_negative_noise_sigma_is_runtime_error(tmp_path, capsys):
-    cfg = _tiny_cfg(tmp_path / "bad.cfg", count=6, noise_sigma=-1)
+    cfg = write_config(tmp_path / "bad.cfg", count=6, noise_sigma=-1)
     assert main(["datagen", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 1
     _assert_one_error_line(capsys)
     assert not (tmp_path / "data" / "manifest.txt").exists()
@@ -135,14 +103,43 @@ def test_negative_noise_sigma_is_runtime_error(tmp_path, capsys):
 @pytest.mark.parametrize("sigma_min", ["0", "-1"])
 def test_non_positive_blur_sigma_is_runtime_error(tmp_path, capsys, sigma_min):
     # sigma_min = 0 used to write an all-NaN blurred corpus with exit 0.
-    cfg = _tiny_cfg(tmp_path / "bad.cfg", count=2, sigma_min=sigma_min, sigma_max="0")
+    cfg = write_config(tmp_path / "bad.cfg", count=2, sigma_min=sigma_min, sigma_max="0")
     assert main(["datagen", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 1
     _assert_one_error_line(capsys)
     assert not (tmp_path / "data" / "manifest.txt").exists()
 
 
+# Each used to end in a traceback: a shift by a negative or a huge count, or
+# numpy refusing to allocate a weight of the shape the config asks for.
+HOSTILE_NETWORK_VALUES = [
+    ("scales", "-1"),
+    ("scales", "1000000000000000000"),
+    ("ffn_expand", "1e30"),
+    ("base_size", "1099511627776"),
+]
+
+
+@pytest.mark.parametrize("key, raw", HOSTILE_NETWORK_VALUES)
+def test_hostile_network_config_is_runtime_error(tmp_path, capsys, key, raw):
+    path = write_config(tmp_path / "bad.cfg", **{key: raw})
+    assert main(["analyze", "--config", str(path)]) == 1
+    _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("key, raw", HOSTILE_NETWORK_VALUES)
+def test_checkpoint_with_hostile_network_config_is_runtime_error(tmp_path, capsys, key, raw):
+    ckpt, image = _tiny_checkpoint(tmp_path)
+    _rewrite_checkpoint_config(ckpt, lambda text: b"".join(
+        f"{key} = {raw}\n".encode() if line.startswith(f"{key} = ".encode()) else line
+        for line in text.splitlines(keepends=True)))
+    out = tmp_path / "out.pgm"
+    assert main(["infer", "--checkpoint", str(ckpt), "--input", str(image), "--output", str(out)]) == 1
+    _assert_one_error_line(capsys)
+    assert not out.exists()
+
+
 def test_malformed_manifest_is_runtime_error(workdir, capsys):
-    tmp_path, cfg_path, _ = workdir
+    tmp_path, cfg_path = workdir
     data = tmp_path / "data"
     data.mkdir()
     (data / "manifest.txt").write_text("abc gaussian 1 0.002\n")
@@ -152,9 +149,7 @@ def test_malformed_manifest_is_runtime_error(workdir, capsys):
 
 
 def test_analyze_reports_reference_comparison(tmp_path, capsys):
-    cfg = default_run_config()  # the full-size preset
-    path = tmp_path / "frenet.cfg"
-    path.write_text(render_run_config(cfg))
+    path = write_config(tmp_path / "frenet.cfg", "frenet")  # the full-size preset
     assert main(["analyze", "--config", str(path)]) == 0
     out = capsys.readouterr().out
     assert "params" in out and "conv_macs" in out and "fft_flops" in out
@@ -163,7 +158,7 @@ def test_analyze_reports_reference_comparison(tmp_path, capsys):
 
 
 def test_datagen_train_infer_dump_pipeline(workdir, capsys):
-    tmp_path, cfg_path, cfg = workdir
+    tmp_path, cfg_path = workdir
     data_dir = tmp_path / "corpus"
     out_dir = tmp_path / "runs"
 
@@ -262,7 +257,7 @@ def test_dump_spectrum_writes_each_blocks_output_spectrum(tmp_path, monkeypatch)
 
 
 def test_sliding_window_infer_on_larger_image(workdir, tmp_path):
-    _, cfg_path, cfg = workdir
+    _, cfg_path = workdir
     data_dir = tmp_path / "corpus2"
     out_dir = tmp_path / "runs2"
     assert main(["datagen", "--config", str(cfg_path), "--out", str(data_dir)]) == 0
@@ -354,17 +349,23 @@ def test_unpaired_adam_moments_is_runtime_error(tmp_path, capsys):
     _assert_one_error_line(capsys)
 
 
-@pytest.mark.parametrize("command", ["dump-kernels", "infer"])
-def test_checkpoint_config_not_utf8_is_runtime_error(tmp_path, capsys, command):
+def _rewrite_checkpoint_config(ckpt, edit):
+    """Replace the checkpoint's config text by ``edit(text)``, with its length and digest."""
     from frenet.runconfig import render_checkpoint_config
 
-    ckpt, image = _tiny_checkpoint(tmp_path)
+    net, preprocess = restore_network(ckpt)[:2]
+    old = render_checkpoint_config(net.cfg, preprocess).encode()
+    new = edit(old)
     blob = ckpt.read_bytes()
     # keep the step; replace the config length, text and digest
-    net, preprocess = restore_network(ckpt)[:2]
-    config_len = len(render_checkpoint_config(net.cfg, preprocess).encode())
-    ckpt.write_bytes(blob[: len(blob) - 32 - config_len - 4] + struct.pack("<I", 1) + b"\xff"
-                     + hashlib.sha256(b"\xff").digest())
+    ckpt.write_bytes(blob[: len(blob) - 32 - len(old) - 4] + struct.pack("<I", len(new)) + new
+                     + hashlib.sha256(new).digest())
+
+
+@pytest.mark.parametrize("command", ["dump-kernels", "infer"])
+def test_checkpoint_config_not_utf8_is_runtime_error(tmp_path, capsys, command):
+    ckpt, image = _tiny_checkpoint(tmp_path)
+    _rewrite_checkpoint_config(ckpt, lambda text: b"\xff")
     if command == "infer":
         argv = ["infer", "--checkpoint", str(ckpt), "--input", str(image),
                 "--output", str(tmp_path / "out.pgm")]

@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from frenet.metrics import (
-    MetricReport,
-    evaluate_pairs,
-    format_metric_report,
-    psnr,
-    ssim,
-    _gaussian_window,
-)
+from frenet.metrics import psnr
 from frenet.tensor import ConfigurationError, Tensor
 
 
@@ -35,71 +28,3 @@ class TestPsnr:
         with pytest.raises(ConfigurationError, match="mismatch"):
             psnr(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 4, 5))))
 
-
-def ssim_double_loop_oracle(a, b, peak=1.0):
-    """Sliding 11x11 gaussian-window SSIM computed with explicit loops."""
-    window = _gaussian_window(11, 1.5)
-    c1, c2 = (0.01 * peak) ** 2, (0.03 * peak) ** 2
-    h, w = a.shape
-    values = []
-    for i in range(h - 10):
-        for j in range(w - 10):
-            pa = a[i : i + 11, j : j + 11]
-            pb = b[i : i + 11, j : j + 11]
-            mu_a = (pa * window).sum()
-            mu_b = (pb * window).sum()
-            var_a = (pa * pa * window).sum() - mu_a**2
-            var_b = (pb * pb * window).sum() - mu_b**2
-            cov = (pa * pb * window).sum() - mu_a * mu_b
-            values.append(
-                ((2 * mu_a * mu_b + c1) * (2 * cov + c2))
-                / ((mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2))
-            )
-    return float(np.mean(values))
-
-
-class TestSsim:
-    def test_self_similarity_is_one(self):
-        a = Tensor(np.random.default_rng(2).uniform(0, 1, (1, 16, 16)).astype(np.float32))
-        assert abs(ssim(a, a) - 1.0) < 1e-6
-
-    def test_anticorrelated_half_plane_is_negative(self):
-        img = np.zeros((1, 16, 16), dtype=np.float32)
-        img[:, :, 8:] = 1.0
-        assert ssim(Tensor(img), Tensor(1.0 - img)) < 0.0
-
-    def test_matches_double_loop_oracle(self):
-        rng = np.random.default_rng(3)
-        a = rng.uniform(0, 1, (16, 16))
-        b = np.clip(a + rng.normal(0, 0.1, a.shape), 0, 1)
-        got = ssim(Tensor(a[None]), Tensor(b[None]))
-        want = ssim_double_loop_oracle(a, b)
-        assert abs(got - want) < 1e-4
-
-    def test_small_image_rejected(self):
-        with pytest.raises(ConfigurationError, match="window"):
-            ssim(Tensor(np.zeros((1, 8, 8))), Tensor(np.zeros((1, 8, 8))))
-
-    def test_multichannel_averages(self):
-        rng = np.random.default_rng(4)
-        a = rng.uniform(0, 1, (2, 16, 16))
-        b = np.clip(a + rng.normal(0, 0.05, a.shape), 0, 1)
-        per = [ssim(Tensor(a[c][None]), Tensor(b[c][None])) for c in range(2)]
-        assert abs(ssim(Tensor(a), Tensor(b)) - np.mean(per)) < 1e-9
-
-
-def test_report_format_has_per_image_and_aggregate_rows():
-    rng = np.random.default_rng(5)
-    pairs = []
-    for _ in range(2):
-        a = rng.uniform(0, 1, (1, 16, 16)).astype(np.float32)
-        b = np.clip(a + rng.normal(0, 0.02, a.shape), 0, 1).astype(np.float32)
-        pairs.append((Tensor(a), Tensor(b)))
-    report = evaluate_pairs(pairs)
-    assert isinstance(report, MetricReport)
-    text = format_metric_report(report)
-    lines = text.splitlines()
-    assert len(lines) == 3
-    assert lines[0].startswith("image 0 psnr ")
-    assert lines[-1].startswith("aggregate psnr ")
-    assert -1.0 <= report.ssim <= 1.0

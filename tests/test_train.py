@@ -13,7 +13,6 @@ from frenet.train import (
     AdamState,
     TrainConfig,
     adam_step,
-    baseline_psnr,
     cosine_lr,
     loss_total,
     raised_cosine_profile,
@@ -142,9 +141,10 @@ class TestTrainLoop:
         corpus = tiny_corpus(count=8, size=16)
         net = build_frenet(tiny_config(base_size=8), seed=0)
         cfg = TrainConfig(epochs=1, batch=4, val_count=0, seed=1)
-        result = train(net, corpus, cfg, val_pairs=[])
+        log_lines = []
+        result = train(net, corpus, cfg, val_pairs=[], log=log_lines.append)
         assert len(result.step_losses) == 2  # 8 items / batch 4 -> exactly 2 steps
-        step_lines = [l for l in result.log_lines if " val_psnr " not in l]
+        step_lines = [l for l in log_lines if " val_psnr " not in l]
         assert len(step_lines) == 2
 
     def test_determinism_bit_identical_checkpoints(self, tmp_path):
@@ -160,11 +160,12 @@ class TestTrainLoop:
     def test_log_line_format(self):
         corpus = tiny_corpus(count=6, size=16)
         net = build_frenet(tiny_config(base_size=8), seed=4)
-        result = train(net, corpus, TrainConfig(epochs=1, batch=2, val_count=2, seed=4))
-        step_line = result.log_lines[0].split()
+        log_lines = []
+        train(net, corpus, TrainConfig(epochs=1, batch=2, val_count=2, seed=4), log=log_lines.append)
+        step_line = log_lines[0].split()
         assert step_line[0] == "epoch" and step_line[2] == "step"
         assert step_line[4] == "lr" and step_line[6] == "loss"
-        assert result.log_lines[-1].split()[-2] == "val_psnr"
+        assert log_lines[-1].split()[-2] == "val_psnr"
 
     def test_max_steps_cap(self):
         corpus = tiny_corpus(count=8, size=16)
@@ -417,12 +418,6 @@ class TestSlidingWindow:
     def test_window_larger_than_image_rejected(self):
         with pytest.raises(ConfigurationError, match="window"):
             sliding_window_infer(_identity, Tensor(np.zeros((1, 16, 16))), 32, 16)
-
-
-def test_baseline_psnr_uses_unpacked_domain():
-    corpus = tiny_corpus(count=3, size=32)
-    value = baseline_psnr(corpus)
-    assert 10.0 < value < 60.0
 
 
 @settings(max_examples=20, deadline=None)
