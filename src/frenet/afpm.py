@@ -20,7 +20,9 @@ from .tensor import (
     Parameter,
     Tensor,
     _accumulate,
+    _kept,
     _node,
+    _rebuilt,
     _unbroadcast,
     add,
     gelu,
@@ -116,10 +118,12 @@ def patch_weighted_sum(x: Tensor, kernels: Tensor, grid: PatchGrid) -> Tensor:
         raise ConfigurationError(
             f"kernel stack shape {tuple(kernels.shape)} != ({m * n}, {ph * pw}) per sample"
         )
+    kview_shape = kernels.shape[:-2] + (m, n, ph, pw)
     patches = x.data.reshape(lead + (c, m, ph, n, pw))
-    kview = kernels.data.reshape(kernels.shape[:-2] + (m, n, ph, pw))
-    out = np.einsum("...cipjq,...ijpq->...ijc", patches, kview, optimize=True).reshape(lead + (m * n, c))
-    rx, rk, x_shape, k_shape = x._record, kernels._record, x.shape, kernels.shape
+    out = np.einsum("...cipjq,...ijpq->...ijc", patches, kernels.data.reshape(kview_shape),
+                    optimize=True).reshape(lead + (m * n, c))
+    rx, rk, kx, kk = x._record, kernels._record, _kept(x), _kept(kernels)
+    x_shape, k_shape = x.shape, kernels.shape
 
     def bw(g):
         gv = g.reshape(lead + (m, n, c))
@@ -128,37 +132,46 @@ def patch_weighted_sum(x: Tensor, kernels: Tensor, grid: PatchGrid) -> Tensor:
             # order (it does for 1x1 patches), and the bits would change.
             dk = np.stack([
                 np.einsum("cipjq,ijc->ijpq", xs, gs, optimize=True)
-                for xs, gs in zip(patches.reshape((-1, c, m, ph, n, pw)), gv.reshape(-1, m, n, c))
+                for xs, gs in zip(_rebuilt(kx).reshape((-1, c, m, ph, n, pw)), gv.reshape(-1, m, n, c))
             ])
             _accumulate(rk, _unbroadcast(dk.reshape(lead + (m * n, ph * pw)), k_shape))
         if rx is not None:
-            dx = np.einsum("...ijpq,...ijc->...cipjq", kview, gv, optimize=True)
+            dx = np.einsum("...ijpq,...ijc->...cipjq", _rebuilt(kk).reshape(kview_shape), gv, optimize=True)
             _accumulate(rx, dx.reshape(x_shape))
 
     return _node(np.ascontiguousarray(out), (x, kernels), bw)
 
 
 def patch_scale(x: Tensor, factors: Tensor, grid: PatchGrid) -> Tensor:
-    """Multiply each patch by its per-channel modulation factor, (rows*cols, C) per sample."""
+    """Multiply each patch by its per-channel modulation factor, (rows*cols, C) per sample.
+
+    The output is rebuilt from the input and the factors, which the backward keeps.
+    """
     _check_tiling(x, grid)
     lead, c = x.shape[:-3], x.shape[-3]
     m, n, ph, pw = grid.rows, grid.cols, grid.patch_h, grid.patch_w
     if tuple(factors.shape) != lead + (m * n, c):
         raise ConfigurationError(f"factor shape {tuple(factors.shape)} != ({m * n}, {c}) per sample")
-    patches = x.data.reshape(lead + (c, m, ph, n, pw))
-    fview = np.moveaxis(factors.data.reshape(lead + (m, n, c)), -1, -3)[..., None, :, None]
-    out = (patches * fview).reshape(x.shape)
-    rx, rf, x_shape, f_shape = x._record, factors._record, x.shape, factors.shape
+    patch_shape = lead + (c, m, ph, n, pw)
+    rx, rf, kx, kf = x._record, factors._record, _kept(x), _kept(factors)
+    x_shape, f_shape = x.shape, factors.shape
+
+    def fview(fd):  # each factor broadcast over its patch
+        return np.moveaxis(fd.reshape(lead + (m, n, c)), -1, -3)[..., None, :, None]
+
+    def scaled(xd, fd):
+        return np.ascontiguousarray((xd.reshape(patch_shape) * fview(fd)).reshape(x_shape))
 
     def bw(g):
-        gp = g.reshape(patches.shape)
+        gp = g.reshape(patch_shape)
         if rf is not None:
-            df = np.einsum("...cipjq,...cipjq->...ijc", gp, patches, optimize=True)
+            df = np.einsum("...cipjq,...cipjq->...ijc", gp, _rebuilt(kx).reshape(patch_shape), optimize=True)
             _accumulate(rf, df.reshape(f_shape))
         if rx is not None:
-            _accumulate(rx, (gp * fview).reshape(x_shape))
+            _accumulate(rx, (gp * fview(_rebuilt(kf))).reshape(x_shape))
 
-    return _node(np.ascontiguousarray(out), (x, factors), bw)
+    return _node(scaled(x.data, factors.data), (x, factors), bw,
+                 recompute=lambda: scaled(_rebuilt(kx), _rebuilt(kf)))
 
 
 class Afpm:

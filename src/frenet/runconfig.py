@@ -37,6 +37,11 @@ class DatasetParams:
             raise ConfigurationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.kernel_kind not in ("gaussian", "motion", "mixed", "none"):
             raise ConfigurationError(f"unknown kernel_kind {self.kernel_kind!r}")
+        if self.kernel_kind in ("motion", "mixed") and self.kernel_size < 3:
+            raise ConfigurationError(
+                f"kernel_size must be >= 3 for {self.kernel_kind} blur (a motion path spans 3 or more "
+                f"taps), got {self.kernel_size}"
+            )
         if self.sigma_min <= 0:
             raise ConfigurationError(f"sigma_min must be > 0, got {self.sigma_min}")
         if self.sigma_min > self.sigma_max:
@@ -147,6 +152,11 @@ def parse_run_config(text: str) -> RunConfig:
     cfg.network.validate()
     cfg.train.validate()
     cfg.data.validate()
+    if cfg.data.image_size != 2 * cfg.network.base_size:
+        raise ConfigurationError(
+            f"image_size {cfg.data.image_size} must be 2 * base_size = {2 * cfg.network.base_size}: "
+            "the network trains on RAW images that pack 2x2 into base_size pixels"
+        )
     return cfg
 
 

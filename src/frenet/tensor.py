@@ -6,7 +6,16 @@ record: the records of its parents, its backward closure and its gradient.
 A leaf that takes a gradient is its own record. The graph never holds an op
 output, so it keeps no activation by itself: a closure captures at forward
 time the arrays and shapes its backward reads, and an op output that no
-backward reads is freed as soon as the forward drops it. The graph lives only for one forward/backward pass and is never
+backward reads is freed as soon as the forward drops it.
+
+An elementwise op (``mul``, ``simple_gate``, ``gelu_mul``, the norm's affine
+map, AFPM's ``patch_scale``, and ``add`` of two such outputs) also gives its
+output a recompute function: it returns the output again, bit for bit, from
+arrays that the op's backward keeps anyway. A backward that reads an input
+keeps the input's recompute function when it has one, and the array
+otherwise, so such an output dies with the forward as well.
+
+The graph lives only for one forward/backward pass and is never
 shared between threads. ``backward()`` frees it record by record as it
 sweeps, so what a closure kept goes as soon as its gradient has passed.
 Inside ``no_grad()`` nothing is recorded, so a forward keeps no graph alive.
@@ -59,9 +68,11 @@ class Tensor:
     parents' records, but not ``data``: the graph never holds an activation.
     ``_parents`` and ``_backward`` read the record; ``_backward`` can be
     replaced through the Tensor, and ``backward()`` calls what was set.
+    ``_recompute`` is None or, on an op output with a record, the op's zero-argument
+    function that returns ``data`` again (see the module docstring).
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_node")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "_recompute")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -71,6 +82,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._node: _Node | None = None
+        self._recompute: Callable[[], np.ndarray] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -143,15 +155,18 @@ class Tensor:
                     stack.append((parent, False))
         root.grad = np.ones((), dtype=self.data.dtype)
         hook = _on_leaf.get()
-        while order:
-            node = order.pop()  # popped, so the list keeps no swept record alive
-            if node._backward is None:  # a leaf
-                if hook is not None and node.grad is not None:
-                    hook(node)
-                continue
-            if node.grad is not None:
-                node._backward(node.grad)
-            node.grad, node._parents, node._backward = None, (), _freed
+        rebuilt: dict[int, np.ndarray] = {}  # what recompute functions returned in one node's backward
+        with _setting(_rebuilding, rebuilt):
+            while order:
+                node = order.pop()  # popped, so the list keeps no swept record alive
+                if node._backward is None:  # a leaf
+                    if hook is not None and node.grad is not None:
+                        hook(node)
+                    continue
+                if node.grad is not None:
+                    node._backward(node.grad)
+                    rebuilt.clear()
+                node.grad, node._parents, node._backward = None, (), _freed
 
 
 class _Node:
@@ -254,6 +269,7 @@ _recording: ContextVar[bool] = ContextVar("recording", default=True)
 _observer: ContextVar[Callable | None] = ContextVar("observer", default=None)
 _section: ContextVar[str | None] = ContextVar("section", default=None)
 _on_leaf: ContextVar[Callable | None] = ContextVar("on_leaf", default=None)
+_rebuilding: ContextVar[dict | None] = ContextVar("rebuilding", default=None)
 
 
 @contextmanager
@@ -298,11 +314,15 @@ def section(name: str):
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None],
-          op: str | None = None, spec: ConvSpec | None = None) -> Tensor:
+          op: str | None = None, spec: ConvSpec | None = None,
+          recompute: Callable[[], np.ndarray] | None = None) -> Tensor:
     """Wrap an op result; it gets a record only when recording and some parent needs a gradient.
 
     The record keeps the records of the parents that take a gradient and
-    ``backward``, which must capture arrays and records, never a Tensor.
+    ``backward``, which must capture arrays and records, never a Tensor. A
+    result with a record also gets ``recompute``, which may use only what
+    ``backward`` keeps, parameter buffers, and the recompute functions of the
+    inputs.
     """
     out = Tensor(data)
     if _recording.get():
@@ -310,10 +330,34 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.nd
         if records:
             out.requires_grad = True
             out._node = _Node(out.data.dtype, records, backward)
+            out._recompute = recompute
     observer = _observer.get()
     if observer is not None:
         observer(op, _section.get(), out, parents, spec)
     return out
+
+
+def _kept(t: Tensor) -> np.ndarray | Callable[[], np.ndarray]:
+    """What a backward keeps to read ``t.data`` again: its recompute function, else the array."""
+    return t.data if t._recompute is None else t._recompute
+
+
+def _rebuilt(kept: np.ndarray | Callable[[], np.ndarray]) -> np.ndarray:
+    """The array that ``kept`` (from ``_kept``) stands for.
+
+    Inside ``backward()`` each recompute function runs at most once per node's
+    backward, so a value that several rebuilt inputs share, such as the gated
+    map under both branches of the fused sum, is computed once for each
+    consumer that reads it.
+    """
+    if isinstance(kept, np.ndarray):
+        return kept
+    memo = _rebuilding.get()
+    if memo is None:
+        return kept()
+    if id(kept) not in memo:
+        memo[id(kept)] = kept()
+    return memo[id(kept)]
 
 
 def _accumulate(t: Tensor | _Node | None, g: np.ndarray) -> None:
@@ -357,8 +401,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    """``a + b``; the sum can be rebuilt when both terms can."""
     out = a.data + b.data
     ra, rb, a_shape, b_shape = a._record, b._record, a.shape, b.shape
+    ka, kb = a._recompute, b._recompute
 
     def bw(g):
         if ra is not None:
@@ -366,7 +412,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if rb is not None:
             _accumulate(rb, _unbroadcast(g, b_shape))
 
-    return _node(out, (a, b), bw)
+    recompute = None if ka is None or kb is None else lambda: _rebuilt(ka) + _rebuilt(kb)
+    return _node(out, (a, b), bw, recompute=recompute)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -383,17 +430,16 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd = a.data, b.data
-    out = ad * bd
-    ra, rb = a._record, b._record
+    out = a.data * b.data
+    ra, rb, ka, kb, a_shape, b_shape = a._record, b._record, _kept(a), _kept(b), a.shape, b.shape
 
     def bw(g):
         if ra is not None:
-            _accumulate(ra, _unbroadcast(g * bd, ad.shape))
+            _accumulate(ra, _unbroadcast(g * _rebuilt(kb), a_shape))
         if rb is not None:
-            _accumulate(rb, _unbroadcast(g * ad, bd.shape))
+            _accumulate(rb, _unbroadcast(g * _rebuilt(ka), b_shape))
 
-    return _node(out, (a, b), bw)
+    return _node(out, (a, b), bw, recompute=lambda: _rebuilt(ka) * _rebuilt(kb))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -408,12 +454,11 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 def abs_(a: Tensor) -> Tensor:
     """Elementwise |x|; the subgradient at exact zero is taken as 0."""
-    ad = a.data
-    out = np.abs(ad)
-    ra = a._record
+    out = np.abs(a.data)
+    ra, ka = a._record, _kept(a)
 
     def bw(g):
-        _accumulate(ra, g * np.sign(ad))
+        _accumulate(ra, g * np.sign(_rebuilt(ka)))
 
     return _node(out, (a,), bw)
 
@@ -451,15 +496,14 @@ def sum_in_order(a: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes; leading axes are a batch."""
-    ad, bd = a.data, b.data
-    out = ad @ bd
-    ra, rb = a._record, b._record
+    out = a.data @ b.data
+    ra, rb, ka, kb, a_shape, b_shape = a._record, b._record, _kept(a), _kept(b), a.shape, b.shape
 
     def bw(g):
         if ra is not None:
-            _accumulate(ra, _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
+            _accumulate(ra, _unbroadcast(g @ np.swapaxes(_rebuilt(kb), -1, -2), a_shape))
         if rb is not None:
-            _accumulate(rb, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
+            _accumulate(rb, _unbroadcast(np.swapaxes(_rebuilt(ka), -1, -2) @ g, b_shape))
 
     return _node(out, (a, b), bw, "matmul")
 
@@ -488,15 +532,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ConfigurationError(
             f"linear expects x (..., n, in), w (out, in) and b (out,), got {x.shape}, {w.shape}, {b.shape}"
         )
-    xd, w2 = x.data, w.data.reshape(m, k)
-    out = xd @ w2.T + b.data
-    rx, rw, rb, w_shape = x._record, w._record, b._record, w.shape
+    w2 = w.data.reshape(m, k)
+    out = x.data @ w2.T + b.data
+    rx, rw, rb, kx, w_shape = x._record, w._record, b._record, _kept(x), w.shape
 
     def bw(g):
         if rx is not None:
             _accumulate(rx, g @ w2)
         if rw is not None:
-            _accumulate(rw, _sum_batch(np.swapaxes(xd, -1, -2) @ g, 2).T.reshape(w_shape))
+            _accumulate(rw, _sum_batch(np.swapaxes(_rebuilt(kx), -1, -2) @ g, 2).T.reshape(w_shape))
         if rb is not None:
             _accumulate(rb, _unbroadcast(g, (1, m)).reshape(m))
 
@@ -574,8 +618,9 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None = None
     so is the input gradient of every preset conv, of the depthwise kind and
     of the 1x1 kind on one sample; elsewhere it may differ by a few ulps, as
     einsum's own float32 loop order changes with the shape. On float64 the
-    depthwise and the dense 2x2 and 3x3 kinds differ by a few ulps. Both
-    backward passes keep only the input and the weight alive.
+    depthwise and the dense 2x2 and 3x3 kinds differ by a few ulps. The
+    backward keeps only the input (or its recompute function) and the weight
+    alive, and hands the kernel the input again for the weight gradient.
     """
     if x.data.ndim < 3:
         raise ConfigurationError(f"conv2d expects CxHxW input or a batch of them, got shape {x.shape}")
@@ -600,11 +645,12 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None = None
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     rx, rw, rb = x._record, weight._record, None if bias is None else bias._record
-    x_shape, w_shape = x.shape, weight.shape
+    kx, x_shape, w_shape = _kept(x), x.shape, weight.shape
 
     def bw(g):
         g = g.reshape((-1,) + g.shape[-3:])
-        dw, dx = grads(g, rw is not None, rx is not None)
+        xd = None if rw is None else _rebuilt(kx).reshape(-1, c_in, h, w)
+        dw, dx = grads(g, xd, rx is not None)
         if dw is not None:
             dw = dw.reshape((-1,) + w_shape).astype(g.dtype)
             _accumulate(rw, _sum_batch(dw, len(w_shape)))
@@ -620,9 +666,11 @@ def _conv_kernel(spec: ConvSpec):
     """The kernel for ``spec``: (NxCxHxW input, spec, weight) arrays -> (output, grads).
 
     The output is a new array, summed in float64 and returned in float64 or
-    already cast to the result dtype. ``grads(g, need_w, need_x)`` returns
-    ``(dw, dx)``: dw float64 with one weight-sized block per sample, dx with
-    the input's shape and dtype, None where not needed.
+    already cast to the result dtype. ``grads(g, xd, need_x)`` returns
+    ``(dw, dx)``: dw float64 with one weight-sized block per sample, computed
+    when ``xd`` is the forward's input again (None when dw is not needed), and
+    dx with the input's shape and dtype when ``need_x``; None where not
+    computed. ``grads`` keeps no reference to the forward's input.
     """
     # Depthwise first: with one channel it has groups 1 as well.
     if (spec.stride == 1 and spec.kernel_h == spec.kernel_w == 3
@@ -639,13 +687,13 @@ def _conv_dense(xd: np.ndarray, spec: ConvSpec, wd: np.ndarray):
     Tap (u, v) is every stride-th pixel from (u, v) on of the input zero-padded
     by (k-1)//2. The stack holds their C_in*kh*kw rows in the weight's (i, u, v)
     order, built straight in float64; a 1x1 at stride 1 is its own stack. dw
-    is the gradient times the stack in float64, dx the transposed weight times
-    the gradient in its dtype, added tap by tap into a zero-padded buffer. The
-    backward keeps only the input and the weight alive, and stacks the taps
-    again for dw.
+    is the gradient times the stack of the input handed back, in float64, dx
+    the transposed weight times the gradient in its dtype, added tap by tap
+    into a zero-padded buffer.
     """
     kh, kw, s = spec.kernel_h, spec.kernel_w, spec.stride
     n, c_in, h, w = xd.shape
+    x_dtype = xd.dtype
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
     h_out, w_out = (h + 2 * ph - kh) // s + 1, (w + 2 * pw - kw) // s + 1
     one_tap = kh == kw == s == 1
@@ -653,24 +701,24 @@ def _conv_dense(xd: np.ndarray, spec: ConvSpec, wd: np.ndarray):
     taps = [(slice(u, u + s * h_out, s), slice(v, v + s * w_out, s))  # rows, columns of tap (u, v)
             for u in range(kh) for v in range(kw)]
 
-    def stack():
+    def stack(xd):
         if one_tap:
             return xd.reshape(n, c_in, h * w)
         xp = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else xd
         taps64 = np.stack([xp[:, :, rows, cols] for rows, cols in taps], axis=2, dtype=np.float64)
         return taps64.reshape(n, -1, h_out * w_out)
 
-    out = np.matmul(w2, stack(), dtype=np.float64)
+    out = np.matmul(w2, stack(xd), dtype=np.float64)
 
-    def grads(g, need_w, need_x):
+    def grads(g, xd, need_x):
         g2 = g.reshape(n, spec.out_channels, h_out * w_out)
-        dw = np.matmul(g2, stack().transpose(0, 2, 1), dtype=np.float64) if need_w else None
+        dw = None if xd is None else np.matmul(g2, stack(xd).transpose(0, 2, 1), dtype=np.float64)
         if not need_x:
             return dw, None
         if one_tap:
-            return dw, (w2.T @ g2).reshape(xd.shape).astype(xd.dtype, copy=False)
+            return dw, (w2.T @ g2).reshape(n, c_in, h, w).astype(x_dtype, copy=False)
         dtaps = (w2.T @ g2).reshape(n, c_in, len(taps), h_out, w_out)
-        dxp = np.zeros((n, c_in, h + 2 * ph, w + 2 * pw), xd.dtype)
+        dxp = np.zeros((n, c_in, h + 2 * ph, w + 2 * pw), x_dtype)
         for k, (rows, cols) in enumerate(taps):
             dxp[:, :, rows, cols] += dtaps[:, :, k]
         return dw, dxp[:, :, ph : ph + h, pw : pw + w]
@@ -694,21 +742,22 @@ def _conv_depthwise3(xd: np.ndarray, spec: ConvSpec, wd: np.ndarray):
     (2-u)*(W+2)+(2-v). dw is one float64 dot product of length H*W per row
     and tap.
 
-    The backward keeps only the input and the weight alive: it pads the input
-    again block by block and tiles the weight per row when it runs.
+    The backward keeps only the weight alive: it pads the input handed back
+    block by block and tiles the weight per row when it runs.
     """
     n, c, h, w = xd.shape
-    rows = xd.reshape(n * c, h, w)
+    rows, x_dtype = (n * c, h, w), xd.dtype  # one HxW row per (sample, channel)
     offsets = [u * (w + 2) + v for u in range(3) for v in range(3)]
     out = np.empty((n, c, h, w), np.result_type(xd, wd))
-    _correlate3(rows, np.tile(wd.reshape(c, 9).astype(np.float64), (n, 1)), offsets, out.reshape(rows.shape))
+    _correlate3(xd.reshape(rows), np.tile(wd.reshape(c, 9).astype(np.float64), (n, 1)), offsets,
+                out.reshape(rows))
 
-    def grads(g, need_w, need_x):
+    def grads(g, xd, need_x):
         dw = dx = None
-        g_rows = g.reshape(rows.shape)
-        if need_w:
+        g_rows = g.reshape(rows)
+        if xd is not None:
             dw = np.empty((n * c, 9))
-            for block, xp, shifted, g64 in _padded_blocks(rows, np.float64, (h * w, h * w)):
+            for block, xp, shifted, g64 in _padded_blocks(xd.reshape(rows), np.float64, (h * w, h * w)):
                 g64.reshape(-1, h, w)[...] = g_rows[block]
                 for k, start in enumerate(offsets):
                     tap = xp[:, start : start + h * (w + 2)].reshape(-1, h, w + 2)[:, :, :w]
@@ -716,9 +765,9 @@ def _conv_depthwise3(xd: np.ndarray, spec: ConvSpec, wd: np.ndarray):
                     dw[block, k] = np.matmul(shifted[:, None, :], g64[:, :, None])[:, 0, 0]
             dw = dw.reshape(n, c, 9)
         if need_x:
-            dx = np.empty(xd.shape, xd.dtype)
+            dx = np.empty((n, c, h, w), x_dtype)
             w9 = np.tile(wd.reshape(c, 9), (n, 1))
-            _correlate3(g_rows, w9, [offsets[-1] - start for start in offsets], dx.reshape(rows.shape))
+            _correlate3(g_rows, w9, [offsets[-1] - start for start in offsets], dx.reshape(rows))
         return dw, dx
 
     return out, grads
@@ -763,7 +812,10 @@ def _correlate3(src: np.ndarray, wts: np.ndarray, offsets: Sequence[int], out: n
 
 
 def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each spatial position across channels (biased variance), then affine."""
+    """Normalize each spatial position across channels (biased variance), then affine.
+
+    The backward keeps the normalized input, from which the output is rebuilt.
+    """
     c = x.shape[-3]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ConfigurationError(
@@ -774,9 +826,11 @@ def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-
     var = np.square(centered).mean(axis=-3, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
-    gamma3 = gamma.data[:, None, None]
-    out = gamma3 * xhat + beta.data[:, None, None]
+    gamma3, beta3 = gamma.data[:, None, None], beta.data[:, None, None]
     rx, rg, rb = x._record, gamma._record, beta._record
+
+    def affine():
+        return gamma3 * xhat + beta3
 
     def bw(g):
         if rb is not None:
@@ -790,7 +844,7 @@ def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-
             dx = inv_std * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
             _accumulate(rx, dx)
 
-    return _node(out, (x, gamma, beta), bw)
+    return _node(affine(), (x, gamma, beta), bw, recompute=affine)
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -806,35 +860,39 @@ def gelu(x: Tensor) -> Tensor:
 
     The backward keeps only the input and computes Phi(x) again.
     """
-    xd = x.data
-    out = xd * _gaussian_cdf(xd)
-    rx = x._record
+    rx, kx = x._record, _kept(x)
 
     def bw(g):
+        xd = _rebuilt(kx)
         pdf = np.exp(-0.5 * np.square(xd)) * _INV_SQRT_2PI
         _accumulate(rx, g * (_gaussian_cdf(xd) + xd * pdf))
 
-    return _node(out.astype(xd.dtype, copy=False), (x,), bw)
+    return _node(_gelu(x.data), (x,), bw)
+
+
+def _gelu(xd: np.ndarray) -> np.ndarray:
+    """GELU of an array, in its dtype."""
+    return (xd * _gaussian_cdf(xd)).astype(xd.dtype, copy=False)
 
 
 def gelu_mul(a: Tensor, b: Tensor) -> Tensor:
     """``gelu(a) * b`` as one node, bit for bit ``mul(gelu(a), b)``.
 
-    The backward keeps only ``a`` and ``b``, and computes gelu(a) and Phi(a) again.
+    The backward keeps only ``a`` and ``b``, and computes gelu(a) and Phi(a)
+    again; the output is rebuilt from them.
     """
-    ad, bd = a.data, b.data
-    out = (ad * _gaussian_cdf(ad)).astype(ad.dtype, copy=False) * bd
-    ra, rb = a._record, b._record
+    ra, rb, ka, kb, a_shape, b_shape = a._record, b._record, _kept(a), _kept(b), a.shape, b.shape
 
     def bw(g):
+        ad, bd = _rebuilt(ka), _rebuilt(kb)
         cdf = _gaussian_cdf(ad)
         if ra is not None:
             pdf = np.exp(-0.5 * np.square(ad)) * _INV_SQRT_2PI
-            _accumulate(ra, _unbroadcast(g * bd, ad.shape) * (cdf + ad * pdf))
+            _accumulate(ra, _unbroadcast(g * bd, a_shape) * (cdf + ad * pdf))
         if rb is not None:
-            _accumulate(rb, _unbroadcast(g * (ad * cdf).astype(ad.dtype, copy=False), bd.shape))
+            _accumulate(rb, _unbroadcast(g * (ad * cdf).astype(ad.dtype, copy=False), b_shape))
 
-    return _node(out, (a, b), bw)
+    return _node(_gelu(a.data) * b.data, (a, b), bw, recompute=lambda: _gelu(_rebuilt(ka)) * _rebuilt(kb))
 
 
 def simple_gate(x: Tensor) -> Tensor:
@@ -843,14 +901,16 @@ def simple_gate(x: Tensor) -> Tensor:
     if c % 2:
         raise ConfigurationError(f"simple_gate needs an even channel count, got {c}")
     half = c // 2
-    first, second = x.data[..., :half, :, :], x.data[..., half:, :, :]
-    out = first * second
-    rx = x._record
+    rx, kx = x._record, _kept(x)
+
+    def halves(xd):
+        return xd[..., :half, :, :], xd[..., half:, :, :]
 
     def bw(g):
+        first, second = halves(_rebuilt(kx))
         _accumulate(rx, np.concatenate([g * second, g * first], axis=-3))
 
-    return _node(out, (x,), bw)
+    return _node(np.multiply(*halves(x.data)), (x,), bw, recompute=lambda: np.multiply(*halves(_rebuilt(kx))))
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

@@ -103,6 +103,12 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
 
+    def moments(self, p: Parameter) -> tuple[np.ndarray, np.ndarray]:
+        """``p``'s first and second moments, made zero the first time they are asked for."""
+        if p.name not in self.m:
+            self.m[p.name], self.v[p.name] = np.zeros_like(p.data), np.zeros_like(p.data)
+        return self.m[p.name], self.v[p.name]
+
 
 def adam_step(
     params: Sequence[Parameter],
@@ -123,8 +129,7 @@ def adam_update(p: Parameter, state: AdamState, lr: float, beta1: float, beta2: 
     """Adam's update of one parameter at step ``state.step``, in place; a missing gradient counts as zero."""
     t = state.step
     g = p.grad if p.grad is not None else np.zeros_like(p.data)
-    m = state.m.setdefault(p.name, np.zeros_like(p.data))
-    v = state.v.setdefault(p.name, np.zeros_like(p.data))
+    m, v = state.moments(p)
     step, denom = np.empty_like(p.data), np.empty_like(p.data)
     m *= beta1
     m += np.multiply(g, 1.0 - beta1, out=step)
@@ -241,8 +246,7 @@ def train(
                 )
             state.step += 1
             for p in params:  # the moments' order is the parameters' order, as adam_step makes it
-                state.m.setdefault(p.name, np.zeros_like(p.data))
-                state.v.setdefault(p.name, np.zeros_like(p.data))
+                state.moments(p)
             pending = {id(p): p for p in params}
 
             def update(p: Parameter) -> None:

@@ -109,6 +109,46 @@ def test_non_positive_blur_sigma_is_runtime_error(tmp_path, capsys, sigma_min):
     assert not (tmp_path / "data" / "manifest.txt").exists()
 
 
+@pytest.mark.parametrize("kind", ["motion", "mixed"])
+def test_motion_blur_too_short_for_its_kernel_is_runtime_error(tmp_path, capsys, kind):
+    # A 1-tap motion kernel used to end in numpy's "low >= high" traceback.
+    cfg = write_config(tmp_path / "bad.cfg", count=2, kernel_kind=kind, kernel_size=1)
+    assert main(["datagen", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 1
+    assert "kernel_size" in _assert_one_error_line(capsys)
+    assert not (tmp_path / "data" / "manifest.txt").exists()
+
+
+def test_out_of_memory_is_runtime_error(tmp_path, capsys, monkeypatch):
+    # A corpus too large to allocate used to end in a MemoryError traceback.
+    import frenet.cli as cli
+
+    def too_large(**kwargs):
+        raise MemoryError("Unable to allocate 64.0 TiB for an array")
+
+    monkeypatch.setattr(cli, "gen_dataset", too_large)
+    cfg = write_config(tmp_path / "data.cfg", count=2)
+    assert main(["datagen", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 1
+    assert "out of memory" in _assert_one_error_line(capsys)
+
+
+def test_image_size_other_than_twice_base_size_is_refused_when_the_config_loads(tmp_path, capsys):
+    # The corpus would be written, and train would refuse it only afterwards.
+    cfg = write_config(tmp_path / "bad.cfg", count=2, image_size=32)  # base_size = 32 packs 64
+    assert main(["datagen", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 1
+    assert "image_size" in _assert_one_error_line(capsys)
+    assert not (tmp_path / "data").exists()
+
+
+def test_shipped_paper_config_runs_through_datagen_and_train(tmp_path, capsys):
+    # configs/frenet.cfg as shipped, but for a 2-pair corpus and one step at batch 1.
+    cfg = write_config(tmp_path / "frenet.cfg", "frenet", count=2, batch=1, max_steps=1)
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert main(["datagen", "--config", str(cfg), "--out", str(data)]) == 0
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(run)]) == 0
+    assert "done: 1 steps" in capsys.readouterr().out
+    assert (run / "final.fckpt").exists()
+
+
 # Each used to end in a traceback: a shift by a negative or a huge count, or
 # numpy refusing to allocate a weight of the shape the config asks for.
 HOSTILE_NETWORK_VALUES = [
@@ -121,7 +161,9 @@ HOSTILE_NETWORK_VALUES = [
 
 @pytest.mark.parametrize("key, raw", HOSTILE_NETWORK_VALUES)
 def test_hostile_network_config_is_runtime_error(tmp_path, capsys, key, raw):
-    path = write_config(tmp_path / "bad.cfg", **{key: raw})
+    # image_size follows base_size, so that the network itself meets the hostile value
+    sizes = {"image_size": 2 * int(raw)} if key == "base_size" else {}
+    path = write_config(tmp_path / "bad.cfg", **{key: raw}, **sizes)
     assert main(["analyze", "--config", str(path)]) == 1
     _assert_one_error_line(capsys)
 

@@ -1,5 +1,6 @@
 import importlib
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -253,6 +254,15 @@ class TestTrainLoop:
             assert np.array_equal(p.data, plain.parameters()[name].data), name
             assert np.array_equal(got.m[name], want.m[name]) and np.array_equal(got.v[name], want.v[name])
         assert not np.any(got.m["idle"]) and np.array_equal(swept.idle.data, np.linspace(-1, 1, 5, dtype=np.float32))
+
+    def test_adam_moments_are_made_once_per_parameter(self, monkeypatch):
+        # train() and adam_update used to zero-fill both moments of every parameter on
+        # every step, as dict.setdefault's default, and throw the arrays away.
+        net = build_frenet(tiny_config(base_size=8), seed=2)
+        params, made, zeros_like = {id(p.data) for p in net.parameters().values()}, [], np.zeros_like
+        monkeypatch.setattr(np, "zeros_like", lambda a, *args, **kw: made.append(id(a)) or zeros_like(a, *args, **kw))
+        train(net, tiny_corpus(count=6, size=16), TrainConfig(epochs=1, batch=2, val_count=0, seed=9), val_pairs=[])
+        assert Counter(i for i in made if i in params) == dict.fromkeys(params, 2)
 
     def test_gradients_do_not_pile_up(self, monkeypatch):
         # each parameter is updated, and its gradient dropped, as soon as the sweep reaches it
