@@ -20,7 +20,7 @@ import math
 import os
 import struct
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -144,11 +144,8 @@ def save_checkpoint(path: str | Path, net, adam=None, step: int = 0,
                 moments.append((f"adam.m.{name}", adam.m[name]))
                 moments.append((f"adam.v.{name}", adam.v[name]))
         step = adam.step
-    # Write beside the target, then rename over it: a crash mid-write leaves
-    # the previous checkpoint intact.
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
+
+    def write(tmp: Path) -> None:
         with open(tmp, "wb") as fh:
             fh.write(CKPT_MAGIC)
             fh.write(struct.pack("<I", len(params)))
@@ -162,6 +159,24 @@ def save_checkpoint(path: str | Path, net, adam=None, step: int = 0,
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)
             fh.write(hashlib.sha256(encoded).digest())
+
+    _publish(Path(path), write)
+
+
+def link_checkpoint(src: str | Path, path: str | Path) -> None:
+    """Publish ``path`` as a hard link of the checkpoint ``src``: its bytes, none written again.
+
+    Raises OSError where the file system cannot link, and leaves ``path`` as it was.
+    """
+    _publish(Path(path), lambda tmp: os.link(src, tmp))
+
+
+def _publish(path: Path, fill: Callable[[Path], None]) -> None:
+    """Make ``path`` by ``fill(tmp)`` on a file beside it, then rename it over
+    ``path``: a crash midway leaves the previous file intact."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        fill(tmp)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)  # gone after a successful replace

@@ -9,11 +9,12 @@ time the arrays and shapes its backward reads, and an op output that no
 backward reads is freed as soon as the forward drops it.
 
 An elementwise op (``mul``, ``simple_gate``, ``gelu_mul``, the norm's affine
-map, AFPM's ``patch_scale``, and ``add`` of two such outputs) also gives its
-output a recompute function: it returns the output again, bit for bit, from
-arrays that the op's backward keeps anyway. A backward that reads an input
-keeps the input's recompute function when it has one, and the array
-otherwise, so such an output dies with the forward as well.
+map, AFPM's ``patch_scale``, and ``add`` of two such outputs) and a 1x1
+``conv2d`` at stride 1 also give their output a recompute function: it
+returns the output again, bit for bit, from arrays that the op's backward
+keeps anyway and parameter buffers. A backward that reads an input keeps the
+input's recompute function when it has one, and the array otherwise, so such
+an output dies with the forward as well.
 
 The graph lives only for one forward/backward pass and is never
 shared between threads. ``backward()`` frees it record by record as it
@@ -128,7 +129,11 @@ class Tensor:
         Accumulates ``grad`` on every leaf in the graph that requires gradients.
         Inside ``on_leaf(fn)`` it calls ``fn(leaf)`` when the sweep reaches a
         leaf that holds a gradient: every consumer of the leaf comes first in
-        the sweep, so that gradient is final, and ``fn`` may drop it.
+        the sweep, so that gradient is final, and ``fn`` may drop it. A leaf is
+        reached right after one of its consumers (its only one, for a parameter
+        read once), not after everything upstream of them, so few gradients
+        are held at once. Leaves have no parents, so the op records are swept
+        in the order they would be if leaves were walked like other parents.
         Once an op's record has passed its gradient on, it drops its ``grad``,
         parents and closure, so the arrays the closure kept alive are freed by
         reference count during the sweep. A freed record raises
@@ -150,9 +155,12 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
+            # Leaves go under the op parents, so a leaf is swept right after a
+            # consumer, not after everything upstream of it.
+            for leaves in (True, False):
+                for parent in node._parents:
+                    if (parent._backward is None) is leaves and id(parent) not in seen:
+                        stack.append((parent, False))
         root.grad = np.ones((), dtype=self.data.dtype)
         hook = _on_leaf.get()
         rebuilt: dict[int, np.ndarray] = {}  # what recompute functions returned in one node's backward
@@ -321,8 +329,14 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.nd
     The record keeps the records of the parents that take a gradient and
     ``backward``, which must capture arrays and records, never a Tensor. A
     result with a record also gets ``recompute``, which may use only what
-    ``backward`` keeps, parameter buffers, and the recompute functions of the
-    inputs.
+    ``backward`` keeps, the buffers of its own parameters, and the recompute
+    functions of the inputs.
+
+    A recompute runs only in the backward of a consumer of the result, and a
+    training step updates each parameter in place when ``backward()``
+    reaches it (``on_leaf``). The sweep reaches a consumer's backward before
+    its producer's and the producer's before the producer's parameters, so a
+    recompute always reads a parameter buffer before that update.
     """
     out = Tensor(data)
     if _recording.get():
@@ -621,6 +635,8 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None = None
     depthwise and the dense 2x2 and 3x3 kinds differ by a few ulps. The
     backward keeps only the input (or its recompute function) and the weight
     alive, and hands the kernel the input again for the weight gradient.
+    A 1x1 conv at stride 1 gives its output a recompute function that runs
+    the same GEMM again on that input, with the same weight and bias.
     """
     if x.data.ndim < 3:
         raise ConfigurationError(f"conv2d expects CxHxW input or a batch of them, got shape {x.shape}")
@@ -637,12 +653,16 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None = None
     if h % spec.stride or w % spec.stride:
         raise ConfigurationError(f"spatial dims {h}x{w} not divisible by stride {spec.stride}")
 
-    out, grads = _conv_kernel(spec)(x.data.reshape(-1, c_in, h, w), spec, weight.data)
-    out = out.astype(np.result_type(x.data, weight.data), copy=False)
-    if bias is not None:
-        out += bias.data[:, None, None]
-    out = out.reshape(lead + out.shape[1:])
+    kernel, wd, bd = _conv_kernel(spec), weight.data, None if bias is None else bias.data
 
+    def run(xd):
+        out, grads = kernel(xd.reshape(-1, c_in, h, w), spec, wd)
+        out = out.astype(np.result_type(xd, wd), copy=False)
+        if bd is not None:
+            out += bd[:, None, None]
+        return out.reshape(lead + out.shape[1:]), grads
+
+    out, grads = run(x.data)
     parents = (x, weight) if bias is None else (x, weight, bias)
     rx, rw, rb = x._record, weight._record, None if bias is None else bias._record
     kx, x_shape, w_shape = _kept(x), x.shape, weight.shape
@@ -659,7 +679,9 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None = None
         if rb is not None:
             _accumulate(rb, _sum_batch(g.sum(axis=(-2, -1)), 1))
 
-    return _node(out, parents, bw, "conv2d", spec)
+    one_by_one = spec.kernel_h == spec.kernel_w == spec.stride == 1
+    recompute = (lambda: run(_rebuilt(kx))[0]) if one_by_one else None
+    return _node(out, parents, bw, "conv2d", spec, recompute)
 
 
 def _conv_kernel(spec: ConvSpec):

@@ -188,9 +188,11 @@ def train(
     A step updates each parameter inside the backward sweep, as soon as its
     gradient is final, and drops the gradient; the parameters the sweep does
     not reach are updated after it with a zero gradient. Bit for bit, that is
-    ``backward()`` followed by ``adam_step``.
+    ``backward()`` followed by ``adam_step``. A checkpoint of the state the
+    last one was written at, such as ``final.fckpt`` right after
+    ``best.fckpt``, is a hard link of that file where the file system allows.
     """
-    from .fileio import save_checkpoint
+    from .fileio import link_checkpoint, save_checkpoint
 
     cfg.validate()
     if not corpus:
@@ -218,8 +220,18 @@ def train(
         if log is not None:
             log(text)
 
+    written: tuple[int, Path] | None = None  # the step and path of the last checkpoint written
+
     def write_ckpt(path: Path) -> None:
+        nonlocal written
+        if written is not None and written[0] == state.step:  # that file holds these bytes
+            try:
+                link_checkpoint(written[1], path)
+                return
+            except OSError:  # no hard link possible: write the bytes again
+                pass
         save_checkpoint(path, net, adam=state, step=state.step, preprocess=preprocess)
+        written = (state.step, path)
 
     step_losses: list[float] = []
     val_history: list[float] = []

@@ -425,6 +425,17 @@ RECOMPUTES = {
     "add": lambda leaf: add(mul(leaf(_IMAGE), leaf((4, 1, 1))), simple_gate(leaf((2, 8, 8, 8)))),
     "patch_scale-of-gated": lambda leaf: patch_scale(simple_gate(leaf((2, 8, 8, 8))), leaf((2, 16, 4)),
                                                      _GRID),
+    "conv2d-1x1": lambda leaf: conv2d(leaf(_IMAGE), ConvSpec(4, 6, 1, 1), leaf((6, 4, 1, 1)), leaf((6,))),
+    "conv2d-1x1-unbatched": lambda leaf: conv2d(leaf(_IMAGE[1:]), ConvSpec(4, 6, 1, 1), leaf((6, 4, 1, 1))),
+    "conv2d-1x1-of-gated": lambda leaf: conv2d(simple_gate(leaf((2, 8, 8, 8))), ConvSpec(4, 6, 1, 1),
+                                               leaf((6, 4, 1, 1)), leaf((6,))),
+}
+
+# Convs whose output the tape keeps when a backward reads it: only a 1x1 at stride 1 rebuilds.
+NOT_REBUILT = {
+    "conv2d-3x3": lambda leaf: conv2d(leaf(_IMAGE), ConvSpec(4, 6, 3, 3), leaf((6, 4, 3, 3)), leaf((6,))),
+    "conv2d-2x2-stride-2": lambda leaf: conv2d(leaf(_IMAGE), ConvSpec(4, 8, 2, 2, stride=2), leaf((8, 4, 2, 2))),
+    "conv2d-depthwise": lambda leaf: conv2d(leaf(_IMAGE), ConvSpec(4, 4, 3, 3, groups=4), leaf((4, 1, 3, 3))),
 }
 
 # Each op that keeps an input for its backward, applied to a rebuildable input ``x``.
@@ -458,6 +469,11 @@ class TestRecompute:
         again = out._recompute()
         assert again.dtype == out.data.dtype and np.array_equal(again, out.data)
         assert not np.shares_memory(again, out.data)
+
+    @pytest.mark.parametrize("op", list(NOT_REBUILT))
+    def test_none_for_a_conv_other_than_1x1(self, op):
+        out = NOT_REBUILT[op](_leaves(26))
+        assert out._backward is not None and out._recompute is None
 
     @pytest.mark.parametrize("op", list(RECOMPUTES))
     def test_none_without_a_record(self, op):
@@ -692,9 +708,12 @@ class TestBackwardFreesTheTape:
 
     def test_outputs_no_backward_reads_die_with_the_forward_without_gc(self, monkeypatch):
         # Dead after the forward: the spectral ops' outputs, which no backward reads,
-        # and four arrays per block that the tape rebuilds: the norm output (conv_in's
-        # input), the gated map (simple_gate's), the fused branches (conv_out's input)
-        # and the FFN gate product (proj's input). Every other conv input stays alive.
+        # and seven arrays per block that the tape rebuilds: the norm output (conv_in's
+        # input), conv_in's output (the FACM depthwise's input), the gated map
+        # (simple_gate's), the fused branches (conv_out's input), the two FFN expands
+        # (the branch depthwises' inputs) and the FFN gate product (proj's input);
+        # and the last Up's output, the final conv's input. Every other conv input
+        # stays alive.
         net, x, _ = self._net_and_batch()
         dead_after, rebuilt, alive_after = [], [], []
 
@@ -716,7 +735,9 @@ class TestBackwardFreesTheTape:
                              (spectral, "slice_channels"), (arch, "ifft2d")):
             tracked(module, name, dead_after)
         tracked(arch, "simple_gate", rebuilt)
-        rebuilt_inputs = ("facm.conv_in.weight", "facm.conv_out.weight", "ffn.proj.weight")
+        rebuilt_inputs = ("facm.conv_in.weight", "facm.dw.weight", "facm.conv_out.weight",
+                          "ffn.branch1.dw.weight", "ffn.branch2.dw.weight", "ffn.proj.weight",
+                          "final.weight")
 
         def record(op, label, out, parents, spec):
             if op == "conv2d":
@@ -729,7 +750,7 @@ class TestBackwardFreesTheTape:
             with observe(record):
                 out = net.forward(x)
             assert out.requires_grad and len(dead_after) > 40 and len(alive_after) > 10
-            assert len(rebuilt) == 4 * len(list(net.blocks()))
+            assert len(rebuilt) == 7 * len(list(net.blocks())) + 1
             assert [r for r in dead_after + rebuilt if r() is not None] == []
             assert [r for r in alive_after if r() is None] == []
         finally:
@@ -778,7 +799,8 @@ class TestBackwardFreesTheTape:
     def test_frenet_tape_bytes_are_pinned(self):
         # Bytes of the arrays the graph of one `frenet` forward keeps alive, found through
         # every backward closure and what it captures, parameter buffers left out. The
-        # figure was 7,242,032 while the tape kept the four rebuildable arrays per block.
+        # figure was 7,242,032 while the tape kept the four elementwise-rebuildable arrays
+        # per block, and 5,472,560 while it kept the outputs of the 1x1 convs.
         net = build_frenet(NetworkConfig(name="frenet", base_size=16), seed=0)
         x = Tensor(np.random.default_rng(0).uniform(0, 1, (1, 4, 16, 16)).astype(np.float32))
         out = net.forward(x)
@@ -802,7 +824,7 @@ class TestBackwardFreesTheTape:
             for arr in (v for v in _captured(node._backward) if isinstance(v, np.ndarray)):
                 buffers[id(owner(arr))] = owner(arr).nbytes
             todo.extend(node._parents)
-        assert sum(size for key, size in buffers.items() if key not in params) == 5_472_560
+        assert sum(size for key, size in buffers.items() if key not in params) == 3_639_600
 
     def test_second_backward_through_a_freed_graph_raises(self):
         net, x, target = self._net_and_batch()
@@ -818,6 +840,41 @@ class TestBackwardFreesTheTape:
         assert pred.requires_grad and pred._parents == ()
         with pytest.raises(EvaluationError, match="freed"):
             loss_total(pred, target, 0.0).backward()
+
+
+def _old_sweep(root):
+    """The op records in the order ``backward()`` swept them when its walk pushed
+    every node's parents in their own order, leaves among them."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        stack.extend((parent, False) for parent in node._parents if id(parent) not in seen)
+    return [node for node in reversed(order) if node._backward is not None]
+
+
+class TestSweepOrder:
+    @pytest.mark.parametrize("cfg, batch", [(tiny_config(), 4), (NetworkConfig(name="frenet", base_size=16), 1)],
+                             ids=["tiny", "frenet"])
+    def test_op_records_are_swept_in_the_old_order(self, cfg, batch):
+        # Leaves now go right after a consumer; the op records, and so every
+        # gradient's arithmetic, keep the order of the old walk.
+        net = build_frenet(cfg, seed=5)
+        rng = np.random.default_rng(6)
+        x, target = (Tensor(rng.uniform(0, 1, (batch, 4, cfg.base_size, cfg.base_size)).astype(np.float32))
+                     for _ in range(2))
+        loss = loss_total(net.forward(x), target, 0.01)
+        want, swept = _old_sweep(loss._node), []
+        for node in want:
+            node._backward = lambda g, node=node, inner=node._backward: swept.append(node) or inner(g)
+        loss.backward()
+        assert len(want) > 100 and [id(n) for n in swept] == [id(n) for n in want]
 
 
 class TestLinear:

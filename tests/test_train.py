@@ -1,4 +1,5 @@
 import importlib
+import os
 import threading
 from collections import Counter
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frenet.arch import build_frenet, tiny_config
+from frenet.arch import NetworkConfig, build_frenet, tiny_config
+from frenet.fileio import save_checkpoint
 from frenet.rawdata import PreprocessSpec, gen_dataset
 from frenet.tensor import ConfigurationError, EvaluationError, Parameter, Tensor, no_grad, observe
 from frenet.train import (
@@ -215,10 +217,19 @@ class TestTrainLoop:
         assert all(p.grad is None for p in net.parameters().values())
 
     def test_steps_in_the_sweep_equal_backward_then_adam_step(self, monkeypatch):
+        self._sweep_equals_backward_then_adam_step(monkeypatch, tiny_config(base_size=8))
+
+    def test_steps_in_the_sweep_equal_backward_then_adam_step_on_frenet(self, monkeypatch):
+        # the backward rebuilds 1x1 conv outputs from their weights, which must happen
+        # before the sweep updates those weights
+        self._sweep_equals_backward_then_adam_step(monkeypatch, NetworkConfig(name="frenet", base_size=16))
+
+    @staticmethod
+    def _sweep_equals_backward_then_adam_step(monkeypatch, net_cfg):
         # ``idle`` is a parameter the loss never reads: it takes Adam's zero-gradient update
         class WithIdle:
             def __init__(self, seed):
-                self.net = build_frenet(tiny_config(base_size=8), seed=seed)
+                self.net = build_frenet(net_cfg, seed=seed)
                 self.idle = Parameter("idle", np.linspace(-1, 1, 5, dtype=np.float32))
 
             def parameters(self):
@@ -231,7 +242,7 @@ class TestTrainLoop:
             def forward(self, x):
                 return self.net.forward(x)
 
-        corpus = tiny_corpus(count=6, size=16)
+        corpus = tiny_corpus(count=6, size=2 * net_cfg.base_size)
         cfg = TrainConfig(epochs=1, batch=3, val_count=0, seed=9, lr0=0.01)
         module, states = importlib.import_module("frenet.train"), []
         monkeypatch.setattr(module, "AdamState", lambda: states.append(AdamState()) or states[-1])
@@ -265,9 +276,20 @@ class TestTrainLoop:
         assert Counter(i for i in made if i in params) == dict.fromkeys(params, 2)
 
     def test_gradients_do_not_pile_up(self, monkeypatch):
-        # each parameter is updated, and its gradient dropped, as soon as the sweep reaches it
-        corpus = tiny_corpus(count=4, size=32)
-        net = build_frenet(tiny_config(), seed=1)
+        self._at_most_two_gradients_held(monkeypatch, tiny_config(), batch=4, count=166)
+
+    def test_gradients_do_not_pile_up_on_frenet(self, monkeypatch):
+        self._at_most_two_gradients_held(monkeypatch, NetworkConfig(name="frenet", base_size=16), batch=1, count=742)
+
+    @staticmethod
+    def _at_most_two_gradients_held(monkeypatch, cfg, batch, count):
+        # Each parameter is updated, and its gradient dropped, as soon as the sweep
+        # reaches it, right after its op's backward: at most a conv's weight and bias
+        # are held at once. backward() then adam_step would hold every gradient; a
+        # sweep that reached each leaf after all that is upstream of its op held 52
+        # on tiny and 224 on frenet.
+        corpus = tiny_corpus(count=batch, size=2 * cfg.base_size)
+        net = build_frenet(cfg, seed=1)
         params = list(net.parameters().values())
         module, held = importlib.import_module("frenet.train"), []
         update = module.adam_update
@@ -277,9 +299,41 @@ class TestTrainLoop:
             return update(p, *args)
 
         monkeypatch.setattr(module, "adam_update", counting)
-        train(net, corpus, TrainConfig(epochs=1, batch=4, max_steps=1, val_count=0, seed=1), val_pairs=[])
-        assert len(held) == len(params) == 166
-        assert max(held) < len(params) // 3  # backward() then adam_step would hold all 166
+        train(net, corpus, TrainConfig(epochs=1, batch=batch, max_steps=1, val_count=0, seed=1), val_pairs=[])
+        assert len(held) == len(params) == count
+        assert max(held) <= 2
+
+    def test_final_checkpoint_links_the_best_one_written_at_the_same_step(self, tmp_path, monkeypatch):
+        module, states = importlib.import_module("frenet.train"), []
+        monkeypatch.setattr(module, "AdamState", lambda: states.append(AdamState()) or states[-1])
+        net = build_frenet(tiny_config(base_size=8), seed=3)
+        train(net, tiny_corpus(count=6, size=16), TrainConfig(epochs=1, batch=2, val_count=2, seed=3),
+              out_dir=tmp_path)
+        save_checkpoint(tmp_path / "fresh.fckpt", net, adam=states[0])
+        assert (tmp_path / "final.fckpt").samefile(tmp_path / "best.fckpt")
+        assert (tmp_path / "final.fckpt").read_bytes() == (tmp_path / "fresh.fckpt").read_bytes()
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["best.fckpt", "final.fckpt", "fresh.fckpt",
+                                                              "training.log"]
+
+    @pytest.mark.parametrize("scores, no_links", [([2.0, 1.0], False), ([1.0, 2.0], True)],
+                             ids=["last validation not the best", "no hard links"])
+    def test_final_checkpoint_is_written_when_it_cannot_link(self, tmp_path, monkeypatch, scores, no_links):
+        module, states = importlib.import_module("frenet.train"), []
+        monkeypatch.setattr(module, "AdamState", lambda: states.append(AdamState()) or states[-1])
+        scores = iter(scores)
+        monkeypatch.setattr(module, "validation_psnr", lambda *args: next(scores))
+        if no_links:
+            def no_link(src, dst):
+                raise OSError("hard links not supported")
+            monkeypatch.setattr(os, "link", no_link)
+        net = build_frenet(tiny_config(base_size=8), seed=3)
+        train(net, tiny_corpus(count=6, size=16), TrainConfig(epochs=2, batch=2, val_count=2, seed=3),
+              out_dir=tmp_path)
+        save_checkpoint(tmp_path / "fresh.fckpt", net, adam=states[0])
+        assert not (tmp_path / "final.fckpt").samefile(tmp_path / "best.fckpt")
+        assert (tmp_path / "final.fckpt").read_bytes() == (tmp_path / "fresh.fckpt").read_bytes()
+        assert ((tmp_path / "best.fckpt").read_bytes() == (tmp_path / "fresh.fckpt").read_bytes()) is no_links
+        assert not any(f.name.endswith(".tmp") for f in tmp_path.iterdir())
 
     def test_empty_corpus_rejected(self):
         net = build_frenet(tiny_config(base_size=8), seed=7)
