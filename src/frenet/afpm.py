@@ -17,7 +17,6 @@ import numpy as np
 
 from .tensor import (
     ConfigurationError,
-    Parameter,
     Tensor,
     _accumulate,
     _kept,
@@ -27,7 +26,7 @@ from .tensor import (
     add,
     gelu,
     linear,
-    uniform,
+    parameter,
 )
 
 KBG_HIDDEN = 16
@@ -82,13 +81,12 @@ def make_patch_grid(h: int, w: int, target: int = 8) -> PatchGrid:
 class KernelBiasGenerator:
     """Two linear layers with a GELU in between, mapping a distance to out_dim values."""
 
-    def __init__(self, prefix: str, rng: np.random.Generator | None, out_dim: int,
-                 hidden: int = KBG_HIDDEN):
+    def __init__(self, prefix: str, out_dim: int, hidden: int = KBG_HIDDEN):
         self.out_dim = out_dim
-        self.w1 = Parameter(f"{prefix}.w1", uniform(rng, 1.0, (hidden, 1)))
-        self.b1 = Parameter(f"{prefix}.b1", np.zeros(hidden, dtype=np.float32))
-        self.w2 = Parameter(f"{prefix}.w2", uniform(rng, 1.0 / math.sqrt(hidden), (out_dim, hidden)))
-        self.b2 = Parameter(f"{prefix}.b2", np.zeros(out_dim, dtype=np.float32))
+        self.w1 = parameter(f"{prefix}.w1", (hidden, 1), bound=1.0)
+        self.b1 = parameter(f"{prefix}.b1", (hidden,))
+        self.w2 = parameter(f"{prefix}.w2", (out_dim, hidden), bound=1.0 / math.sqrt(hidden))
+        self.b2 = parameter(f"{prefix}.b2", (out_dim,))
 
     def __call__(self, distances: np.ndarray) -> Tensor:
         """Evaluate the generator for an array of distances; returns distances.shape + (out_dim,)."""
@@ -139,7 +137,7 @@ def patch_weighted_sum(x: Tensor, kernels: Tensor, grid: PatchGrid) -> Tensor:
             dx = np.einsum("...ijpq,...ijc->...cipjq", _rebuilt(kk).reshape(kview_shape), gv, optimize=True)
             _accumulate(rx, dx.reshape(x_shape))
 
-    return _node(np.ascontiguousarray(out), (x, kernels), bw)
+    return _node(np.ascontiguousarray(out), (x, kernels), bw, "patch_weighted_sum")
 
 
 def patch_scale(x: Tensor, factors: Tensor, grid: PatchGrid) -> Tensor:
@@ -170,7 +168,7 @@ def patch_scale(x: Tensor, factors: Tensor, grid: PatchGrid) -> Tensor:
         if rx is not None:
             _accumulate(rx, (gp * fview(_rebuilt(kf))).reshape(x_shape))
 
-    return _node(scaled(x.data, factors.data), (x, factors), bw,
+    return _node(scaled(x.data, factors.data), (x, factors), bw, "patch_scale",
                  recompute=lambda: scaled(_rebuilt(kx), _rebuilt(kf)))
 
 
@@ -183,20 +181,18 @@ class Afpm:
     not built and the aggregation degrades to fixed per-patch average pooling.
     """
 
-    def __init__(self, prefix: str, rng: np.random.Generator | None, channels: int,
-                 grid: PatchGrid, adaptive: bool = True):
+    def __init__(self, prefix: str, channels: int, grid: PatchGrid, adaptive: bool = True):
         self.grid = grid
         self.adaptive = adaptive
         patch_len = grid.patch_h * grid.patch_w
         self.kernel_kbg = None
         self.bias_kbg = None
         if adaptive:
-            self.kernel_kbg = KernelBiasGenerator(f"{prefix}.kernel_kbg", rng, out_dim=patch_len)
-            self.bias_kbg = KernelBiasGenerator(f"{prefix}.bias_kbg", rng, out_dim=1)
-        self.proj_weight = Parameter(
-            f"{prefix}.proj.weight", uniform(rng, 1.0 / math.sqrt(channels), (channels, channels, 1, 1))
-        )
-        self.proj_bias = Parameter(f"{prefix}.proj.bias", np.zeros(channels, dtype=np.float32))
+            self.kernel_kbg = KernelBiasGenerator(f"{prefix}.kernel_kbg", out_dim=patch_len)
+            self.bias_kbg = KernelBiasGenerator(f"{prefix}.bias_kbg", out_dim=1)
+        self.proj_weight = parameter(f"{prefix}.proj.weight", (channels, channels, 1, 1),
+                                     bound=1.0 / math.sqrt(channels))
+        self.proj_bias = parameter(f"{prefix}.proj.bias", (channels,))
 
     def _project(self, aggregated: Tensor) -> Tensor:
         # The 1x1 projection acts on Cx1x1 vectors; over the patch batch that

@@ -38,10 +38,10 @@ from .tensor import (
     is_power_of_two,
     layer_norm_channels,
     mul,
-    parameters_of,
+    parameter,
+    parameter_buffer,
     section,
     simple_gate,
-    uniform,
 )
 
 # Published efficiency figures for the preset configs (params, conv MACs on the
@@ -137,32 +137,23 @@ def tiny_config(base_size: int = 16, **overrides) -> NetworkConfig:
 class Conv:
     """Convolution layer owning its spec, weight, and optional bias."""
 
-    def __init__(self, prefix: str, rng: np.random.Generator | None, spec: ConvSpec):
+    def __init__(self, prefix: str, spec: ConvSpec):
         self.spec = spec
         # Fan-in uniform bound 1/sqrt(fan_in); the gated/multiplicative blocks blow
         # up under hotter schemes.
         fan_in = (spec.in_channels // spec.groups) * spec.kernel_h * spec.kernel_w
-        self.weight = Parameter(
-            f"{prefix}.weight", uniform(rng, 1.0 / math.sqrt(fan_in), spec.weight_shape)
-        )
-        self.bias = (
-            Parameter(f"{prefix}.bias", np.zeros(spec.out_channels, dtype=np.float32))
-            if spec.has_bias
-            else None
-        )
+        self.weight = parameter(f"{prefix}.weight", spec.weight_shape, bound=1.0 / math.sqrt(fan_in))
+        self.bias = parameter(f"{prefix}.bias", (spec.out_channels,)) if spec.has_bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
         return conv2d(x, self.spec, self.weight, self.bias)
 
 
 class LayerNormChannels:
-    def __init__(self, prefix: str, rng: np.random.Generator | None, channels: int,
-                 eps: float = 1e-5):
+    def __init__(self, prefix: str, channels: int, eps: float = 1e-5):
         self.eps = eps
-        # unit scale, or zero like every parameter of a network built without an rng
-        scale = 0.0 if rng is None else 1.0
-        self.gamma = Parameter(f"{prefix}.gamma", np.full(channels, scale, dtype=np.float32))
-        self.beta = Parameter(f"{prefix}.beta", np.zeros(channels, dtype=np.float32))
+        self.gamma = parameter(f"{prefix}.gamma", (channels,), fill=1.0)
+        self.beta = parameter(f"{prefix}.beta", (channels,))
 
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm_channels(x, self.gamma, self.beta, self.eps)
@@ -171,8 +162,8 @@ class LayerNormChannels:
 class Sca:
     """Simplified channel attention: pooled 1x1 projection rescales every channel."""
 
-    def __init__(self, prefix: str, rng: np.random.Generator | None, channels: int):
-        self.proj = Conv(f"{prefix}.proj", rng, ConvSpec(channels, channels, 1, 1))
+    def __init__(self, prefix: str, channels: int):
+        self.proj = Conv(f"{prefix}.proj", ConvSpec(channels, channels, 1, 1))
 
     def __call__(self, x: Tensor) -> Tensor:
         return mul(self.proj(global_avg_pool(x)), x)
@@ -190,24 +181,18 @@ class Facm:
     node are that spectrum unpacked and un-shifted, where an observer reads it.
     """
 
-    def __init__(self, prefix: str, rng: np.random.Generator | None, channels: int,
-                 cfg: NetworkConfig, grid: PatchGrid):
+    def __init__(self, prefix: str, channels: int, cfg: NetworkConfig, grid: PatchGrid):
         self.channels = channels
         self.cfg = cfg
         packed = 2 * channels
-        self.norm = LayerNormChannels(f"{prefix}.norm", rng, packed)
-        self.conv_in = Conv(f"{prefix}.conv_in", rng, ConvSpec(packed, 2 * packed, 1, 1))
-        self.dw = Conv(
-            f"{prefix}.dw", rng,
-            ConvSpec(2 * packed, 2 * packed, 3, 3, groups=2 * packed),
-        )
+        self.norm = LayerNormChannels(f"{prefix}.norm", packed)
+        self.conv_in = Conv(f"{prefix}.conv_in", ConvSpec(packed, 2 * packed, 1, 1))
+        self.dw = Conv(f"{prefix}.dw", ConvSpec(2 * packed, 2 * packed, 3, 3, groups=2 * packed))
         self.afpm = None
         if cfg.use_local_branch:
-            self.afpm = Afpm(
-                f"{prefix}.afpm", rng, packed, grid, adaptive=not cfg.use_pooling_variant
-            )
-        self.sca = Sca(f"{prefix}.sca", rng, packed) if cfg.use_global_branch else None
-        self.conv_out = Conv(f"{prefix}.conv_out", rng, ConvSpec(packed, packed, 1, 1))
+            self.afpm = Afpm(f"{prefix}.afpm", packed, grid, adaptive=not cfg.use_pooling_variant)
+        self.sca = Sca(f"{prefix}.sca", packed) if cfg.use_global_branch else None
+        self.conv_out = Conv(f"{prefix}.conv_out", ConvSpec(packed, packed, 1, 1))
 
     def __call__(self, f_in: Tensor, freq_skip: Tensor | None = None) -> tuple[Tensor, Tensor]:
         spectrum = complex_to_channels(fft_shift(fft2d(f_in)))
@@ -234,14 +219,13 @@ class Facm:
 class Ffn:
     """Gated dual-branch feed-forward: two expand+depthwise paths multiplied, projected back."""
 
-    def __init__(self, prefix: str, rng: np.random.Generator | None, channels: int,
-                 expand: float):
+    def __init__(self, prefix: str, channels: int, expand: float):
         hidden = math.ceil(expand * channels)
-        self.branch1_conv = Conv(f"{prefix}.branch1.conv", rng, ConvSpec(channels, hidden, 1, 1))
-        self.branch1_dw = Conv(f"{prefix}.branch1.dw", rng, ConvSpec(hidden, hidden, 3, 3, groups=hidden))
-        self.branch2_conv = Conv(f"{prefix}.branch2.conv", rng, ConvSpec(channels, hidden, 1, 1))
-        self.branch2_dw = Conv(f"{prefix}.branch2.dw", rng, ConvSpec(hidden, hidden, 3, 3, groups=hidden))
-        self.proj = Conv(f"{prefix}.proj", rng, ConvSpec(hidden, channels, 1, 1))
+        self.branch1_conv = Conv(f"{prefix}.branch1.conv", ConvSpec(channels, hidden, 1, 1))
+        self.branch1_dw = Conv(f"{prefix}.branch1.dw", ConvSpec(hidden, hidden, 3, 3, groups=hidden))
+        self.branch2_conv = Conv(f"{prefix}.branch2.conv", ConvSpec(channels, hidden, 1, 1))
+        self.branch2_dw = Conv(f"{prefix}.branch2.dw", ConvSpec(hidden, hidden, 3, 3, groups=hidden))
+        self.proj = Conv(f"{prefix}.proj", ConvSpec(hidden, channels, 1, 1))
 
     def __call__(self, f_in: Tensor) -> Tensor:
         gate = self.branch1_dw(self.branch1_conv(f_in))
@@ -252,11 +236,10 @@ class Ffn:
 class FreBlock:
     """FACM then FFN; the nodes made inside carry the block's path (``enc1.blk0``) as label."""
 
-    def __init__(self, name: str, rng: np.random.Generator | None, channels: int,
-                 cfg: NetworkConfig, grid: PatchGrid):
+    def __init__(self, name: str, channels: int, cfg: NetworkConfig, grid: PatchGrid):
         self.name = name
-        self.facm = Facm(f"{name}.facm", rng, channels, cfg, grid)
-        self.ffn = Ffn(f"{name}.ffn", rng, channels, cfg.ffn_expand)
+        self.facm = Facm(f"{name}.facm", channels, cfg, grid)
+        self.ffn = Ffn(f"{name}.ffn", channels, cfg.ffn_expand)
 
     def __call__(self, f_in, freq_skip=None):
         with section(self.name):
@@ -267,8 +250,8 @@ class FreBlock:
 class Down:
     """2x2 stride-2 convolution doubling the channel count."""
 
-    def __init__(self, prefix: str, rng: np.random.Generator | None, channels: int):
-        self.conv = Conv(prefix, rng, ConvSpec(channels, 2 * channels, 2, 2, stride=2))
+    def __init__(self, prefix: str, channels: int):
+        self.conv = Conv(prefix, ConvSpec(channels, 2 * channels, 2, 2, stride=2))
 
     def __call__(self, x: Tensor) -> Tensor:
         h, w = x.shape[-2:]
@@ -280,13 +263,13 @@ class Down:
 class Up:
     """1x1 conv, depth-to-space by 2, then 1x1 conv: 2C x H x W -> C x 2H x 2W."""
 
-    def __init__(self, prefix: str, rng: np.random.Generator | None, in_channels: int):
+    def __init__(self, prefix: str, in_channels: int):
         if in_channels % 4:
             raise ConfigurationError(
                 f"upsampling needs channels divisible by 4 after the first conv, got {in_channels}"
             )
-        self.conv1 = Conv(f"{prefix}.conv1", rng, ConvSpec(in_channels, in_channels, 1, 1))
-        self.conv2 = Conv(f"{prefix}.conv2", rng, ConvSpec(in_channels // 4, in_channels // 2, 1, 1))
+        self.conv1 = Conv(f"{prefix}.conv1", ConvSpec(in_channels, in_channels, 1, 1))
+        self.conv2 = Conv(f"{prefix}.conv2", ConvSpec(in_channels // 4, in_channels // 2, 1, 1))
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.conv2(depth_to_space(self.conv1(x), 2))
@@ -307,7 +290,8 @@ class _DecStage:
 class FrENet:
     """The assembled network; parameters carry deterministic dotted-path names.
 
-    ``seed`` draws the initial weights; ``seed=None`` draws nothing and leaves
+    All parameters are slices of one float32 buffer, in record order. ``seed``
+    draws the initial weights into it; ``seed=None`` draws nothing and leaves
     every parameter zero, with the names, shapes and order of a seeded build,
     for a network whose values come from a checkpoint.
     """
@@ -315,49 +299,46 @@ class FrENet:
     def __init__(self, cfg: NetworkConfig, seed: int | None = 0):
         cfg.validate()
         self.cfg = cfg
-        rng = None if seed is None else np.random.default_rng(seed)
+        with parameter_buffer(None if seed is None else np.random.default_rng(seed)) as params:
+            self._build(cfg)
+        if cfg.global_residual:
+            # Residual completion: start as the exact identity so training
+            # begins from the degraded input's own quality.
+            self.final.weight.data[...] = 0.0
+        self._params: dict[str, Parameter] = {}
+        for p in params:
+            if p.name in self._params:
+                raise ConfigurationError(f"duplicate parameter name {p.name}")
+            self._params[p.name] = p
+
+    def _build(self, cfg: NetworkConfig) -> None:
+        """Make every module, so every parameter, in checkpoint record order."""
         c_in, width = cfg.in_channels, cfg.width
-        self.intro = Conv("intro", rng, ConvSpec(c_in, width, 3, 3))
+        self.intro = Conv("intro", ConvSpec(c_in, width, 3, 3))
 
         self.enc_stages: list[_EncStage] = []
         channels, size = width, cfg.base_size
         for i in range(1, cfg.scales + 1):
-            stage = _EncStage(down=Down(f"enc{i}.down", rng, channels))
+            stage = _EncStage(down=Down(f"enc{i}.down", channels))
             channels *= 2
             size //= 2
             grid = make_patch_grid(size, size, cfg.grid_target)
             for b in range(cfg.enc_blocks[i - 1]):
-                stage.blocks.append(FreBlock(f"enc{i}.blk{b}", rng, channels, cfg, grid))
+                stage.blocks.append(FreBlock(f"enc{i}.blk{b}", channels, cfg, grid))
             self.enc_stages.append(stage)
 
         grid = make_patch_grid(size, size, cfg.grid_target)
-        self.mid_blocks = [
-            FreBlock(f"mid.blk{b}", rng, channels, cfg, grid)
-            for b in range(cfg.bottleneck_blocks)
-        ]
+        self.mid_blocks = [FreBlock(f"mid.blk{b}", channels, cfg, grid) for b in range(cfg.bottleneck_blocks)]
 
         self.dec_stages: list[_DecStage] = []  # execution order: dec{scales} first
         for i in range(cfg.scales, 0, -1):
             ch_i = width << i
             size_i = cfg.base_size >> i
             grid = make_patch_grid(size_i, size_i, cfg.grid_target)
-            blocks = [
-                FreBlock(f"dec{i}.blk{b}", rng, ch_i, cfg, grid)
-                for b in range(cfg.dec_blocks[i - 1])
-            ]
-            self.dec_stages.append(_DecStage(blocks=blocks, up=Up(f"dec{i}.up", rng, ch_i)))
+            blocks = [FreBlock(f"dec{i}.blk{b}", ch_i, cfg, grid) for b in range(cfg.dec_blocks[i - 1])]
+            self.dec_stages.append(_DecStage(blocks=blocks, up=Up(f"dec{i}.up", ch_i)))
 
-        self.final = Conv("final", rng, ConvSpec(width, c_in, 3, 3))
-        if cfg.global_residual:
-            # Residual completion: start as the exact identity so training
-            # begins from the degraded input's own quality.
-            self.final.weight.data = np.zeros_like(self.final.weight.data)
-
-        self._params: dict[str, Parameter] = {}
-        for p in parameters_of(self):
-            if p.name in self._params:
-                raise ConfigurationError(f"duplicate parameter name {p.name}")
-            self._params[p.name] = p
+        self.final = Conv("final", ConvSpec(width, c_in, 3, 3))
 
     def parameters(self) -> dict[str, Parameter]:
         return self._params

@@ -47,6 +47,9 @@ class _Payload(NamedTuple):
     shape: tuple[int, ...]
 
 
+_U32, _U32_PAIR = struct.Struct("<I"), struct.Struct("<II")
+
+
 class _Reader:
     """Parses an open binary file front to back, after checking its magic;
     payloads can be skipped and read later by where they lie.
@@ -60,29 +63,33 @@ class _Reader:
         self.fh, self.path, self.offset = fh, path, len(magic)
         self.size = os.fstat(fh.fileno()).st_size
 
-    def _need(self, size: int) -> None:
+    def _truncated(self, size: int) -> ConfigurationError:
         left = self.size - self.offset
-        if size > left:
-            raise ConfigurationError(
-                f"{self.path}: truncated at byte {self.offset} (need {size} bytes, {left} left)"
-            )
-        self.offset += size
+        return ConfigurationError(
+            f"{self.path}: truncated at byte {self.offset} (need {size} bytes, {left} left)"
+        )
 
     def read(self, size: int) -> bytes:
-        self._need(size)
+        if size > self.size - self.offset:
+            raise self._truncated(size)
+        self.offset += size
         return self.fh.read(size)
 
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
+    def unpack(self, fmt: struct.Struct) -> tuple:
+        return fmt.unpack(self.read(fmt.size))
 
     def dims(self) -> tuple[int, ...]:
         """u32 rank then u32 dims."""
-        return self.unpack(f"<{self.unpack('<I')[0]}I")
+        (rank,) = self.unpack(_U32)
+        return struct.unpack(f"<{rank}I", self.read(4 * rank))
 
     def skip(self, dims: tuple[int, ...]) -> _Payload:
         """Seek over the next 32-bit floats of shape ``dims``; returns where they lie."""
+        size = 4 * math.prod(dims)
+        if size > self.size - self.offset:
+            raise self._truncated(size)
         payload = _Payload(self.offset, dims)
-        self._need(4 * math.prod(dims))
+        self.offset += size
         self.fh.seek(self.offset)
         return payload
 
@@ -120,14 +127,18 @@ def _write_record(fh, name: str, array: np.ndarray) -> None:
 
 
 def _read_record(reader: _Reader) -> tuple[str, _Payload]:
-    """A record's name and where its floats lie; the floats are skipped."""
-    (name_len,) = reader.unpack("<I")
+    """A record's name and where its floats lie; the floats are skipped.
+
+    Each field is claimed where it lies, so a cut reports the first field it reaches.
+    """
+    (name_len,) = _U32.unpack(reader.read(4))
     offset = reader.offset
     try:
         name = reader.read(name_len).decode("utf-8")
     except UnicodeDecodeError:
         raise ConfigurationError(f"{reader.path}: record name at byte {offset} is not UTF-8") from None
-    return name, reader.skip(reader.dims())
+    (rank,) = _U32.unpack(reader.read(4))
+    return name, reader.skip(struct.unpack(f"<{rank}I", reader.read(4 * rank)))
 
 
 def save_checkpoint(path: str | Path, net, adam=None, step: int = 0,
@@ -188,14 +199,14 @@ def _parse_checkpoint(reader: _Reader) -> tuple:
     Returns (params, adam_m, adam_v, step, config_text), the tables mapping
     record names to where their floats lie.
     """
-    params = dict(_read_record(reader) for _ in range(reader.unpack("<I")[0]))
+    params = dict(_read_record(reader) for _ in range(reader.unpack(_U32)[0]))
     moments: dict[str, dict] = {"adam.m.": {}, "adam.v.": {}}
-    for _ in range(reader.unpack("<I")[0]):
+    for _ in range(reader.unpack(_U32)[0]):
         name, payload = _read_record(reader)
         if name[:7] not in moments:
             raise ConfigurationError(f"{reader.path}: unexpected moment record {name!r}")
         moments[name[:7]][name[7:]] = payload
-    step, config_len = reader.unpack("<II")
+    step, config_len = reader.unpack(_U32_PAIR)
     offset = reader.offset
     trailer = reader.read(config_len + 32)
     encoded, digest = trailer[:config_len], trailer[config_len:]
@@ -208,13 +219,19 @@ def _parse_checkpoint(reader: _Reader) -> tuple:
     return params, moments["adam.m."], moments["adam.v."], step, config_text
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """No NaN and no infinity in ``a``: its min and max carry either, and take
+    no mask of its size."""
+    return math.isfinite(a.min()) and math.isfinite(a.max())
+
+
 def restore_network(path: str | Path):
     """Rebuild the network a checkpoint describes and load its parameters.
 
     The headers are parsed first, to reach the config; the network is built
     from it without initial values (no random draws), and each parameter's
-    floats are then read straight into its own array, so the weights exist
-    once. Parameters and optimizer moments must be finite:
+    floats are then read straight into its slice of the network's buffer, so
+    the weights exist once. Parameters and optimizer moments must be finite:
     one NaN weight would turn every output pixel into NaN. Returns (net,
     preprocess_spec, adam_state, step).
     """
@@ -250,7 +267,7 @@ def restore_network(path: str | Path):
                     f"{path}: moment shape mismatch for {name}: {m.shape}/{v.shape} vs {shape}"
                 )
         for name, p in params.items():
-            if not np.isfinite(reader.floats(stored[name], out=p.data)).all():
+            if not _all_finite(reader.floats(stored[name], out=p.data)):
                 raise ConfigurationError(f"{path}: parameter {name} holds non-finite values (NaN or Inf)")
         for table in (adam_m, adam_v):
             for name, payload in table.items():
@@ -258,7 +275,7 @@ def restore_network(path: str | Path):
     state = AdamState(step=step)
     for name, m in adam_m.items():
         v = adam_v[name]
-        if not (np.isfinite(m).all() and np.isfinite(v).all()):
+        if not (_all_finite(m) and _all_finite(v)):
             raise ConfigurationError(
                 f"{path}: optimizer moments of {name} hold non-finite values (NaN or Inf)"
             )

@@ -66,7 +66,8 @@ def fft2d(x: Tensor) -> ComplexTensor:
     def bw_im(g):
         _accumulate(rx, -scipy.fft.ifft2(g, axes=(-2, -1), norm="ortho").imag.astype(g.dtype))
 
-    return ComplexTensor(_node(re_data, (x,), bw_re, "fft2d"), _node(im_data, (x,), bw_im))
+    # the imaginary part has a name of its own, so that "fft2d" counts each transform once
+    return ComplexTensor(_node(re_data, (x,), bw_re, "fft2d"), _node(im_data, (x,), bw_im, "fft2d_imag"))
 
 
 def ifft2d(spectrum: ComplexTensor) -> Tensor:

@@ -23,9 +23,13 @@ Inside ``no_grad()`` nothing is recorded, so a forward keeps no graph alive.
 Inside ``observe(fn)`` each new node is also passed to ``fn``, to be counted.
 Inside ``on_leaf(fn)``, ``backward()`` passes each leaf to ``fn`` as soon as
 its gradient is final, so a caller can use and drop it mid-sweep.
-Recording, observer, leaf hook and ``section`` label are per context (``contextvars``):
-a thread sets them only for itself, and a worker run in a copy of its
-caller's context (``contextvars.copy_context()``) starts from the caller's.
+Inside ``parameter_buffer(rng)`` each ``parameter`` made is collected, and
+on exit all of them become slices of one new buffer, so a network's weights
+are one allocation that is freed with the network.
+Recording, observer, leaf hook, ``section`` label and parameter collector
+are per context (``contextvars``): a thread sets them only for itself, and a
+worker run in a copy of its caller's context (``contextvars.copy_context()``)
+starts from the caller's.
 
 Image ops read the last three axes as CxHxW and treat any leading axes as a
 batch. Each sample is computed exactly as it would be alone, and a gradient
@@ -217,33 +221,54 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={tuple(self.shape)})"
 
 
-def uniform(rng: np.random.Generator | None, bound: float, shape: tuple[int, ...]) -> np.ndarray:
-    """Float32 draws from U(-bound, bound), or zeros when there is no ``rng``
-    (a network about to be filled from a checkpoint). A shape numpy cannot
-    allocate is a configuration error."""
-    try:
-        if rng is None:
-            return np.zeros(shape, dtype=np.float32)
-        return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-    except (ValueError, MemoryError) as exc:
-        raise ConfigurationError(f"cannot allocate a weight of shape {shape}: {exc}") from exc
+def parameter(name: str, shape: tuple[int, ...], bound: float | None = None,
+              fill: float = 0.0) -> Parameter:
+    """A Parameter of ``shape`` made inside ``parameter_buffer``, which gives it its values:
+    draws from U(-bound, bound) when ``bound`` is given, else ``fill``.
 
-
-def parameters_of(obj) -> Iterator[Parameter]:
-    """Every Parameter reachable from ``obj`` through attributes, lists and tuples.
-
-    Attributes are visited in assignment order, so a module yields its
-    parameters in the order its constructor built them; that order is the
-    checkpoint record order.
+    Until the block exits it holds a zero-stride placeholder of its shape.
     """
-    if isinstance(obj, Parameter):
-        yield obj
-    elif isinstance(obj, (list, tuple)):
-        for item in obj:
-            yield from parameters_of(item)
-    elif hasattr(obj, "__dict__"):
-        for value in vars(obj).values():
-            yield from parameters_of(value)
+    made = _collector.get()
+    if made is None:
+        raise ConfigurationError(f"parameter {name} made outside a parameter_buffer block")
+    try:  # zero strides over four read-only zero bytes
+        placeholder = np.ndarray(shape, np.float32, _ZERO, strides=(0,) * len(shape))
+    except ValueError as exc:
+        raise ConfigurationError(f"cannot allocate a weight of shape {shape}: {exc}") from exc
+    p = Parameter(name, placeholder)
+    made.append((p, bound, fill))
+    return p
+
+
+@contextmanager
+def parameter_buffer(rng: np.random.Generator | None) -> Iterator[list[Parameter]]:
+    """Collect the Parameters ``parameter`` makes inside the block, and give them values on exit.
+
+    On exit each becomes a C-contiguous slice of one new float32 buffer, in the
+    order made and with no gaps, and the yielded list holds them in that order.
+    With ``rng`` each slice is drawn (``rng.uniform``) or filled in that order,
+    straight into the buffer; without one every slice stays zero, for a network
+    about to be filled from a checkpoint. A buffer numpy cannot allocate is a
+    configuration error.
+    """
+    made: list[tuple[Parameter, float | None, float]] = []
+    params: list[Parameter] = []
+    with _setting(_collector, made):
+        yield params
+    try:
+        buffer = np.zeros(sum(p.size for p, _, _ in made), dtype=np.float32)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigurationError(f"cannot allocate the weights: {exc}") from exc
+    offset = 0
+    for p, bound, fill in made:
+        view = buffer[offset : offset + p.size].reshape(p.shape)
+        offset += p.size
+        if rng is not None and bound is not None:
+            np.copyto(view, rng.uniform(-bound, bound, size=view.shape))
+        elif rng is not None and fill:
+            view.fill(fill)
+        p.data = view
+        params.append(p)
 
 
 @dataclass(frozen=True)
@@ -278,6 +303,8 @@ _observer: ContextVar[Callable | None] = ContextVar("observer", default=None)
 _section: ContextVar[str | None] = ContextVar("section", default=None)
 _on_leaf: ContextVar[Callable | None] = ContextVar("on_leaf", default=None)
 _rebuilding: ContextVar[dict | None] = ContextVar("rebuilding", default=None)
+_collector: ContextVar[list | None] = ContextVar("collector", default=None)
+_ZERO = bytes(4)
 
 
 @contextmanager
@@ -301,9 +328,10 @@ def no_grad():
 def observe(fn: Callable):
     """Call ``fn(op, section, out, parents, spec)`` for every node made inside the block.
 
-    ``op`` names the nodes of conv2d, matmul, ifft2d and fft2d (its real part
-    only, so once per transform), else None; a linear node is named "matmul",
-    with ``x`` as its first parent. ``spec`` is a conv2d's ConvSpec.
+    ``op`` is the name of the function that made the node, with two
+    exceptions: a linear node is named "matmul", with ``x`` as its first
+    parent, and the imaginary part of an fft2d is "fft2d_imag", so that
+    "fft2d" counts once per transform. ``spec`` is a conv2d's ConvSpec.
     ``section`` is the innermost label: a section (``enc1``) or a block path (``enc1.blk0``).
     """
     return _setting(_observer, fn)
@@ -427,7 +455,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(rb, _unbroadcast(g, b_shape))
 
     recompute = None if ka is None or kb is None else lambda: _rebuilt(ka) + _rebuilt(kb)
-    return _node(out, (a, b), bw, recompute=recompute)
+    return _node(out, (a, b), bw, "add", recompute=recompute)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -440,7 +468,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         if rb is not None:
             _accumulate(rb, -_unbroadcast(g, b_shape))
 
-    return _node(out, (a, b), bw)
+    return _node(out, (a, b), bw, "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -453,7 +481,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         if rb is not None:
             _accumulate(rb, _unbroadcast(g * _rebuilt(ka), b_shape))
 
-    return _node(out, (a, b), bw, recompute=lambda: _rebuilt(ka) * _rebuilt(kb))
+    return _node(out, (a, b), bw, "mul", recompute=lambda: _rebuilt(ka) * _rebuilt(kb))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -463,7 +491,7 @@ def scale(a: Tensor, s: float) -> Tensor:
     def bw(g):
         _accumulate(ra, g * s)
 
-    return _node(out, (a,), bw)
+    return _node(out, (a,), bw, "scale")
 
 
 def abs_(a: Tensor) -> Tensor:
@@ -474,7 +502,7 @@ def abs_(a: Tensor) -> Tensor:
     def bw(g):
         _accumulate(ra, g * np.sign(_rebuilt(ka)))
 
-    return _node(out, (a,), bw)
+    return _node(out, (a,), bw, "abs_")
 
 
 def mean_all(a: Tensor) -> Tensor:
@@ -490,7 +518,7 @@ def mean_all(a: Tensor) -> Tensor:
     def bw(g):
         _accumulate(ra, np.broadcast_to((g / n).reshape(keep), shape).astype(dtype))
 
-    return _node(out, (a,), bw)
+    return _node(out, (a,), bw, "mean_all")
 
 
 def sum_in_order(a: Tensor) -> Tensor:
@@ -505,7 +533,7 @@ def sum_in_order(a: Tensor) -> Tensor:
     def bw(g):
         _accumulate(ra, np.broadcast_to(g, shape))
 
-    return _node(out, (a,), bw)
+    return _node(out, (a,), bw, "sum_in_order")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -529,7 +557,7 @@ def transpose2d(a: Tensor) -> Tensor:
     def bw(g):
         _accumulate(ra, g.T)
 
-    return _node(out, (a,), bw)
+    return _node(out, (a,), bw, "transpose2d")
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -568,7 +596,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     def bw(g):
         _accumulate(ra, g.reshape(a_shape))
 
-    return _node(out, (a,), bw)
+    return _node(out, (a,), bw, "reshape")
 
 
 def concat_channels(parts: Iterable[Tensor]) -> Tensor:
@@ -581,7 +609,7 @@ def concat_channels(parts: Iterable[Tensor]) -> Tensor:
         for r, lo, hi in zip(records, offsets[:-1], offsets[1:]):
             _accumulate(r, g[..., lo:hi, :, :])
 
-    return _node(out, parts, bw)
+    return _node(out, parts, bw, "concat_channels")
 
 
 def slice_channels(a: Tensor, start: int, stop: int) -> Tensor:
@@ -593,7 +621,7 @@ def slice_channels(a: Tensor, start: int, stop: int) -> Tensor:
         full[..., start:stop, :, :] = g
         _accumulate(ra, full)
 
-    return _node(out, (a,), bw)
+    return _node(out, (a,), bw, "slice_channels")
 
 
 def roll2d(a: Tensor, shift_h: int, shift_w: int) -> Tensor:
@@ -604,7 +632,7 @@ def roll2d(a: Tensor, shift_h: int, shift_w: int) -> Tensor:
     def bw(g):
         _accumulate(ra, np.roll(g, (-shift_h, -shift_w), axis=(-2, -1)))
 
-    return _node(out, (a,), bw)
+    return _node(out, (a,), bw, "roll2d")
 
 
 # ---------------------------------------------------------------------------
@@ -866,7 +894,7 @@ def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-
             dx = inv_std * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
             _accumulate(rx, dx)
 
-    return _node(affine(), (x, gamma, beta), bw, recompute=affine)
+    return _node(affine(), (x, gamma, beta), bw, "layer_norm_channels", recompute=affine)
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -889,7 +917,7 @@ def gelu(x: Tensor) -> Tensor:
         pdf = np.exp(-0.5 * np.square(xd)) * _INV_SQRT_2PI
         _accumulate(rx, g * (_gaussian_cdf(xd) + xd * pdf))
 
-    return _node(_gelu(x.data), (x,), bw)
+    return _node(_gelu(x.data), (x,), bw, "gelu")
 
 
 def _gelu(xd: np.ndarray) -> np.ndarray:
@@ -914,7 +942,8 @@ def gelu_mul(a: Tensor, b: Tensor) -> Tensor:
         if rb is not None:
             _accumulate(rb, _unbroadcast(g * (ad * cdf).astype(ad.dtype, copy=False), b_shape))
 
-    return _node(_gelu(a.data) * b.data, (a, b), bw, recompute=lambda: _gelu(_rebuilt(ka)) * _rebuilt(kb))
+    return _node(_gelu(a.data) * b.data, (a, b), bw, "gelu_mul",
+                 recompute=lambda: _gelu(_rebuilt(ka)) * _rebuilt(kb))
 
 
 def simple_gate(x: Tensor) -> Tensor:
@@ -932,7 +961,8 @@ def simple_gate(x: Tensor) -> Tensor:
         first, second = halves(_rebuilt(kx))
         _accumulate(rx, np.concatenate([g * second, g * first], axis=-3))
 
-    return _node(np.multiply(*halves(x.data)), (x,), bw, recompute=lambda: np.multiply(*halves(_rebuilt(kx))))
+    return _node(np.multiply(*halves(x.data)), (x,), bw, "simple_gate",
+                 recompute=lambda: np.multiply(*halves(_rebuilt(kx))))
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -944,7 +974,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
     def bw(g):
         _accumulate(rx, np.broadcast_to(g / (h * w), shape).astype(g.dtype))
 
-    return _node(out, (x,), bw)
+    return _node(out, (x,), bw, "global_avg_pool")
 
 
 def depth_to_space(x: Tensor, factor: int = 2) -> Tensor:
@@ -971,7 +1001,7 @@ def depth_to_space(x: Tensor, factor: int = 2) -> Tensor:
         )
         _accumulate(rx, dg)
 
-    return _node(np.ascontiguousarray(out), (x,), bw)
+    return _node(np.ascontiguousarray(out), (x,), bw, "depth_to_space")
 
 
 def is_power_of_two(n: int) -> bool:

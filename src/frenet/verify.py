@@ -17,7 +17,7 @@ from .arch import build_frenet, tiny_config
 from .gradcheck import grad_check
 from .rawdata import apply_blur, embed_kernel, gen_kernel, gen_sharp
 from .spectral import ComplexTensor, fft2d, fft_shift, ifft2d
-from .tensor import Tensor
+from .tensor import Tensor, parameter_buffer
 from .train import loss_total
 
 
@@ -91,16 +91,18 @@ def afpm_suite(emit=print) -> bool:
     rng = np.random.default_rng(80)
     grid = make_patch_grid(16, 16, 8)
 
-    module = Afpm("m", rng, channels=6, grid=grid)
-    module.proj_weight.data = np.zeros_like(module.proj_weight.data)
-    module.proj_bias.data = np.ones_like(module.proj_bias.data)
+    with parameter_buffer(rng):
+        module = Afpm("m", channels=6, grid=grid)
+    module.proj_weight.data[...] = 0.0
+    module.proj_bias.data[...] = 1.0
     x = Tensor(rng.standard_normal((6, 16, 16)).astype(np.float32))
     run.check("unit modulation identity", np.array_equal(module(x).data, x.data),
               "proj weight 0 / bias 1 reproduces input")
 
     # Mirrored grid positions share a distance, so swapping those patch
     # contents must swap the outputs verbatim.
-    module = Afpm("m2", rng, channels=4, grid=grid)
+    with parameter_buffer(rng):
+        module = Afpm("m2", channels=4, grid=grid)
     trials, swapped_ok = 5, True
     for _ in range(trials):
         data = rng.standard_normal((4, 16, 16)).astype(np.float32)
@@ -122,7 +124,8 @@ def afpm_suite(emit=print) -> bool:
 
     # One 2x2 patch against the modulation formula, transcribed in float64.
     single = make_patch_grid(2, 2, 1)
-    small = Afpm("m3", rng, channels=2, grid=single)
+    with parameter_buffer(rng):
+        small = Afpm("m3", channels=2, grid=single)
     xs = rng.standard_normal((2, 2, 2)).astype(np.float32)
     d = np.array([float(single.distances[0, 0])])
     w = small.kernel_kbg(d).data.reshape(2, 2).astype(np.float64)

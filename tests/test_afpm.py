@@ -11,7 +11,7 @@ from frenet.afpm import (
     make_patch_grid,
     patch_weighted_sum,
 )
-from frenet.tensor import ConfigurationError, Tensor, global_avg_pool, parameters_of
+from frenet.tensor import ConfigurationError, Tensor, global_avg_pool, parameter_buffer
 from frenet.verify import _swap_patches
 
 
@@ -61,7 +61,8 @@ class TestMakePatchGrid:
 class TestKbg:
     def test_zero_weights_yield_bias(self):
         rng = np.random.default_rng(0)
-        kbg = KernelBiasGenerator("k", rng, out_dim=4)
+        with parameter_buffer(rng):
+            kbg = KernelBiasGenerator("k", out_dim=4)
         kbg.w1.data = np.zeros_like(kbg.w1.data)
         kbg.w2.data = np.zeros_like(kbg.w2.data)
         kbg.b2.data = np.arange(4, dtype=np.float32)
@@ -71,7 +72,8 @@ class TestKbg:
 
     def test_single_unit_path_reproduces_gelu(self):
         rng = np.random.default_rng(1)
-        kbg = KernelBiasGenerator("k", rng, out_dim=1, hidden=1)
+        with parameter_buffer(rng):
+            kbg = KernelBiasGenerator("k", out_dim=1, hidden=1)
         kbg.w1.data = np.ones_like(kbg.w1.data)
         kbg.b1.data = np.zeros_like(kbg.b1.data)
         kbg.w2.data = np.ones_like(kbg.w2.data)
@@ -82,7 +84,8 @@ class TestKbg:
     def test_output_length_contract(self):
         rng = np.random.default_rng(2)
         grid = make_patch_grid(64, 64, 8)
-        module = Afpm("a", rng, channels=4, grid=grid)
+        with parameter_buffer(rng):
+            module = Afpm("a", channels=4, grid=grid)
         assert module.kernel_kbg.out_dim == grid.patch_h * grid.patch_w == 64
         assert module.bias_kbg.out_dim == 1
         flat = grid.distances.reshape(-1)
@@ -94,7 +97,9 @@ class TestAfpmForward:
     def make(self, channels=2, size=8, target=4, seed=3):
         rng = np.random.default_rng(seed)
         grid = make_patch_grid(size, size, target)
-        return Afpm("a", rng, channels=channels, grid=grid), grid, rng
+        with parameter_buffer(rng):
+            module = Afpm("a", channels=channels, grid=grid)
+        return module, grid, rng
 
     def test_unit_modulation_identity(self):
         module, _, rng = self.make()
@@ -113,7 +118,8 @@ class TestAfpmForward:
     def test_single_patch_matches_formula_transcription(self):
         rng = np.random.default_rng(4)
         grid = make_patch_grid(2, 2, 1)
-        module = Afpm("a", rng, channels=2, grid=grid)
+        with parameter_buffer(rng):
+            module = Afpm("a", channels=2, grid=grid)
         module.kernel_kbg.b2.data = np.array([0.5, -0.25, 0.125, 1.0], dtype=np.float32)
         module.bias_kbg.b2.data = np.array([0.3], dtype=np.float32)
         x = rng.standard_normal((2, 2, 2)).astype(np.float32)
@@ -181,7 +187,8 @@ class TestPoolingVariant:
     def test_constant_patch_aggregates_to_constant(self):
         rng = np.random.default_rng(5)
         grid = make_patch_grid(4, 4, 2)
-        module = Afpm("a", rng, channels=1, grid=grid, adaptive=False)
+        with parameter_buffer(rng):
+            module = Afpm("a", channels=1, grid=grid, adaptive=False)
         x = np.zeros((1, 4, 4), dtype=np.float32)
         x[:, :2, :2] = 3.0
         uniform = Tensor(np.full((4, 4), 0.25, dtype=np.float32))
@@ -191,7 +198,8 @@ class TestPoolingVariant:
     def test_identity_with_unit_projection(self):
         rng = np.random.default_rng(6)
         grid = make_patch_grid(8, 8, 4)
-        module = Afpm("a", rng, channels=3, grid=grid, adaptive=False)
+        with parameter_buffer(rng):
+            module = Afpm("a", channels=3, grid=grid, adaptive=False)
         module.proj_weight.data = np.zeros_like(module.proj_weight.data)
         module.proj_bias.data = np.ones_like(module.proj_bias.data)
         x = Tensor(rng.standard_normal((3, 8, 8)).astype(np.float32))
@@ -209,6 +217,7 @@ class TestPoolingVariant:
     def test_no_kbg_parameters_built(self):
         rng = np.random.default_rng(8)
         grid = make_patch_grid(8, 8, 4)
-        module = Afpm("a", rng, channels=2, grid=grid, adaptive=False)
-        names = [p.name for p in parameters_of(module)]
+        with parameter_buffer(rng) as params:
+            module = Afpm("a", channels=2, grid=grid, adaptive=False)
+        names = [p.name for p in params]
         assert names == ["a.proj.weight", "a.proj.bias"]

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from frenet.arch import (
     tiny_config,
 )
 from frenet.afpm import make_patch_grid
+from frenet.fileio import restore_network, save_checkpoint
 from frenet.rawdata import bayer_pack, bayer_unpack, gen_sharp
 from frenet.spectral import channels_to_complex, complex_to_channels, fft2d, fft_shift, ifft2d
 from frenet.tensor import (
@@ -29,9 +31,24 @@ from frenet.tensor import (
     layer_norm_channels,
     mul,
     observe,
-    parameters_of,
+    parameter_buffer,
     simple_gate,
 )
+
+
+def assert_one_buffer(params):
+    """Every parameter is a C-contiguous float32 slice of one buffer, in order and
+    with no gaps; returns the buffer."""
+    params = list(params)
+    buffer = params[0].data.base
+    assert buffer.ndim == 1 and buffer.dtype == np.float32 and buffer.flags.owndata
+    offset = 0
+    for p in params:
+        assert p.data.base is buffer and p.data.dtype == np.float32 and p.data.flags.c_contiguous
+        assert p.data.ctypes.data == buffer.ctypes.data + 4 * offset
+        offset += p.size
+    assert offset == buffer.size
+    return buffer
 
 
 def forward_with_sections(net, x):
@@ -50,7 +67,8 @@ def forward_with_sections(net, x):
 class TestSca:
     def test_constant_input_analytic(self):
         rng = np.random.default_rng(0)
-        sca = Sca("s", rng, channels=1)
+        with parameter_buffer(rng):
+            sca = Sca("s", channels=1)
         w = float(sca.proj.weight.data.reshape(()))
         sca.proj.bias.data = np.array([0.25], dtype=np.float32)
         x = Tensor(np.full((1, 4, 4), 3.0, dtype=np.float32))
@@ -59,7 +77,8 @@ class TestSca:
 
     def test_zero_weight_unit_bias_is_identity(self):
         rng = np.random.default_rng(1)
-        sca = Sca("s", rng, channels=3)
+        with parameter_buffer(rng):
+            sca = Sca("s", channels=3)
         sca.proj.weight.data = np.zeros_like(sca.proj.weight.data)
         sca.proj.bias.data = np.ones_like(sca.proj.bias.data)
         x = Tensor(rng.standard_normal((3, 4, 4)).astype(np.float32))
@@ -67,7 +86,8 @@ class TestSca:
 
     def test_matches_composition_oracle(self):
         rng = np.random.default_rng(2)
-        sca = Sca("s", rng, channels=4)
+        with parameter_buffer(rng):
+            sca = Sca("s", channels=4)
         x = Tensor(rng.standard_normal((4, 8, 8)).astype(np.float32))
         got = sca(x).data
         want = mul(conv2d(global_avg_pool(x), sca.proj.spec, sca.proj.weight, sca.proj.bias), x).data
@@ -83,7 +103,9 @@ class TestFacm:
         cfg = default_cfg(**cfg_kw)
         rng = np.random.default_rng(seed)
         grid = make_patch_grid(size, size, cfg.grid_target)
-        return Facm("f", rng, channels, cfg, grid), cfg
+        with parameter_buffer(rng) as params:
+            facm = Facm("f", channels, cfg, grid)
+        return facm, params
 
     def test_shape_contract_and_capture(self):
         facm, _ = self.make()
@@ -96,8 +118,8 @@ class TestFacm:
         assert np.array_equal(out.data, out2.data)
 
     def test_degenerate_parameters_reduce_to_input_plus_fixed_field(self):
-        facm, _ = self.make()
-        for p in parameters_of(facm):
+        facm, params = self.make()
+        for p in params:
             if p.name.endswith("weight") or p.name.endswith(("w1", "w2")):
                 p.data = np.zeros_like(p.data)
         rng = np.random.default_rng(5)
@@ -195,8 +217,9 @@ class TestFacm:
 class TestFfn:
     def test_zero_weights_is_pure_residual(self):
         rng = np.random.default_rng(10)
-        ffn = Ffn("f", rng, channels=3, expand=2.0)
-        for p in parameters_of(ffn):
+        with parameter_buffer(rng) as params:
+            ffn = Ffn("f", channels=3, expand=2.0)
+        for p in params:
             if p.name.endswith("weight") or p.name.endswith("bias"):
                 p.data = np.zeros_like(p.data)
         x = Tensor(rng.standard_normal((3, 4, 4)).astype(np.float32))
@@ -204,14 +227,16 @@ class TestFfn:
 
     def test_shape_preserved(self):
         rng = np.random.default_rng(11)
-        ffn = Ffn("f", rng, channels=6, expand=2.0)
+        with parameter_buffer(rng):
+            ffn = Ffn("f", channels=6, expand=2.0)
         x = Tensor(rng.standard_normal((6, 4, 4)).astype(np.float32))
         assert ffn(x).shape == (6, 4, 4)
         assert ffn.branch1_conv.spec.out_channels == 12
 
     def test_matches_composition_oracle(self):
         rng = np.random.default_rng(12)
-        ffn = Ffn("f", rng, channels=2, expand=2.0)
+        with parameter_buffer(rng):
+            ffn = Ffn("f", channels=2, expand=2.0)
         x = Tensor(rng.standard_normal((2, 4, 4)).astype(np.float32))
         got = ffn(x).data
         gated = gelu(
@@ -236,7 +261,8 @@ class TestFreBlock:
     def test_shape_and_capture_propagation(self):
         cfg = default_cfg()
         rng = np.random.default_rng(13)
-        blk = FreBlock("b", rng, channels=4, cfg=cfg, grid=make_patch_grid(16, 16, 8))
+        with parameter_buffer(rng):
+            blk = FreBlock("b", channels=4, cfg=cfg, grid=make_patch_grid(16, 16, 8))
         x = Tensor(np.random.default_rng(14).standard_normal((4, 16, 16)).astype(np.float32))
         out, spectrum = blk(x)
         assert out.shape == (4, 16, 16)
@@ -245,7 +271,8 @@ class TestFreBlock:
     def test_is_ffn_after_facm(self):
         cfg = default_cfg()
         rng = np.random.default_rng(15)
-        blk = FreBlock("b", rng, channels=2, cfg=cfg, grid=make_patch_grid(8, 8, 8))
+        with parameter_buffer(rng):
+            blk = FreBlock("b", channels=2, cfg=cfg, grid=make_patch_grid(8, 8, 8))
         x = Tensor(np.random.default_rng(16).standard_normal((2, 8, 8)).astype(np.float32))
         got, _ = blk(x)
         mid, _ = blk.facm(x)
@@ -256,7 +283,8 @@ class TestFreBlock:
 class TestResampling:
     def test_downsample_shape_and_oracle(self):
         rng = np.random.default_rng(17)
-        down = Down("d", rng, channels=4)
+        with parameter_buffer(rng):
+            down = Down("d", channels=4)
         x = rng.standard_normal((4, 16, 16)).astype(np.float32)
         out = down(Tensor(x))
         assert out.shape == (8, 8, 8)
@@ -267,7 +295,8 @@ class TestResampling:
 
     def test_downsample_linear(self):
         rng = np.random.default_rng(18)
-        down = Down("d", rng, channels=2)
+        with parameter_buffer(rng):
+            down = Down("d", channels=2)
         down.conv.bias.data = np.zeros_like(down.conv.bias.data)
         x1 = rng.standard_normal((2, 8, 8)).astype(np.float32)
         x2 = rng.standard_normal((2, 8, 8)).astype(np.float32)
@@ -277,13 +306,15 @@ class TestResampling:
 
     def test_downsample_odd_dims_rejected(self):
         rng = np.random.default_rng(19)
-        down = Down("d", rng, channels=1)
+        with parameter_buffer(rng):
+            down = Down("d", channels=1)
         with pytest.raises(ConfigurationError, match="even"):
             down(Tensor(np.zeros((1, 5, 8))))
 
     def test_upsample_shape_and_oracle(self):
         rng = np.random.default_rng(20)
-        up = Up("u", rng, in_channels=8)
+        with parameter_buffer(rng):
+            up = Up("u", in_channels=8)
         x = Tensor(rng.standard_normal((8, 8, 8)).astype(np.float32))
         out = up(x)
         assert out.shape == (4, 16, 16)
@@ -295,7 +326,7 @@ class TestResampling:
 
     def test_upsample_channel_divisibility(self):
         with pytest.raises(ConfigurationError, match="divisible by 4"):
-            Up("u", np.random.default_rng(21), in_channels=6)
+            Up("u", in_channels=6)
 
 
 def tiny_param_count_formula(cfg: NetworkConfig) -> int:
@@ -413,6 +444,41 @@ class TestBuild:
             assert not p.data.any()
 
 
+class TestParameterStorage:
+    @pytest.mark.parametrize("cfg", [
+        tiny_config(base_size=16),
+        tiny_config(base_size=16, use_pooling_variant=True, use_global_branch=False, global_residual=True),
+    ])
+    def test_seeded_unseeded_and_restored_nets_hold_one_buffer(self, tmp_path, cfg):
+        seeded = build_frenet(cfg, seed=0)
+        save_checkpoint(tmp_path / "net.fckpt", seeded)
+        restored = restore_network(tmp_path / "net.fckpt")[0]
+        for net in (seeded, build_frenet(cfg, seed=None), restored):
+            params = net.parameters()
+            assert list(params) == list(seeded.parameters())  # record order
+            assert assert_one_buffer(params.values()).size == net.param_count()
+        assert np.array_equal(assert_one_buffer(restored.parameters().values()),
+                              assert_one_buffer(seeded.parameters().values()))
+
+    @pytest.mark.parametrize("seed", [0, None])
+    def test_buffer_dies_with_the_network(self, seed):
+        net = build_frenet(tiny_config(base_size=16), seed=seed)
+        buffer = weakref.ref(assert_one_buffer(net.parameters().values()))
+        del net
+        assert buffer() is None
+
+    def test_module_built_alone_holds_one_buffer(self):
+        with parameter_buffer(np.random.default_rng(0)) as params:
+            ffn = Ffn("f", channels=3, expand=2.0)
+        assert [p.name for p in params][:2] == ["f.branch1.conv.weight", "f.branch1.conv.bias"]
+        assert assert_one_buffer(params).size == sum(p.size for p in params)
+        assert ffn.proj.weight is params[-2]
+
+    def test_parameter_made_outside_a_buffer_block_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="parameter_buffer"):
+            Sca("s", channels=2)
+
+
 class TestNetworkForward:
     def test_tiny_shape_contract(self):
         net = build_frenet(tiny_config(base_size=32), seed=0)
@@ -478,6 +544,19 @@ class TestNetworkForward:
         with observe(lambda op, label, out, parents, spec: made.append(op)):
             net.forward(Tensor(np.zeros((4, 32, 32), dtype=np.float32)))
         assert len(made) == nodes
+
+    @pytest.mark.parametrize("cfg", [
+        NetworkConfig(name="frenet", base_size=16),
+        tiny_config(base_size=16, use_pooling_variant=True, use_global_branch=False, global_residual=True),
+    ], ids=["frenet", "tiny-ablated"])
+    def test_every_node_names_its_op(self, cfg):
+        net = build_frenet(cfg, seed=0)
+        made = []
+        with observe(lambda op, label, out, parents, spec: made.append(op)):
+            net.forward(Tensor(np.zeros((4, 16, 16), dtype=np.float32)))
+        assert len(made) > 100 and None not in made
+        # one "fft2d" per transform: the block's forward transform, its inverse is "ifft2d"
+        assert made.count("fft2d") == made.count("ifft2d") == cfg.block_total
 
     def test_shape_law_each_scale(self):
         net = build_frenet(tiny_config(base_size=32), seed=5)

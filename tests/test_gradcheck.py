@@ -16,7 +16,7 @@ from frenet.tensor import (
     layer_norm_channels,
     mean_all,
     mul,
-    parameters_of,
+    parameter_buffer,
     simple_gate,
     sub,
 )
@@ -77,9 +77,10 @@ def test_spectral_round_trip_gradients():
 def test_afpm_primitive_gradients():
     rng = np.random.default_rng(3)
     grid = make_patch_grid(8, 8, 4)
-    module = Afpm("m", rng, channels=3, grid=grid)
+    with parameter_buffer(rng) as module_params:
+        module = Afpm("m", channels=3, grid=grid)
     x = Parameter("x", rng.standard_normal((3, 8, 8)).astype(np.float32))
-    params = [x, *parameters_of(module)]
+    params = [x, *module_params]
 
     def loss():
         return mean_all(mul(module(x), module(x)))

@@ -616,7 +616,7 @@ class TestObserve:
         (op, label, conv_out, parents, spec), (gelu_op, _, gelu_out, gelu_parents, gelu_spec) = seen
         assert (op, label, spec) == ("conv2d", None, ConvSpec(3, 2, 1, 1, has_bias=False))
         assert parents[0].shape == (3, 4, 4) and gelu_parents == (conv_out,)
-        assert (gelu_op, gelu_spec) == (None, None) and gelu_out is out
+        assert (gelu_op, gelu_spec) == ("gelu", None) and gelu_out is out
 
     def test_ops_inside_section_carry_its_label(self):
         seen = []

@@ -160,6 +160,17 @@ class TestTrainLoop:
             blobs.append((tmp_path / run / "final.fckpt").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_a_step_updates_the_parameter_buffer_in_place(self):
+        from test_arch import assert_one_buffer
+
+        net = build_frenet(tiny_config(base_size=8), seed=2)
+        buffer = assert_one_buffer(net.parameters().values())
+        before = buffer.copy()
+        train(net, tiny_corpus(count=2, size=16), TrainConfig(epochs=1, batch=2, val_count=0, seed=2),
+              val_pairs=[])
+        assert assert_one_buffer(net.parameters().values()) is buffer
+        assert not np.array_equal(buffer, before)
+
     def test_log_line_format(self):
         corpus = tiny_corpus(count=6, size=16)
         net = build_frenet(tiny_config(base_size=8), seed=4)
