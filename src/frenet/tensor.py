@@ -9,8 +9,8 @@ time the arrays and shapes its backward reads, and an op output that no
 backward reads is freed as soon as the forward drops it.
 
 An elementwise op (``mul``, ``simple_gate``, ``gelu_mul``, the norm's affine
-map, AFPM's ``patch_scale``, and ``add`` of two such outputs) and a 1x1
-``conv2d`` at stride 1 also give their output a recompute function: it
+map, AFPM's ``patch_scale``, and ``add`` of two such outputs), ``linear`` and a
+1x1 ``conv2d`` at stride 1 also give their output a recompute function: it
 returns the output again, bit for bit, from arrays that the op's backward
 keeps anyway and parameter buffers. A backward that reads an input keeps the
 input's recompute function when it has one, and the array otherwise, so such
@@ -567,15 +567,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     Bit for bit ``add(matmul(x, transpose2d(w)), reshape(b, (1, out)))``: the
     weight gradient sums the per-sample ``x.T @ g`` in index order, and the
     bias gradient sums within each sample first. The backward keeps ``x`` and
-    the weight itself, not a transposed copy. The observer sees a "matmul".
+    the weight itself, not a transposed copy; the output is rebuilt by the same
+    GEMM. The observer sees a "matmul".
     """
     m, k = w.shape[0], x.shape[-1]
     if x.data.ndim < 2 or tuple(w.shape) != (m, k) + (1,) * (w.data.ndim - 2) or tuple(b.shape) != (m,):
         raise ConfigurationError(
             f"linear expects x (..., n, in), w (out, in) and b (out,), got {x.shape}, {w.shape}, {b.shape}"
         )
-    w2 = w.data.reshape(m, k)
-    out = x.data @ w2.T + b.data
+    w2, bd = w.data.reshape(m, k), b.data
+    out = x.data @ w2.T + bd
     rx, rw, rb, kx, w_shape = x._record, w._record, b._record, _kept(x), w.shape
 
     def bw(g):
@@ -586,7 +587,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if rb is not None:
             _accumulate(rb, _unbroadcast(g, (1, m)).reshape(m))
 
-    return _node(out, (x, w, b), bw, "matmul")
+    return _node(out, (x, w, b), bw, "matmul", recompute=lambda: _rebuilt(kx) @ w2.T + bd)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -647,9 +648,11 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None = None
 
     One of two kernels computes it, chosen by ``spec``:
 
-    - groups 1, any kernel size and stride: one GEMM per sample over the
+    - groups 1, any kernel size and stride: a GEMM of the weight and the
       stack of the kh*kw strided taps (1 for a 1x1, 4 for the 2x2/stride-2
-      Down, 9 for a full 3x3);
+      Down, 9 for a full 3x3), gathered in float64 a bounded block at a time
+      (a few output rows of one sample, or whole samples while they fit), so
+      its memory does not grow with the batch; the backward goes tap by tap;
     - depthwise 3x3, stride 1: nine shifted multiply-adds over blocks of
       zero-padded channel rows.
 
@@ -731,49 +734,90 @@ def _conv_kernel(spec: ConvSpec):
     raise ConfigurationError(f"{spec}: a grouped conv must be depthwise 3x3 at stride 1")
 
 
+# Elements of one block of a dense conv's float64 tap stack, whatever the batch:
+# some output rows of one sample, or as many whole samples as fit (2 MiB).
+_DENSE_BLOCK = 1 << 18
+
+
 def _conv_dense(xd: np.ndarray, spec: ConvSpec, wd: np.ndarray):
-    """Groups 1: one GEMM per sample of the weight and the stack of its kh*kw strided taps.
+    """Groups 1: per sample, one GEMM of the weight and the stack of its kh*kw strided taps.
 
     Tap (u, v) is every stride-th pixel from (u, v) on of the input zero-padded
     by (k-1)//2. The stack holds their C_in*kh*kw rows in the weight's (i, u, v)
-    order, built straight in float64; a 1x1 at stride 1 is its own stack. dw
-    is the gradient times the stack of the input handed back, in float64, dx
-    the transposed weight times the gradient in its dtype, added tap by tap
-    into a zero-padded buffer.
+    order; a 1x1 at stride 1 is its own stack. Any other kernel gathers the
+    stack in float64 block by block, ``_DENSE_BLOCK`` elements at most (whole
+    samples while they fit, else a few output rows of one sample), and writes
+    each block's columns of the float64 output. The backward takes one group of
+    samples at a time, within the same budget: dw is, tap by tap, the gradient
+    times that tap of the input handed back, in float64, and dx adds the tap's
+    transposed weight times the gradient, in its dtype, into a zero-padded buffer.
     """
     kh, kw, s = spec.kernel_h, spec.kernel_w, spec.stride
     n, c_in, h, w = xd.shape
-    x_dtype = xd.dtype
+    c_out, x_dtype = spec.out_channels, xd.dtype
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
     h_out, w_out = (h + 2 * ph - kh) // s + 1, (w + 2 * pw - kw) // s + 1
-    one_tap = kh == kw == s == 1
-    w2 = wd.reshape(spec.out_channels, -1)
-    taps = [(slice(u, u + s * h_out, s), slice(v, v + s * w_out, s))  # rows, columns of tap (u, v)
-            for u in range(kh) for v in range(kw)]
+    w2 = wd.reshape(c_out, -1)
+    if kh == kw == s == 1:
+        out = np.matmul(w2, xd.reshape(n, c_in, h * w), dtype=np.float64)
 
-    def stack(xd):
-        if one_tap:
-            return xd.reshape(n, c_in, h * w)
-        xp = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else xd
-        taps64 = np.stack([xp[:, :, rows, cols] for rows, cols in taps], axis=2, dtype=np.float64)
-        return taps64.reshape(n, -1, h_out * w_out)
+        def grads(g, xd, need_x):
+            g2 = g.reshape(n, c_out, h * w)
+            dw = None if xd is None else np.matmul(g2, xd.reshape(n, c_in, h * w).transpose(0, 2, 1),
+                                                   dtype=np.float64)
+            dx = (w2.T @ g2).reshape(n, c_in, h, w).astype(x_dtype, copy=False) if need_x else None
+            return dw, dx
 
-    out = np.matmul(w2, stack(xd), dtype=np.float64)
+        return out.reshape(n, c_out, h, w), grads
+
+    taps = [(u, v) for u in range(kh) for v in range(kw)]
+
+    def groups(size):  # slices of at most ``size`` samples
+        return [slice(i, i + size) for i in range(0, n, size)]
+
+    def padded(xd, samples):
+        return np.pad(xd[samples], ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else xd[samples]
+
+    def tap(xp, u, v, y0=0, y1=h_out):  # tap (u, v) of output rows y0 to y1
+        return xp[:, :, u + s * y0 : u + s * y1 : s, v : v + s * w_out : s]
+
+    def stack(xp, taps, y0=0, y1=h_out):  # float64, one (C_in*len(taps)) x columns matrix per sample
+        columns = np.stack([tap(xp, u, v, y0, y1) for u, v in taps], axis=2, dtype=np.float64)
+        return columns.reshape(len(xp), -1, (y1 - y0) * w_out)
+
+    depth = c_in * len(taps)  # rows of the stack
+    rows = max(1, min(h_out, _DENSE_BLOCK // (depth * w_out)))  # output rows of a block
+    out = np.empty((n, c_out, h_out, w_out))
+    for samples in groups(max(1, _DENSE_BLOCK // (depth * h_out * w_out))):
+        xp = padded(xd, samples)
+        for y0 in range(0, h_out, rows):
+            y1 = min(y0 + rows, h_out)
+            block = np.matmul(w2, stack(xp, taps, y0, y1), dtype=np.float64)
+            out[samples, :, y0:y1] = block.reshape(len(xp), c_out, y1 - y0, w_out)
+
+    by_sample = groups(max(1, _DENSE_BLOCK // (c_in * h_out * w_out)))  # one tap of a group in float64
+
+    def weight_grad(g, xd):
+        dw = np.empty((n, c_out, c_in, len(taps)))
+        for samples in by_sample:
+            xp, g64 = padded(xd, samples), g[samples].astype(np.float64, copy=False)
+            for k in range(len(taps)):
+                dw[samples, :, :, k] = np.matmul(g64, stack(xp, taps[k : k + 1]).transpose(0, 2, 1))
+        return dw.reshape(n, c_out, -1)
+
+    def input_grad(g):
+        dxp = np.zeros((n, c_in, h + 2 * ph, w + 2 * pw), x_dtype)
+        w_taps = wd.reshape(c_out, c_in, len(taps)).transpose(2, 0, 1).copy()  # (tap, out, in)
+        for samples in by_sample:
+            for k, (u, v) in enumerate(taps):
+                tap(dxp[samples], u, v)[...] += (w_taps[k].T @ g[samples]).reshape(-1, c_in, h_out, w_out)
+        return dxp[:, :, ph : ph + h, pw : pw + w]
 
     def grads(g, xd, need_x):
-        g2 = g.reshape(n, spec.out_channels, h_out * w_out)
-        dw = None if xd is None else np.matmul(g2, stack(xd).transpose(0, 2, 1), dtype=np.float64)
-        if not need_x:
-            return dw, None
-        if one_tap:
-            return dw, (w2.T @ g2).reshape(n, c_in, h, w).astype(x_dtype, copy=False)
-        dtaps = (w2.T @ g2).reshape(n, c_in, len(taps), h_out, w_out)
-        dxp = np.zeros((n, c_in, h + 2 * ph, w + 2 * pw), x_dtype)
-        for k, (rows, cols) in enumerate(taps):
-            dxp[:, :, rows, cols] += dtaps[:, :, k]
-        return dw, dxp[:, :, ph : ph + h, pw : pw + w]
+        g = g.reshape(n, c_out, h_out * w_out)
+        return (None if xd is None else weight_grad(g, xd)), (input_grad(g) if need_x else None)
 
-    return out.reshape(n, spec.out_channels, h_out, w_out), grads
+    return out, grads
 
 
 # Elements in the buffers of one block of depthwise rows, all of them together:

@@ -1,5 +1,6 @@
 import gc
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -71,6 +72,32 @@ def conv2d_loop_oracle(x, weight, bias, stride=1, groups=1):
     if bias is not None:
         out += bias[:, None, None]
     return out
+
+
+def conv2d_dx_loop_oracle(weight, g, h, w, stride=1):
+    """Input gradient of a groups-1 conv in float64, one input element at a time.
+
+    dx[i, y, x] sums weight[o, i, u, v] * g[o, oy, ox] over every output (oy, ox)
+    whose tap (u, v) reads the input at (y, x) through zero padding (k-1)//2.
+    """
+    c_out, c_in, kh, kw = weight.shape
+    pad_h, pad_w = (kh - 1) // 2, (kw - 1) // 2
+    h_out, w_out = g.shape[1:]
+    dx = np.zeros((c_in, h, w))
+    for i in range(c_in):
+        for y in range(h):
+            for x in range(w):
+                acc = 0.0
+                for u in range(kh):
+                    for v in range(kw):
+                        oy, off_y = divmod(y + pad_h - u, stride)
+                        ox, off_x = divmod(x + pad_w - v, stride)
+                        if off_y or off_x or not (0 <= oy < h_out and 0 <= ox < w_out):
+                            continue
+                        for o in range(c_out):
+                            acc += float(weight[o, i, u, v]) * float(g[o, oy, ox])
+                dx[i, y, x] = acc
+    return dx
 
 
 class TestConv2d:
@@ -308,6 +335,54 @@ class TestDirectConvKernels:
         seed = batch * 1000 + channels * 100 + h * 10 + w
         check_direct_kernel("depthwise", channels, h, w, True, dtype, "both", seed, batch=batch)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("block", ["1 row", "3 rows", "2 samples"])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("kind,c_in,c_out,h,w", [("3x3", 5, 6, 7, 9), ("3x3", 3, 2, 4, 1),
+                                                     ("down", 6, 4, 5, 7), ("down", 2, 3, 3, 2)])
+    def test_dense_blocks_match_einsum_kernel(self, monkeypatch, kind, c_in, c_out, h, w, batch, block,
+                                              dtype):
+        # A block budget of a few output rows of one sample's tap stack, so that a sample's
+        # rows cross several blocks, the last of them often partial; or of two whole
+        # samples, so that a batch of 3 splits into groups of 2 and 1.
+        seed = batch * 1000 + c_in * 100 + h * 10 + w
+        count, unit = block.split()
+        rows = int(count) * (h if unit == "samples" else 1)
+        k = KINDS[kind][0]
+        one_block = conv_with_grads(*self._dense_case(kind, c_in, c_out, h, w, batch, dtype, seed))
+        monkeypatch.setattr(tensor, "_DENSE_BLOCK", rows * c_in * k * k * w)
+        check_direct_kernel(kind, c_in, h, w, True, dtype, "both", seed, batch=batch, c_out=c_out)
+        if dtype == np.float32:  # blocking changes no float32 bit
+            blocked = conv_with_grads(*self._dense_case(kind, c_in, c_out, h, w, batch, dtype, seed))
+            assert all(np.array_equal(a, b) for a, b in zip(blocked, one_block))
+
+    @staticmethod
+    def _dense_case(kind, c_in, c_out, h, w, batch, dtype, seed):
+        """conv_with_grads arguments of a dense conv with an h x w output, both gradients taken."""
+        k, stride = KINDS[kind]
+        rng = np.random.default_rng(seed)
+        spec = ConvSpec(c_in, c_out, k, k, stride=stride)
+        x = rng.standard_normal((batch, c_in, h * stride, w * stride)).astype(dtype)
+        weight = rng.standard_normal(spec.weight_shape).astype(dtype)
+        bias = rng.standard_normal(c_out).astype(dtype)
+        g = rng.standard_normal((batch, c_out, h, w)).astype(dtype)
+        return x, spec, weight, bias, True, True, g
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind,c_in,c_out,h,w", [("3x3", 3, 4, 5, 6), ("3x3", 6, 1, 1, 4),
+                                                     ("3x3", 2, 7, 6, 1), ("down", 4, 5, 3, 4),
+                                                     ("down", 1, 6, 2, 1)])
+    def test_dense_dx_matches_loop_oracle(self, kind, c_in, c_out, h, w, dtype):
+        # The einsum oracle changes its own float32 loop order with the shape; this one
+        # sums each input element in float64, independently of every GEMM.
+        x, spec, weight, bias, _, _, g = self._dense_case(kind, c_in, c_out, h, w, 2, dtype, c_in * 10 + h)
+        dx = conv_with_grads(x, spec, weight, bias, True, False, g)[1]
+        assert dx.dtype == dtype
+        for xs, dxs, gs in zip(x, dx, g):
+            want = conv2d_dx_loop_oracle(weight, gs, *xs.shape[1:], stride=spec.stride)
+            size = conv2d_dx_loop_oracle(np.abs(weight), np.abs(gs), *xs.shape[1:], stride=spec.stride)
+            assert np.all(np.abs(dxs - want) <= DENSE_ULPS * np.spacing(size.astype(dtype)))
+
     def test_grouped_specs_other_than_depthwise_3x3_raise(self):
         for spec in (ConvSpec(4, 8, 3, 3), ConvSpec(4, 8, 2, 2, stride=2), ConvSpec(4, 8, 5, 5)):
             assert tensor._conv_kernel(spec) is tensor._conv_dense
@@ -317,6 +392,29 @@ class TestDirectConvKernels:
             x = Tensor(np.zeros((4, 8, 8), np.float32))
             with pytest.raises(ConfigurationError, match="grouped"):
                 conv2d(x, spec, Tensor(np.zeros(spec.weight_shape, np.float32)))
+
+
+class TestDenseConvMemory:
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_final_conv_peak_stays_below_one_sample_stack(self, batch):
+        # The paper preset's `final` conv at 128x128 RAW: 32 -> 4 channels, 3x3, 64x64.
+        # Its float64 tap stack (9 MiB a sample) was once built for the whole batch, in
+        # the forward and again for dw. Built block by block, a whole forward and
+        # backward stays below one sample's stack, at batch 8 as at batch 1.
+        spec = ConvSpec(32, 4, 3, 3)
+        rng = np.random.default_rng(batch)
+        x, g = (rng.standard_normal((batch, c, 64, 64)).astype(np.float32) for c in (32, 4))
+        weight = rng.standard_normal(spec.weight_shape).astype(np.float32)
+        bias = rng.standard_normal(4).astype(np.float32)
+        one_sample_stack = 32 * 9 * 64 * 64 * 8
+        tracemalloc.start()
+        try:
+            got = conv_with_grads(x, spec, weight, bias, True, True, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(a is not None for a in got)
+        assert peak < one_sample_stack
 
 
 def _op_output(arr):
@@ -429,6 +527,9 @@ RECOMPUTES = {
     "conv2d-1x1-unbatched": lambda leaf: conv2d(leaf(_IMAGE[1:]), ConvSpec(4, 6, 1, 1), leaf((6, 4, 1, 1))),
     "conv2d-1x1-of-gated": lambda leaf: conv2d(simple_gate(leaf((2, 8, 8, 8))), ConvSpec(4, 6, 1, 1),
                                                leaf((6, 4, 1, 1)), leaf((6,))),
+    "linear": lambda leaf: linear(leaf((2, 3, 4)), leaf((5, 4)), leaf((5,))),
+    "linear-1x1-weight": lambda leaf: linear(leaf((16, 4)), leaf((6, 4, 1, 1)), leaf((6,))),
+    "linear-of-gated": lambda leaf: linear(simple_gate(leaf((2, 8, 8, 8))), leaf((5, 8)), leaf((5,))),
 }
 
 # Convs whose output the tape keeps when a backward reads it: only a 1x1 at stride 1 rebuilds.
@@ -759,12 +860,12 @@ class TestBackwardFreesTheTape:
 
     def test_node_outputs_die_with_the_sweep_without_gc(self):
         net, x, target = self._net_and_batch()
-        refs, first, convs = [], [], []
+        refs, first, linears = [], [], []
 
         def record(op, label, out, parents, spec):
             refs.append(weakref.ref(out.data))
-            if op == "conv2d":
-                convs.append(op)
+            if op == "matmul":
+                linears.append(refs[-1])
             if not first and out._backward is not None:
                 first.append(out)
 
@@ -773,10 +874,12 @@ class TestBackwardFreesTheTape:
         try:
             with observe(record):
                 loss = loss_total(net.forward(x), target, 0.01)
-            # Only what a backward closure reads outlives the forward: more
-            # outputs than there are convs, and fewer than half of all.
+            # Only what a backward closure reads outlives the forward: 49 of the
+            # 215 outputs (69 while the tape kept the 20 linear outputs that a
+            # backward reads; it rebuilds them now).
             alive = [r for r in refs if r() is not None]
-            assert len(convs) < len(alive) < len(refs) // 2
+            assert len(refs) == 215 and len(alive) == 49
+            assert len(linears) == 25 and [r for r in linears if r() is not None] == []
             # The forward's first node is swept last: when its closure runs,
             # every node made after it must already be gone.
             node = first.pop()
@@ -800,7 +903,8 @@ class TestBackwardFreesTheTape:
         # Bytes of the arrays the graph of one `frenet` forward keeps alive, found through
         # every backward closure and what it captures, parameter buffers left out. The
         # figure was 7,242,032 while the tape kept the four elementwise-rebuildable arrays
-        # per block, and 5,472,560 while it kept the outputs of the 1x1 convs.
+        # per block, 5,472,560 while it kept the outputs of the 1x1 convs, and 3,639,600
+        # while it kept the outputs of the linear maps (AFPM's generators and projection).
         net = build_frenet(NetworkConfig(name="frenet", base_size=16), seed=0)
         x = Tensor(np.random.default_rng(0).uniform(0, 1, (1, 4, 16, 16)).astype(np.float32))
         out = net.forward(x)
@@ -824,7 +928,7 @@ class TestBackwardFreesTheTape:
             for arr in (v for v in _captured(node._backward) if isinstance(v, np.ndarray)):
                 buffers[id(owner(arr))] = owner(arr).nbytes
             todo.extend(node._parents)
-        assert sum(size for key, size in buffers.items() if key not in params) == 3_639_600
+        assert sum(size for key, size in buffers.items() if key not in params) == 3_111_696
 
     def test_second_backward_through_a_freed_graph_raises(self):
         net, x, target = self._net_and_batch()
