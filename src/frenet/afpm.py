@@ -79,13 +79,13 @@ def make_patch_grid(h: int, w: int, target: int = 8) -> PatchGrid:
 
 
 class KernelBiasGenerator:
-    """Two linear layers with a GELU in between, mapping a distance to out_dim values."""
+    """Two linear layers with a GELU on the KBG_HIDDEN units in between, mapping a distance
+    to out_dim values."""
 
-    def __init__(self, prefix: str, out_dim: int, hidden: int = KBG_HIDDEN):
-        self.out_dim = out_dim
-        self.w1 = parameter(f"{prefix}.w1", (hidden, 1), bound=1.0)
-        self.b1 = parameter(f"{prefix}.b1", (hidden,))
-        self.w2 = parameter(f"{prefix}.w2", (out_dim, hidden), bound=1.0 / math.sqrt(hidden))
+    def __init__(self, prefix: str, out_dim: int):
+        self.w1 = parameter(f"{prefix}.w1", (KBG_HIDDEN, 1), bound=1.0)
+        self.b1 = parameter(f"{prefix}.b1", (KBG_HIDDEN,))
+        self.w2 = parameter(f"{prefix}.w2", (out_dim, KBG_HIDDEN), bound=1.0 / math.sqrt(KBG_HIDDEN))
         self.b2 = parameter(f"{prefix}.b2", (out_dim,))
 
     def __call__(self, distances: np.ndarray) -> Tensor:

@@ -135,7 +135,7 @@ def tiny_config(base_size: int = 16, **overrides) -> NetworkConfig:
 
 
 class Conv:
-    """Convolution layer owning its spec, weight, and optional bias."""
+    """Convolution layer owning its spec, weight, and bias."""
 
     def __init__(self, prefix: str, spec: ConvSpec):
         self.spec = spec
@@ -143,20 +143,19 @@ class Conv:
         # up under hotter schemes.
         fan_in = (spec.in_channels // spec.groups) * spec.kernel_h * spec.kernel_w
         self.weight = parameter(f"{prefix}.weight", spec.weight_shape, bound=1.0 / math.sqrt(fan_in))
-        self.bias = parameter(f"{prefix}.bias", (spec.out_channels,)) if spec.has_bias else None
+        self.bias = parameter(f"{prefix}.bias", (spec.out_channels,))
 
     def __call__(self, x: Tensor) -> Tensor:
         return conv2d(x, self.spec, self.weight, self.bias)
 
 
 class LayerNormChannels:
-    def __init__(self, prefix: str, channels: int, eps: float = 1e-5):
-        self.eps = eps
+    def __init__(self, prefix: str, channels: int):
         self.gamma = parameter(f"{prefix}.gamma", (channels,), fill=1.0)
         self.beta = parameter(f"{prefix}.beta", (channels,))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm_channels(x, self.gamma, self.beta, self.eps)
+        return layer_norm_channels(x, self.gamma, self.beta)
 
 
 class Sca:
@@ -182,8 +181,6 @@ class Facm:
     """
 
     def __init__(self, prefix: str, channels: int, cfg: NetworkConfig, grid: PatchGrid):
-        self.channels = channels
-        self.cfg = cfg
         packed = 2 * channels
         self.norm = LayerNormChannels(f"{prefix}.norm", packed)
         self.conv_in = Conv(f"{prefix}.conv_in", ConvSpec(packed, 2 * packed, 1, 1))
@@ -254,9 +251,6 @@ class Down:
         self.conv = Conv(prefix, ConvSpec(channels, 2 * channels, 2, 2, stride=2))
 
     def __call__(self, x: Tensor) -> Tensor:
-        h, w = x.shape[-2:]
-        if h % 2 or w % 2:
-            raise ConfigurationError(f"downsampling needs even spatial dims, got {h}x{w}")
         return self.conv(x)
 
 
@@ -264,10 +258,6 @@ class Up:
     """1x1 conv, depth-to-space by 2, then 1x1 conv: 2C x H x W -> C x 2H x 2W."""
 
     def __init__(self, prefix: str, in_channels: int):
-        if in_channels % 4:
-            raise ConfigurationError(
-                f"upsampling needs channels divisible by 4 after the first conv, got {in_channels}"
-            )
         self.conv1 = Conv(f"{prefix}.conv1", ConvSpec(in_channels, in_channels, 1, 1))
         self.conv2 = Conv(f"{prefix}.conv2", ConvSpec(in_channels // 4, in_channels // 2, 1, 1))
 

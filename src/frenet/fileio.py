@@ -32,12 +32,16 @@ CKPT_MAGIC = b"FRENETCK1\n"
 
 
 def write_ften(path: str | Path, array: np.ndarray) -> None:
-    arr = np.ascontiguousarray(array, dtype="<f4")
     with open(path, "wb") as fh:
         fh.write(FTEN_MAGIC)
-        fh.write(struct.pack("<I", arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(arr.tobytes())
+        _write_array(fh, array)
+
+
+def _write_array(fh, array: np.ndarray) -> None:
+    """u32 rank, u32 dims, then the 32-bit little-endian floats."""
+    arr = np.ascontiguousarray(array, dtype="<f4")
+    fh.write(struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape))
+    fh.write(memoryview(arr))  # the array's own buffer, not a bytes copy
 
 
 class _Payload(NamedTuple):
@@ -118,12 +122,9 @@ def read_ften(path: str | Path) -> np.ndarray:
 
 def _write_record(fh, name: str, array: np.ndarray) -> None:
     encoded = name.encode("utf-8")
-    arr = np.ascontiguousarray(array, dtype="<f4")
     fh.write(struct.pack("<I", len(encoded)))
     fh.write(encoded)
-    fh.write(struct.pack("<I", arr.ndim))
-    fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    fh.write(memoryview(arr))  # the array's own buffer, not a bytes copy
+    _write_array(fh, array)
 
 
 def _read_record(reader: _Reader) -> tuple[str, _Payload]:
@@ -137,12 +138,11 @@ def _read_record(reader: _Reader) -> tuple[str, _Payload]:
         name = reader.read(name_len).decode("utf-8")
     except UnicodeDecodeError:
         raise ConfigurationError(f"{reader.path}: record name at byte {offset} is not UTF-8") from None
-    (rank,) = _U32.unpack(reader.read(4))
-    return name, reader.skip(struct.unpack(f"<{rank}I", reader.read(4 * rank)))
+    return name, reader.skip(reader.dims())
 
 
-def save_checkpoint(path: str | Path, net, adam=None, step: int = 0,
-                    preprocess=None) -> None:
+def save_checkpoint(path: str | Path, net, adam=None, preprocess=None) -> None:
+    """Write ``net``'s parameters and config, and ``adam``'s moments and step (0 without it)."""
     from .rawdata import PreprocessSpec
 
     preprocess = preprocess if preprocess is not None else PreprocessSpec()
@@ -154,7 +154,7 @@ def save_checkpoint(path: str | Path, net, adam=None, step: int = 0,
             if name in adam.m:
                 moments.append((f"adam.m.{name}", adam.m[name]))
                 moments.append((f"adam.v.{name}", adam.v[name]))
-        step = adam.step
+    step = 0 if adam is None else adam.step
 
     def write(tmp: Path) -> None:
         with open(tmp, "wb") as fh:
@@ -233,7 +233,7 @@ def restore_network(path: str | Path):
     floats are then read straight into its slice of the network's buffer, so
     the weights exist once. Parameters and optimizer moments must be finite:
     one NaN weight would turn every output pixel into NaN. Returns (net,
-    preprocess_spec, adam_state, step).
+    preprocess_spec, adam_state); the checkpoint's step is ``adam_state.step``.
     """
     from .arch import build_frenet
     from .train import AdamState
@@ -281,7 +281,7 @@ def restore_network(path: str | Path):
             )
         state.m[name] = m
         state.v[name] = v
-    return net, preprocess, state, step
+    return net, preprocess, state
 
 
 def write_pgm16(path: str | Path, plane: np.ndarray) -> None:

@@ -167,18 +167,15 @@ class Tensor:
                         stack.append((parent, False))
         root.grad = np.ones((), dtype=self.data.dtype)
         hook = _on_leaf.get()
-        rebuilt: dict[int, np.ndarray] = {}  # what recompute functions returned in one node's backward
-        with _setting(_rebuilding, rebuilt):
-            while order:
-                node = order.pop()  # popped, so the list keeps no swept record alive
-                if node._backward is None:  # a leaf
-                    if hook is not None and node.grad is not None:
-                        hook(node)
-                    continue
-                if node.grad is not None:
-                    node._backward(node.grad)
-                    rebuilt.clear()
-                node.grad, node._parents, node._backward = None, (), _freed
+        while order:
+            node = order.pop()  # popped, so the list keeps no swept record alive
+            if node._backward is None:  # a leaf
+                if hook is not None and node.grad is not None:
+                    hook(node)
+                continue
+            if node.grad is not None:
+                node._backward(node.grad)
+            node.grad, node._parents, node._backward = None, (), _freed
 
 
 class _Node:
@@ -281,7 +278,6 @@ class ConvSpec:
     kernel_w: int
     stride: int = 1
     groups: int = 1
-    has_bias: bool = True
 
     def __post_init__(self):
         for field in ("in_channels", "out_channels", "kernel_h", "kernel_w", "stride", "groups"):
@@ -302,7 +298,6 @@ _recording: ContextVar[bool] = ContextVar("recording", default=True)
 _observer: ContextVar[Callable | None] = ContextVar("observer", default=None)
 _section: ContextVar[str | None] = ContextVar("section", default=None)
 _on_leaf: ContextVar[Callable | None] = ContextVar("on_leaf", default=None)
-_rebuilding: ContextVar[dict | None] = ContextVar("rebuilding", default=None)
 _collector: ContextVar[list | None] = ContextVar("collector", default=None)
 _ZERO = bytes(4)
 
@@ -360,11 +355,13 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.nd
     ``backward`` keeps, the buffers of its own parameters, and the recompute
     functions of the inputs.
 
-    A recompute runs only in the backward of a consumer of the result, and a
-    training step updates each parameter in place when ``backward()``
-    reaches it (``on_leaf``). The sweep reaches a consumer's backward before
-    its producer's and the producer's before the producer's parameters, so a
-    recompute always reads a parameter buffer before that update.
+    A recompute runs, each time it is read, only inside the backward of a node
+    downstream of the result: a consumer, or a consumer of an output whose
+    recompute reads it. A training step updates each parameter in place when
+    ``backward()`` reaches it (``on_leaf``). The sweep reaches every node
+    downstream of a result before the result's producer, and the producer
+    before its parameters, so a recompute always reads a parameter buffer
+    before that update.
     """
     out = Tensor(data)
     if _recording.get():
@@ -385,21 +382,14 @@ def _kept(t: Tensor) -> np.ndarray | Callable[[], np.ndarray]:
 
 
 def _rebuilt(kept: np.ndarray | Callable[[], np.ndarray]) -> np.ndarray:
-    """The array that ``kept`` (from ``_kept``) stands for.
+    """The array that ``kept`` (from ``_kept``) stands for: itself, or what its recompute returns.
 
-    Inside ``backward()`` each recompute function runs at most once per node's
-    backward, so a value that several rebuilt inputs share, such as the gated
-    map under both branches of the fused sum, is computed once for each
-    consumer that reads it.
+    Nothing is cached, so every read runs the recompute, and a recompute runs
+    those of its rebuilt inputs. A value that several rebuilt outputs read,
+    such as the gated map under both branches of the fused sum, is computed
+    again for each of them.
     """
-    if isinstance(kept, np.ndarray):
-        return kept
-    memo = _rebuilding.get()
-    if memo is None:
-        return kept()
-    if id(kept) not in memo:
-        memo[id(kept)] = kept()
-    return memo[id(kept)]
+    return kept if isinstance(kept, np.ndarray) else kept()
 
 
 def _accumulate(t: Tensor | _Node | None, g: np.ndarray) -> None:
@@ -640,7 +630,7 @@ def roll2d(a: Tensor, shift_h: int, shift_w: int) -> Tensor:
 # neural primitives
 
 
-def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor) -> Tensor:
     """2-D cross-correlation of a CxHxW input or a batch of them, dense or depthwise.
 
     Odd kernels get zero padding (k-1)/2 so spatial size maps H -> H/stride;
@@ -679,23 +669,21 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None = None
         raise ConfigurationError(
             f"weight shape {tuple(weight.shape)} does not match spec {spec.weight_shape}"
         )
-    if bias is not None and tuple(bias.shape) != (spec.out_channels,):
+    if tuple(bias.shape) != (spec.out_channels,):
         raise ConfigurationError(f"bias shape {tuple(bias.shape)} != ({spec.out_channels},)")
     if h % spec.stride or w % spec.stride:
         raise ConfigurationError(f"spatial dims {h}x{w} not divisible by stride {spec.stride}")
 
-    kernel, wd, bd = _conv_kernel(spec), weight.data, None if bias is None else bias.data
+    kernel, wd, bd = _conv_kernel(spec), weight.data, bias.data
 
     def run(xd):
         out, grads = kernel(xd.reshape(-1, c_in, h, w), spec, wd)
         out = out.astype(np.result_type(xd, wd), copy=False)
-        if bd is not None:
-            out += bd[:, None, None]
+        out += bd[:, None, None]
         return out.reshape(lead + out.shape[1:]), grads
 
     out, grads = run(x.data)
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    rx, rw, rb = x._record, weight._record, None if bias is None else bias._record
+    rx, rw, rb = x._record, weight._record, bias._record
     kx, x_shape, w_shape = _kept(x), x.shape, weight.shape
 
     def bw(g):
@@ -712,7 +700,7 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None = None
 
     one_by_one = spec.kernel_h == spec.kernel_w == spec.stride == 1
     recompute = (lambda: run(_rebuilt(kx))[0]) if one_by_one else None
-    return _node(out, parents, bw, "conv2d", spec, recompute)
+    return _node(out, (x, weight, bias), bw, "conv2d", spec, recompute)
 
 
 def _conv_kernel(spec: ConvSpec):

@@ -230,7 +230,7 @@ def train(
                 return
             except OSError:  # no hard link possible: write the bytes again
                 pass
-        save_checkpoint(path, net, adam=state, step=state.step, preprocess=preprocess)
+        save_checkpoint(path, net, adam=state, preprocess=preprocess)
         written = (state.step, path)
 
     step_losses: list[float] = []

@@ -73,10 +73,13 @@ class TestKbg:
     def test_single_unit_path_reproduces_gelu(self):
         rng = np.random.default_rng(1)
         with parameter_buffer(rng):
-            kbg = KernelBiasGenerator("k", out_dim=1, hidden=1)
-        kbg.w1.data = np.ones_like(kbg.w1.data)
+            kbg = KernelBiasGenerator("k", out_dim=1)
+        # one hidden unit carries the distance; the other 15 are zero in and out
+        kbg.w1.data = np.zeros_like(kbg.w1.data)
+        kbg.w1.data[0] = 1.0
         kbg.b1.data = np.zeros_like(kbg.b1.data)
-        kbg.w2.data = np.ones_like(kbg.w2.data)
+        kbg.w2.data = np.zeros_like(kbg.w2.data)
+        kbg.w2.data[0, 0] = 1.0
         kbg.b2.data = np.zeros_like(kbg.b2.data)
         out = kbg(np.array([1.0]))
         assert abs(float(out.data[0, 0]) - 0.8413447) < 1e-6
@@ -86,8 +89,6 @@ class TestKbg:
         grid = make_patch_grid(64, 64, 8)
         with parameter_buffer(rng):
             module = Afpm("a", channels=4, grid=grid)
-        assert module.kernel_kbg.out_dim == grid.patch_h * grid.patch_w == 64
-        assert module.bias_kbg.out_dim == 1
         flat = grid.distances.reshape(-1)
         assert module.kernel_kbg(flat).shape == (64, 64)
         assert module.bias_kbg(flat).shape == (64, 1)

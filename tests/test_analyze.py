@@ -13,15 +13,16 @@ def test_single_conv_mac_formula():
     spec = ConvSpec(3, 8, 1, 1)
     x = Tensor(np.zeros((3, 64, 64), dtype=np.float32))
     w = Tensor(np.zeros(spec.weight_shape, dtype=np.float32))
-    sections, fft_flops = count_ops(lambda: conv2d(x, spec, w))
+    b = Tensor(np.zeros(8, dtype=np.float32))
+    sections, fft_flops = count_ops(lambda: conv2d(x, spec, w, b))
     assert sections == {None: 8 * 3 * 64 * 64} and 8 * 3 * 64 * 64 == 98_304
     assert fft_flops == 0
 
     # a block path label counts towards the section before its first dot
     def labelled():
         with section("enc1.blk0"):
-            conv2d(x, spec, w)
-        conv2d(x, spec, w)
+            conv2d(x, spec, w, b)
+        conv2d(x, spec, w, b)
 
     sections, _ = count_ops(labelled)
     assert sections == {"enc1": 98_304, None: 98_304}
@@ -141,7 +142,7 @@ def test_walk_matches_runtime_operation_count(monkeypatch):
 
     counted = {"macs": 0}
 
-    def counting_conv2d(x, spec, weight, bias=None):
+    def counting_conv2d(x, spec, weight, bias):
         out = real_conv2d(x, spec, weight, bias)
         _, h_out, w_out = out.shape
         counted["macs"] += (

@@ -308,7 +308,7 @@ class TestResampling:
         rng = np.random.default_rng(19)
         with parameter_buffer(rng):
             down = Down("d", channels=1)
-        with pytest.raises(ConfigurationError, match="even"):
+        with pytest.raises(ConfigurationError, match="not divisible by stride 2"):
             down(Tensor(np.zeros((1, 5, 8))))
 
     def test_upsample_shape_and_oracle(self):
@@ -325,8 +325,10 @@ class TestResampling:
         assert np.abs(out.data - want.data).max() < 1e-6
 
     def test_upsample_channel_divisibility(self):
+        with parameter_buffer(np.random.default_rng(21)):
+            up = Up("u", in_channels=6)
         with pytest.raises(ConfigurationError, match="divisible by 4"):
-            Up("u", in_channels=6)
+            up(Tensor(np.zeros((6, 4, 4), np.float32)))
 
 
 def tiny_param_count_formula(cfg: NetworkConfig) -> int:

@@ -225,7 +225,7 @@ def test_datagen_train_infer_dump_pipeline(workdir, capsys):
     assert (out_dir / "training.log").exists()
 
     # single-window inference equals the direct forward bit-exactly
-    net, preprocess, _, _ = restore_network(ckpt)
+    net, preprocess, _ = restore_network(ckpt)
     raw01 = gen_sharp(99, 32, 32)
     pgm = tmp_path / "input.pgm"
     write_pgm16(pgm, to_sensor_counts(raw01, preprocess).data)
@@ -270,7 +270,7 @@ def test_dump_spectrum_writes_each_blocks_output_spectrum(tmp_path, monkeypatch)
     from frenet import arch
 
     ckpt, _ = _tiny_checkpoint(tmp_path)
-    net, preprocess, _, _ = restore_network(ckpt)
+    net, preprocess, _ = restore_network(ckpt)
     pgm = tmp_path / "in32.pgm"
     write_pgm16(pgm, to_sensor_counts(gen_sharp(17, 32, 32), preprocess).data)
 
@@ -307,7 +307,7 @@ def test_sliding_window_infer_on_larger_image(workdir, tmp_path):
                  "--out", str(out_dir)]) == 0
     ckpt = out_dir / "final.fckpt"
     # 48x48 raw image tiled by the 32-raw-pixel training window
-    _, preprocess, _, _ = restore_network(ckpt)
+    _, preprocess, _ = restore_network(ckpt)
     raw01 = gen_sharp(123, 48, 48)
     pgm = tmp_path / "big.pgm"
     write_pgm16(pgm, to_sensor_counts(raw01, preprocess).data)

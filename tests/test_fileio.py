@@ -66,8 +66,8 @@ class TestCheckpoint:
         save_checkpoint(path, net, adam=state, preprocess=PreprocessSpec(32, 4095))
         assert path.read_bytes().startswith(CKPT_MAGIC)
 
-        restored, preprocess, adam, step = restore_network(path)
-        assert step == 17
+        restored, preprocess, adam = restore_network(path)
+        assert adam.step == 17
         assert preprocess.black_level == 32 and preprocess.white_level == 4095
         assert restored.cfg.width == net.cfg.width
         assert restored.cfg.base_size == 16
@@ -142,9 +142,9 @@ class TestCheckpoint:
     def test_saved_without_optimizer_state(self, tmp_path):
         net = build_frenet(tiny_config(base_size=16), seed=0)
         path = tmp_path / "net.fckpt"
-        save_checkpoint(path, net, step=5)
-        restored, _, adam, step = restore_network(path)
-        assert step == 5 and adam.step == 5
+        save_checkpoint(path, net)
+        restored, _, adam = restore_network(path)
+        assert adam.step == 0
         assert not adam.m and not adam.v
         assert set(restored.parameters()) == set(net.parameters())
 
@@ -221,7 +221,7 @@ class TestCheckpoint:
         net = build_frenet(tiny_config(base_size=16), seed=0)
         path = tmp_path / "net.fckpt"
         save_checkpoint(path, net)
-        restored, preprocess, _, _ = restore_network(path)
+        restored, preprocess, _ = restore_network(path)
         config_text = render_checkpoint_config(restored.cfg, preprocess)
         blob = path.read_bytes()
         assert blob[-32:] == hashlib.sha256(config_text.encode()).digest()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from frenet import arch, spectral, tensor
+from frenet import afpm, arch, spectral, tensor
 from frenet.afpm import make_patch_grid, patch_scale, patch_weighted_sum
 from frenet.arch import NetworkConfig, build_frenet, tiny_config
 from frenet.spectral import ComplexTensor, fft2d, ifft2d
@@ -100,6 +100,10 @@ def conv2d_dx_loop_oracle(weight, g, h, w, stride=1):
     return dx
 
 
+def zero_bias(channels):
+    return Tensor(np.zeros(channels, np.float32))
+
+
 class TestConv2d:
     def test_one_by_one_sums_channels(self):
         spec = ConvSpec(2, 1, 1, 1)
@@ -114,7 +118,7 @@ class TestConv2d:
         delta = np.zeros((3, 1, 3, 3), dtype=np.float32)
         delta[:, 0, 1, 1] = 1.0
         x = Tensor(np.random.default_rng(0).standard_normal((3, 5, 7)).astype(np.float32))
-        out = conv2d(x, spec, Tensor(delta))
+        out = conv2d(x, spec, Tensor(delta), zero_bias(3))
         assert np.array_equal(out.data, x.data)
 
     def test_full_conv_matches_loop_oracle(self):
@@ -133,7 +137,7 @@ class TestConv2d:
         x = rng.standard_normal((c_in, 8, 8)).astype(np.float32)
         weight = rng.standard_normal((c_out, c_in // groups, kh, kh)).astype(np.float32)
         spec = ConvSpec(c_in, c_out, kh, kh, stride=stride, groups=groups)
-        out = conv2d(Tensor(x), spec, Tensor(weight))
+        out = conv2d(Tensor(x), spec, Tensor(weight), zero_bias(c_out))
         want = conv2d_loop_oracle(x, weight, None, stride=stride, groups=groups)
         assert np.abs(out.data - want).max() < 1e-5
 
@@ -142,11 +146,12 @@ class TestConv2d:
         spec = ConvSpec(2, 3, 3, 3)
         x1, x2 = (rng.standard_normal((2, 6, 6)).astype(np.float32) for _ in range(2))
         w1, w2 = (rng.standard_normal((3, 2, 3, 3)).astype(np.float32) for _ in range(2))
-        mixed = conv2d(Tensor(2.0 * x1 + 3.0 * x2), spec, Tensor(w1)).data
-        split = 2.0 * conv2d(Tensor(x1), spec, Tensor(w1)).data + 3.0 * conv2d(Tensor(x2), spec, Tensor(w1)).data
+        b = zero_bias(3)
+        mixed = conv2d(Tensor(2.0 * x1 + 3.0 * x2), spec, Tensor(w1), b).data
+        split = 2.0 * conv2d(Tensor(x1), spec, Tensor(w1), b).data + 3.0 * conv2d(Tensor(x2), spec, Tensor(w1), b).data
         assert np.abs(mixed - split).max() < 1e-5
-        mixed_w = conv2d(Tensor(x1), spec, Tensor(w1 + w2)).data
-        split_w = conv2d(Tensor(x1), spec, Tensor(w1)).data + conv2d(Tensor(x1), spec, Tensor(w2)).data
+        mixed_w = conv2d(Tensor(x1), spec, Tensor(w1 + w2), b).data
+        split_w = conv2d(Tensor(x1), spec, Tensor(w1), b).data + conv2d(Tensor(x1), spec, Tensor(w2), b).data
         assert np.abs(mixed_w - split_w).max() < 1e-5
 
     def test_shape_mismatch_raises(self):
@@ -154,11 +159,14 @@ class TestConv2d:
         x = Tensor(np.zeros((2, 4, 4)))
         weight = Tensor(np.zeros((3, 4, 3, 3)))
         with pytest.raises(ConfigurationError, match="channels"):
-            conv2d(x, spec, weight)
+            conv2d(x, spec, weight, zero_bias(3))
         with pytest.raises(ConfigurationError, match="weight shape"):
-            conv2d(Tensor(np.zeros((4, 4, 4))), spec, Tensor(np.zeros((3, 4, 1, 1))))
+            conv2d(Tensor(np.zeros((4, 4, 4))), spec, Tensor(np.zeros((3, 4, 1, 1))), zero_bias(3))
+        with pytest.raises(ConfigurationError, match="bias shape"):
+            conv2d(Tensor(np.zeros((4, 4, 4))), spec, Tensor(np.zeros((3, 4, 3, 3))), zero_bias(4))
         with pytest.raises(ConfigurationError, match="stride"):
-            conv2d(Tensor(np.zeros((4, 5, 5))), ConvSpec(4, 4, 2, 2, stride=2), Tensor(np.zeros((4, 4, 2, 2))))
+            conv2d(Tensor(np.zeros((4, 5, 5))), ConvSpec(4, 4, 2, 2, stride=2), Tensor(np.zeros((4, 4, 2, 2))),
+                   zero_bias(4))
 
     def test_groups_divisibility_checked(self):
         with pytest.raises(ConfigurationError, match="groups"):
@@ -169,10 +177,10 @@ def conv_with_grads(x, spec, weight, bias, need_x, need_w, g):
     """conv2d's output and the gradients of <output, g> for input, weight and bias."""
     xt = Tensor(x, requires_grad=need_x)
     wt = Tensor(weight, requires_grad=need_w)
-    bt = None if bias is None else Tensor(bias, requires_grad=True)
+    bt = Tensor(bias, requires_grad=True)
     out = conv2d(xt, spec, wt, bt)
     out._backward(g)
-    return out.data, xt.grad, wt.grad, None if bt is None else bt.grad
+    return out.data, xt.grad, wt.grad, bt.grad
 
 
 def conv_einsum(xd, spec, wd):
@@ -248,8 +256,7 @@ PRESET_DENSE = [("3x3", 4, 4, 32), ("down", 4, 8, 16), ("down", 8, 16, 8),
                 ("down", 128, 256, 4), ("1x1", 32, 64, 32), ("1x1", 64, 32, 16)]
 
 
-def check_direct_kernel(kind, channels, h, w, has_bias, dtype, need, seed, batch=None, c_out=None,
-                        exact=False):
+def check_direct_kernel(kind, channels, h, w, dtype, need, seed, batch=None, c_out=None, exact=False):
     """Compare a kind's kernel with the oracle on an h x w output (from a 2h x 2w input for down).
 
     float32 results are equal bit for bit, except dx of the down and 3x3 kinds,
@@ -263,17 +270,16 @@ def check_direct_kernel(kind, channels, h, w, has_bias, dtype, need, seed, batch
         kind = "depthwise"  # a one-channel 3x3 is also a depthwise spec, and conv2d runs it as one
     k, stride = KINDS[kind]
     groups = channels if kind == "depthwise" else 1
-    spec = ConvSpec(channels, c_out, k, k, stride=stride, groups=groups, has_bias=has_bias)
+    spec = ConvSpec(channels, c_out, k, k, stride=stride, groups=groups)
     assert tensor._conv_kernel(spec) is (tensor._conv_depthwise3 if kind == "depthwise" else tensor._conv_dense)
     x = rng.standard_normal(lead + (channels, h * spec.stride, w * spec.stride)).astype(dtype)
     weight = rng.standard_normal(spec.weight_shape).astype(dtype)
-    bias = rng.standard_normal(c_out).astype(dtype) if has_bias else None
+    bias = rng.standard_normal(c_out).astype(dtype)
     g = rng.standard_normal(lead + (c_out, h, w)).astype(dtype)
     need_x, need_w = need in ("x", "both"), need in ("w", "both")
     got = conv_with_grads(x, spec, weight, bias, need_x, need_w, g)
     want = einsum_conv_with_grads(x, spec, weight, bias, need_x, need_w, g)
-    abs_bias = None if bias is None else np.abs(bias)
-    scale = einsum_conv_with_grads(np.abs(x), spec, np.abs(weight), abs_bias, need_x, need_w, np.abs(g))
+    scale = einsum_conv_with_grads(np.abs(x), spec, np.abs(weight), np.abs(bias), need_x, need_w, np.abs(g))
     f64 = dtype == np.float64
     for name, a, b, size in zip(("out", "dx", "dw", "dbias"), got, want, scale):
         assert (a is None) == (b is None), name
@@ -293,12 +299,11 @@ class TestDirectConvKernels:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("need", ["x", "w"])
-    @pytest.mark.parametrize("has_bias", [True, False])
-    @pytest.mark.parametrize("h,w", [(1, 1), (2, 2), (5, 7)])
+    @pytest.mark.parametrize("h,w", [(1, 1), (2, 2), (5, 7), (1, 6), (4, 1), (3, 3)])
     @pytest.mark.parametrize("channels", [1, 3, 64])
     @pytest.mark.parametrize("kind", ["1x1", "depthwise", "down", "3x3"])
-    def test_matches_einsum_kernel(self, kind, channels, h, w, has_bias, need, dtype):
-        check_direct_kernel(kind, channels, h, w, has_bias, dtype, need, seed=channels * 100 + h * 10 + w)
+    def test_matches_einsum_kernel(self, kind, channels, h, w, need, dtype):
+        check_direct_kernel(kind, channels, h, w, dtype, need, seed=channels * 100 + h * 10 + w)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -306,21 +311,19 @@ class TestDirectConvKernels:
         st.integers(1, 64),
         st.integers(1, 12),
         st.integers(1, 12),
-        st.booleans(),
         st.sampled_from([np.float32, np.float64]),
         st.sampled_from(["x", "w", "both"]),
         st.integers(0, 2**32 - 1),
     )
-    def test_random_shapes_match_einsum_kernel(self, kind, channels, h, w, has_bias, dtype, need, seed):
-        check_direct_kernel(kind, channels, h, w, has_bias, dtype, need, seed)
+    def test_random_shapes_match_einsum_kernel(self, kind, channels, h, w, dtype, need, seed):
+        check_direct_kernel(kind, channels, h, w, dtype, need, seed)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("batch", [1, 8])
     @pytest.mark.parametrize("kind,c_in,c_out,side", PRESET_DENSE)
     def test_preset_convs_match_einsum_kernel_bit_for_bit(self, kind, c_in, c_out, side, batch, dtype):
         seed = batch * 1000 + c_in * 10 + side
-        check_direct_kernel(kind, c_in, side, side, True, dtype, "both", seed, batch=batch, c_out=c_out,
-                            exact=True)
+        check_direct_kernel(kind, c_in, side, side, dtype, "both", seed, batch=batch, c_out=c_out, exact=True)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rows_per_block", [1, 4, 7])
@@ -333,7 +336,7 @@ class TestDirectConvKernels:
         padded, span = (h + 2) * (w + 2) + 2, h * (w + 2)
         monkeypatch.setattr(tensor, "_DW_BLOCK", rows_per_block * (padded + 2 * span))
         seed = batch * 1000 + channels * 100 + h * 10 + w
-        check_direct_kernel("depthwise", channels, h, w, True, dtype, "both", seed, batch=batch)
+        check_direct_kernel("depthwise", channels, h, w, dtype, "both", seed, batch=batch)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("block", ["1 row", "3 rows", "2 samples"])
@@ -351,7 +354,7 @@ class TestDirectConvKernels:
         k = KINDS[kind][0]
         one_block = conv_with_grads(*self._dense_case(kind, c_in, c_out, h, w, batch, dtype, seed))
         monkeypatch.setattr(tensor, "_DENSE_BLOCK", rows * c_in * k * k * w)
-        check_direct_kernel(kind, c_in, h, w, True, dtype, "both", seed, batch=batch, c_out=c_out)
+        check_direct_kernel(kind, c_in, h, w, dtype, "both", seed, batch=batch, c_out=c_out)
         if dtype == np.float32:  # blocking changes no float32 bit
             blocked = conv_with_grads(*self._dense_case(kind, c_in, c_out, h, w, batch, dtype, seed))
             assert all(np.array_equal(a, b) for a, b in zip(blocked, one_block))
@@ -391,7 +394,7 @@ class TestDirectConvKernels:
                      ConvSpec(4, 4, 5, 5, groups=4), ConvSpec(4, 4, 3, 3, stride=2, groups=4)):
             x = Tensor(np.zeros((4, 8, 8), np.float32))
             with pytest.raises(ConfigurationError, match="grouped"):
-                conv2d(x, spec, Tensor(np.zeros(spec.weight_shape, np.float32)))
+                conv2d(x, spec, Tensor(np.zeros(spec.weight_shape, np.float32)), zero_bias(spec.out_channels))
 
 
 class TestDenseConvMemory:
@@ -524,7 +527,8 @@ RECOMPUTES = {
     "patch_scale-of-gated": lambda leaf: patch_scale(simple_gate(leaf((2, 8, 8, 8))), leaf((2, 16, 4)),
                                                      _GRID),
     "conv2d-1x1": lambda leaf: conv2d(leaf(_IMAGE), ConvSpec(4, 6, 1, 1), leaf((6, 4, 1, 1)), leaf((6,))),
-    "conv2d-1x1-unbatched": lambda leaf: conv2d(leaf(_IMAGE[1:]), ConvSpec(4, 6, 1, 1), leaf((6, 4, 1, 1))),
+    "conv2d-1x1-unbatched": lambda leaf: conv2d(leaf(_IMAGE[1:]), ConvSpec(4, 6, 1, 1), leaf((6, 4, 1, 1)),
+                                                leaf((6,))),
     "conv2d-1x1-of-gated": lambda leaf: conv2d(simple_gate(leaf((2, 8, 8, 8))), ConvSpec(4, 6, 1, 1),
                                                leaf((6, 4, 1, 1)), leaf((6,))),
     "linear": lambda leaf: linear(leaf((2, 3, 4)), leaf((5, 4)), leaf((5,))),
@@ -535,14 +539,16 @@ RECOMPUTES = {
 # Convs whose output the tape keeps when a backward reads it: only a 1x1 at stride 1 rebuilds.
 NOT_REBUILT = {
     "conv2d-3x3": lambda leaf: conv2d(leaf(_IMAGE), ConvSpec(4, 6, 3, 3), leaf((6, 4, 3, 3)), leaf((6,))),
-    "conv2d-2x2-stride-2": lambda leaf: conv2d(leaf(_IMAGE), ConvSpec(4, 8, 2, 2, stride=2), leaf((8, 4, 2, 2))),
-    "conv2d-depthwise": lambda leaf: conv2d(leaf(_IMAGE), ConvSpec(4, 4, 3, 3, groups=4), leaf((4, 1, 3, 3))),
+    "conv2d-2x2-stride-2": lambda leaf: conv2d(leaf(_IMAGE), ConvSpec(4, 8, 2, 2, stride=2), leaf((8, 4, 2, 2)),
+                                               leaf((8,))),
+    "conv2d-depthwise": lambda leaf: conv2d(leaf(_IMAGE), ConvSpec(4, 4, 3, 3, groups=4), leaf((4, 1, 3, 3)),
+                                            leaf((4,))),
 }
 
 # Each op that keeps an input for its backward, applied to a rebuildable input ``x``.
 CONSUMERS = {
     "conv2d-1x1": lambda x, leaf: conv2d(x, ConvSpec(4, 6, 1, 1), leaf((6, 4, 1, 1)), leaf((6,))),
-    "conv2d-depthwise": lambda x, leaf: conv2d(x, ConvSpec(4, 4, 3, 3, groups=4), leaf((4, 1, 3, 3))),
+    "conv2d-depthwise": lambda x, leaf: conv2d(x, ConvSpec(4, 4, 3, 3, groups=4), leaf((4, 1, 3, 3)), leaf((4,))),
     "mul": lambda x, leaf: mul(leaf((4, 1, 1)), x),
     "patch_weighted_sum": lambda x, leaf: patch_weighted_sum(x, leaf((16, 4)), _GRID),
     "patch_scale": lambda x, leaf: patch_scale(x, leaf((2, 16, 4)), _GRID),
@@ -601,15 +607,29 @@ class TestRecompute:
         for got, want in zip(*results):
             assert np.array_equal(got, want)
 
-    def test_each_backward_rebuilds_a_shared_value_once(self):
-        # conv_out's input: the sum of two branches that both read the gated map
-        leaf = _leaves(24)
-        gated = simple_gate(leaf((2, 8, 8, 8)))
-        calls, inner = [], gated._recompute
-        gated._recompute = lambda: calls.append(1) or inner()
-        fused = add(patch_scale(gated, leaf((2, 16, 4)), _GRID), mul(leaf((4, 1, 1)), gated))
-        sum_in_order(conv2d(fused, ConvSpec(4, 4, 1, 1), leaf((4, 4, 1, 1)))).backward()
-        assert len(calls) == 3  # once each in the backward of conv2d, mul and patch_scale
+    @pytest.mark.parametrize("cfg", [
+        tiny_config(base_size=32),
+        tiny_config(base_size=32, use_pooling_variant=True),
+        NetworkConfig(name="frenet", base_size=16),
+    ], ids=["tiny", "tiny-pooling", "frenet"])
+    def test_a_network_step_equals_one_on_a_tape_that_keeps_every_array(self, monkeypatch, cfg):
+        # With ``_kept`` handing over the array itself, no backward rebuilds anything.
+        rng = np.random.default_rng(24)
+        x, y = (rng.uniform(0, 1, (2, cfg.in_channels, cfg.base_size, cfg.base_size)).astype(np.float32)
+                for _ in range(2))
+        results = []
+        for rebuild in (True, False):
+            if not rebuild:
+                for module in (tensor, afpm):
+                    monkeypatch.setattr(module, "_kept", lambda t: t.data)
+            net = build_frenet(cfg, seed=5)
+            out = net.forward(Tensor(x))
+            loss = loss_total(out, Tensor(y), 0.01)
+            loss.backward()
+            results.append([out.data, loss.data] + [p.grad for p in net.parameters().values()])
+        assert all(grad is not None for grad in results[0][2:])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
 
 
 class TestNoGrad:
@@ -618,8 +638,8 @@ class TestNoGrad:
         x = Tensor(rng.standard_normal((4, 5, 5)).astype(np.float32), requires_grad=True)
         w1 = Tensor(rng.standard_normal((4, 1, 3, 3)).astype(np.float32), requires_grad=True)
         w2 = Tensor(rng.standard_normal((6, 4, 1, 1)).astype(np.float32), requires_grad=True)
-        h = gelu(conv2d(x, ConvSpec(4, 4, 3, 3, groups=4), w1))
-        return mean_all(add(conv2d(h, ConvSpec(4, 6, 1, 1), w2), Tensor(np.float32(1.0))))
+        h = gelu(conv2d(x, ConvSpec(4, 4, 3, 3, groups=4), w1, zero_bias(4)))
+        return mean_all(add(conv2d(h, ConvSpec(4, 6, 1, 1), w2, zero_bias(6)), Tensor(np.float32(1.0))))
 
     def test_same_output_and_no_tape(self):
         recorded = self._graph()
@@ -649,8 +669,9 @@ class TestOnLeaf:
 
     def _loss(self, x, w1, w2, b2, unused):
         # x feeds three consumers and w2 two; ``unused`` takes a gradient but the loss never reads it
-        h = gelu(conv2d(x, ConvSpec(4, 4, 3, 3, groups=4), w1))
-        return mean_all(mul(conv2d(add(h, x), ConvSpec(4, 6, 1, 1), w2, b2), conv2d(x, ConvSpec(4, 6, 1, 1), w2)))
+        h = gelu(conv2d(x, ConvSpec(4, 4, 3, 3, groups=4), w1, zero_bias(4)))
+        return mean_all(mul(conv2d(add(h, x), ConvSpec(4, 6, 1, 1), w2, b2),
+                            conv2d(x, ConvSpec(4, 6, 1, 1), w2, zero_bias(6))))
 
     def test_each_leaf_handed_over_once_with_its_final_grad(self):
         plain = self._leaves()
@@ -701,7 +722,7 @@ class TestObserve:
 
     def _conv(self):
         x = Tensor(np.ones((3, 4, 4), dtype=np.float32))
-        return conv2d(x, ConvSpec(3, 2, 1, 1, has_bias=False), Tensor(np.ones((2, 3, 1, 1), dtype=np.float32)))
+        return conv2d(x, ConvSpec(3, 2, 1, 1), Tensor(np.ones((2, 3, 1, 1), dtype=np.float32)), zero_bias(2))
 
     def test_nothing_observed_outside(self):
         seen = []
@@ -715,7 +736,7 @@ class TestObserve:
         with observe(self._record(seen)):
             out = gelu(self._conv())
         (op, label, conv_out, parents, spec), (gelu_op, _, gelu_out, gelu_parents, gelu_spec) = seen
-        assert (op, label, spec) == ("conv2d", None, ConvSpec(3, 2, 1, 1, has_bias=False))
+        assert (op, label, spec) == ("conv2d", None, ConvSpec(3, 2, 1, 1))
         assert parents[0].shape == (3, 4, 4) and gelu_parents == (conv_out,)
         assert (gelu_op, gelu_spec) == ("gelu", None) and gelu_out is out
 
@@ -751,7 +772,7 @@ class TestStatePerThread:
     def _conv(self):
         x = Tensor(np.ones((3, 4, 4), dtype=np.float32))
         w = Tensor(np.ones((2, 3, 1, 1), dtype=np.float32), requires_grad=True)
-        return conv2d(x, ConvSpec(3, 2, 1, 1, has_bias=False), w)
+        return conv2d(x, ConvSpec(3, 2, 1, 1), w, zero_bias(2))
 
     def test_no_label_observer_or_recording_crosses_threads(self):
         seen = []
@@ -1125,7 +1146,7 @@ def test_tensor_invariants_on_ops():
     x = Tensor(rng.standard_normal((4, 8, 8)).astype(np.float32))
     spec = ConvSpec(4, 8, 3, 3)
     w = Tensor(rng.standard_normal((8, 4, 3, 3)).astype(np.float32) * 0.1)
-    out = conv2d(x, spec, w)
+    out = conv2d(x, spec, w, zero_bias(8))
     assert out.data.size == np.prod(out.shape)
     assert np.isfinite(out.data).all()
     assert out.dtype == np.float32
