@@ -231,7 +231,9 @@ def restore_network(path: str | Path):
     The headers are parsed first, to reach the config; the network is built
     from it without initial values (no random draws), and each parameter's
     floats are then read straight into its slice of the network's buffer, so
-    the weights exist once. Parameters and optimizer moments must be finite:
+    the weights exist once. The optimizer moments the checkpoint holds are
+    laid out for their parameters in record order and read straight into
+    their slices. Parameters and optimizer moments must be finite:
     one NaN weight would turn every output pixel into NaN. Returns (net,
     preprocess_spec, adam_state); the checkpoint's step is ``adam_state.step``.
     """
@@ -269,18 +271,14 @@ def restore_network(path: str | Path):
         for name, p in params.items():
             if not _all_finite(reader.floats(stored[name], out=p.data)):
                 raise ConfigurationError(f"{path}: parameter {name} holds non-finite values (NaN or Inf)")
-        for table in (adam_m, adam_v):
-            for name, payload in table.items():
-                table[name] = reader.floats(payload)
-    state = AdamState(step=step)
-    for name, m in adam_m.items():
-        v = adam_v[name]
-        if not (_all_finite(m) and _all_finite(v)):
-            raise ConfigurationError(
-                f"{path}: optimizer moments of {name} hold non-finite values (NaN or Inf)"
-            )
-        state.m[name] = m
-        state.v[name] = v
+        state = AdamState(step=step)
+        state.lay_out([p for name, p in params.items() if name in adam_m])
+        for name in state.m:
+            if not (_all_finite(reader.floats(adam_m[name], out=state.m[name]))
+                    and _all_finite(reader.floats(adam_v[name], out=state.v[name]))):
+                raise ConfigurationError(
+                    f"{path}: optimizer moments of {name} hold non-finite values (NaN or Inf)"
+                )
     return net, preprocess, state
 
 

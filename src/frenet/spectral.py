@@ -73,8 +73,11 @@ def fft2d(x: Tensor) -> ComplexTensor:
 def ifft2d(spectrum: ComplexTensor) -> Tensor:
     """Orthonormal inverse transform; returns the real part of the result.
 
-    For spectra of real images round-tripped through this module the discarded
-    imaginary residue is numerical noise.
+    That real part is the inverse of the spectrum's Hermitian part,
+    ``(F(k) + conj F(-k)) / 2``; the rest, which the dropped imaginary part
+    carries, is lost. Only for the spectrum of a real image round-tripped
+    through this module is that rest numerical noise. A processed spectrum,
+    such as a FACM's output, is not Hermitian, and its rest need not be small.
     """
     h, w = spectrum.shape[-2:]
     _check_pow2(h, w, "ifft2d")

@@ -243,10 +243,13 @@ def parameter_buffer(rng: np.random.Generator | None) -> Iterator[list[Parameter
 
     On exit each becomes a C-contiguous slice of one new float32 buffer, in the
     order made and with no gaps, and the yielded list holds them in that order.
-    With ``rng`` each slice is drawn (``rng.uniform``) or filled in that order,
-    straight into the buffer; without one every slice stays zero, for a network
-    about to be filled from a checkpoint. A buffer numpy cannot allocate is a
-    configuration error.
+    With ``rng`` each slice is drawn or filled in that order, straight into the
+    buffer; without one every slice stays zero, for a network about to be
+    filled from a checkpoint. A draw runs ``_DRAW_BLOCK`` float64 values at a
+    time through one scratch block, as ``rng.uniform`` computes them
+    (``low + range * U``, U from ``rng.random``), so it gives the bits of
+    ``rng.uniform(-bound, bound, shape)`` with no temporary of the weight's
+    size. A buffer numpy cannot allocate is a configuration error.
     """
     made: list[tuple[Parameter, float | None, float]] = []
     params: list[Parameter] = []
@@ -256,15 +259,21 @@ def parameter_buffer(rng: np.random.Generator | None) -> Iterator[list[Parameter
         buffer = np.zeros(sum(p.size for p, _, _ in made), dtype=np.float32)
     except (ValueError, MemoryError) as exc:
         raise ConfigurationError(f"cannot allocate the weights: {exc}") from exc
+    block = np.empty(_DRAW_BLOCK)
     offset = 0
     for p, bound, fill in made:
-        view = buffer[offset : offset + p.size].reshape(p.shape)
+        flat = buffer[offset : offset + p.size]
         offset += p.size
         if rng is not None and bound is not None:
-            np.copyto(view, rng.uniform(-bound, bound, size=view.shape))
+            for lo in range(0, p.size, _DRAW_BLOCK):
+                draw = block[: min(_DRAW_BLOCK, p.size - lo)]
+                rng.random(out=draw)
+                draw *= 2 * bound
+                draw += -bound
+                flat[lo : lo + draw.size] = draw
         elif rng is not None and fill:
-            view.fill(fill)
-        p.data = view
+            flat.fill(fill)
+        p.data = flat.reshape(p.shape)
         params.append(p)
 
 
@@ -300,6 +309,7 @@ _section: ContextVar[str | None] = ContextVar("section", default=None)
 _on_leaf: ContextVar[Callable | None] = ContextVar("on_leaf", default=None)
 _collector: ContextVar[list | None] = ContextVar("collector", default=None)
 _ZERO = bytes(4)
+_DRAW_BLOCK = 1 << 15  # float64 values per block of a seeded draw: 256 KiB
 
 
 @contextmanager

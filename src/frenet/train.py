@@ -97,17 +97,34 @@ def cosine_lr(t: int, total: int, lr0: float, lr_min: float) -> float:
     return lr_min + 0.5 * (lr0 - lr_min) * (1.0 + math.cos(math.pi * t / total))
 
 
+_ADAM_BLOCK = 1 << 15  # elements per block of Adam's update: 128 KiB per float32 array
+_ZEROS = np.zeros(_ADAM_BLOCK, np.float32)  # a missing gradient's blocks
+_ZEROS.flags.writeable = False
+
+
 @dataclass
 class AdamState:
+    """Adam's moments, step count and scratch.
+
+    ``lay_out(params)`` makes ``m`` and ``v`` two zeroed float32 buffers laid
+    out by the parameters' sizes in the order given; ``m[name]`` and
+    ``v[name]`` are a parameter's slices, in that order. ``adam_update``
+    computes in the two float32 blocks of ``scratch``.
+    """
+
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
+    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, _ADAM_BLOCK), np.float32), repr=False)
 
-    def moments(self, p: Parameter) -> tuple[np.ndarray, np.ndarray]:
-        """``p``'s first and second moments, made zero the first time they are asked for."""
-        if p.name not in self.m:
-            self.m[p.name], self.v[p.name] = np.zeros_like(p.data), np.zeros_like(p.data)
-        return self.m[p.name], self.v[p.name]
+    def lay_out(self, params: Sequence[Parameter]) -> None:
+        """Zero moments for ``params``, which replace any held before."""
+        for moments in (self.m, self.v):
+            buffer, offset = np.zeros(sum(p.size for p in params), np.float32), 0
+            moments.clear()
+            for p in params:
+                moments[p.name] = buffer[offset : offset + p.size].reshape(p.shape)
+                offset += p.size
 
 
 def adam_step(
@@ -118,30 +135,46 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """Standard bias-corrected Adam update, in place; missing gradients count as zero."""
+    """Standard bias-corrected Adam update, in place; missing gradients count as zero.
+
+    A state with no moments yet lays them out for ``params``.
+    """
     state.step += 1
+    if not state.m:
+        state.lay_out(params)
     for p in params:
         adam_update(p, state, lr, beta1, beta2, eps)
 
 
 def adam_update(p: Parameter, state: AdamState, lr: float, beta1: float, beta2: float,
                 eps: float) -> None:
-    """Adam's update of one parameter at step ``state.step``, in place; a missing gradient counts as zero."""
-    t = state.step
-    g = p.grad if p.grad is not None else np.zeros_like(p.data)
-    m, v = state.moments(p)
-    step, denom = np.empty_like(p.data), np.empty_like(p.data)
-    m *= beta1
-    m += np.multiply(g, 1.0 - beta1, out=step)
-    v *= beta2
-    v += np.multiply(np.square(g, out=step), 1.0 - beta2, out=step)
-    np.divide(m, 1.0 - beta1**t, out=step)  # m_hat
-    np.divide(v, 1.0 - beta2**t, out=denom)  # v_hat
-    np.sqrt(denom, out=denom)
-    denom += eps
-    step *= lr
-    step /= denom
-    p.data -= step
+    """Adam's update of one parameter at step ``state.step``, in place; a missing gradient counts as zero.
+
+    The float32 chain runs ``_ADAM_BLOCK`` elements at a time through the
+    state's scratch, so each element sees the same ops in the same order as in
+    one pass over the whole parameter, and nothing of its size is allocated.
+    Only a gradient that is not C-contiguous, such as a ``linear`` weight's
+    transposed one, is copied to be flattened.
+    """
+    assert p.data.flags.c_contiguous, p.name  # so the flat view below is a view, not a copy
+    t, data = state.step, p.data.reshape(-1)
+    grad = p.grad.reshape(-1) if p.grad is not None else None
+    m, v = state.m[p.name].reshape(-1), state.v[p.name].reshape(-1)
+    for lo in range(0, data.size, _ADAM_BLOCK):
+        hi = min(lo + _ADAM_BLOCK, data.size)
+        g = grad[lo:hi] if grad is not None else _ZEROS[: hi - lo]
+        mb, vb, (step, denom) = m[lo:hi], v[lo:hi], state.scratch[:, : hi - lo]
+        mb *= beta1
+        mb += np.multiply(g, 1.0 - beta1, out=step)
+        vb *= beta2
+        vb += np.multiply(np.square(g, out=step), 1.0 - beta2, out=step)
+        np.divide(mb, 1.0 - beta1**t, out=step)  # m_hat
+        np.divide(vb, 1.0 - beta2**t, out=denom)  # v_hat
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step *= lr
+        step /= denom
+        data[lo:hi] -= step
 
 
 @dataclass
@@ -257,8 +290,8 @@ def train(
                     f"(batch indices {list(map(int, batch))})"
                 )
             state.step += 1
-            for p in params:  # the moments' order is the parameters' order, as adam_step makes it
-                state.moments(p)
+            if not state.m:  # laid out in the parameters' order, as adam_step lays them out
+                state.lay_out(params)
             pending = {id(p): p for p in params}
 
             def update(p: Parameter) -> None:

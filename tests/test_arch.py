@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -31,6 +32,7 @@ from frenet.tensor import (
     layer_norm_channels,
     mul,
     observe,
+    parameter,
     parameter_buffer,
     simple_gate,
 )
@@ -475,6 +477,30 @@ class TestParameterStorage:
         assert [p.name for p in params][:2] == ["f.branch1.conv.weight", "f.branch1.conv.bias"]
         assert assert_one_buffer(params).size == sum(p.size for p in params)
         assert ffn.proj.weight is params[-2]
+
+    def test_block_draws_equal_one_uniform_draw_per_weight(self):
+        # weights of several draw blocks, a partial last block, and a fill between draws
+        with parameter_buffer(np.random.default_rng(5)) as params:
+            parameter("a", (3, 40000), bound=0.3)
+            parameter("g", (2,), fill=1.0)
+            parameter("b", (7,), bound=2.5)
+        rng = np.random.default_rng(5)
+        want = [rng.uniform(-0.3, 0.3, (3, 40000)), np.ones(2), rng.uniform(-2.5, 2.5, 7)]
+        for p, w in zip(params, want):
+            assert np.array_equal(p.data, w.astype(np.float32)), p.name
+
+    def test_seeded_build_traces_no_temporary_of_a_weights_size(self):
+        # a draw of the paper preset's 1024x512 weights by rng.uniform made a 4 MiB
+        # float64 array per weight; the draw blocks take 256 KiB
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            net = build_frenet(NetworkConfig(name="frenet"), seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        buffer = assert_one_buffer(net.parameters().values())
+        assert peak <= buffer.nbytes + 8 * 2**15 + 2**20
 
     def test_parameter_made_outside_a_buffer_block_is_rejected(self):
         with pytest.raises(ConfigurationError, match="parameter_buffer"):

@@ -381,9 +381,7 @@ def test_unpaired_adam_moments_is_runtime_error(tmp_path, capsys):
 
     net = build_frenet(tiny_config(base_size=16), seed=2)
     state = AdamState(step=1)
-    for name, p in net.parameters().items():
-        state.m[name] = np.zeros_like(p.data)
-        state.v[name] = np.zeros_like(p.data)
+    state.lay_out(list(net.parameters().values()))
     ckpt = tmp_path / "net.fckpt"
     save_checkpoint(ckpt, net, adam=state)
     ckpt.write_bytes(ckpt.read_bytes().replace(b"adam.v.intro.weight", b"adam.m.intro.weight"))
@@ -452,9 +450,9 @@ def test_non_finite_checkpoint_is_runtime_error(tmp_path, capsys, command, where
 
     net = build_frenet(tiny_config(base_size=16, global_residual=True), seed=2)
     state = AdamState(step=1)
-    for name, p in net.parameters().items():
-        state.m[name] = np.zeros_like(p.data)
-        state.v[name] = np.ones_like(p.data)
+    state.lay_out(list(net.parameters().values()))
+    for v in state.v.values():
+        v[...] = 1.0
     if where == "parameter":
         net.parameters()["enc1.blk0.facm.afpm.kernel_kbg.w2"].data.flat[3] = bad
     else:

@@ -59,9 +59,9 @@ class TestCheckpoint:
     def test_round_trip_restores_network(self, tmp_path):
         net = build_frenet(tiny_config(base_size=16), seed=3)
         state = AdamState(step=17)
-        for name, p in net.parameters().items():
-            state.m[name] = np.full_like(p.data, 0.125)
-            state.v[name] = np.full_like(p.data, 0.5)
+        state.lay_out(list(net.parameters().values()))
+        for name in state.m:
+            state.m[name][...], state.v[name][...] = 0.125, 0.5
         path = tmp_path / "net.fckpt"
         save_checkpoint(path, net, adam=state, preprocess=PreprocessSpec(32, 4095))
         assert path.read_bytes().startswith(CKPT_MAGIC)
@@ -139,6 +139,32 @@ class TestCheckpoint:
                            match=f"^{re.escape(str(path))}: config at byte {len(head) + 4} is not UTF-8"):
             restore_network(path)
 
+    @pytest.mark.parametrize("moments", ["every parameter", "some parameters"])
+    def test_restored_moments_save_the_same_bytes(self, tmp_path, moments):
+        # restore lays out the moments the checkpoint holds and reads each record
+        # into its slice; saving that state again writes the same records in order
+        from frenet.train import TrainConfig, train
+
+        net = build_frenet(tiny_config(base_size=16), seed=4)
+        corpus = [(Tensor(rng.uniform(0, 1, (4, 16, 16)).astype(np.float32)),
+                   Tensor(rng.uniform(0, 1, (4, 16, 16)).astype(np.float32)))
+                  for rng in [np.random.default_rng(k) for k in range(4)]]
+        train(net, corpus, TrainConfig(epochs=1, batch=2, val_count=0), out_dir=tmp_path, val_pairs=[])
+        path = tmp_path / "final.fckpt"
+        if moments == "some parameters":
+            _, _, state = restore_network(path)
+            kept = [name for name in state.m if name.startswith("enc1.")]
+            some = AdamState(step=state.step)
+            some.lay_out([p for name, p in net.parameters().items() if name in kept])
+            for name in kept:
+                some.m[name][...], some.v[name][...] = state.m[name], state.v[name]
+            save_checkpoint(path, net, adam=some)
+        restored, preprocess, adam = restore_network(path)
+        assert adam.step == 2 and any(adam.m[name].any() for name in adam.m)
+        assert len(adam.m) == (len(net.parameters()) if moments == "every parameter" else len(kept))
+        save_checkpoint(tmp_path / "again.fckpt", restored, adam=adam, preprocess=preprocess)
+        assert (tmp_path / "again.fckpt").read_bytes() == path.read_bytes()
+
     def test_saved_without_optimizer_state(self, tmp_path):
         net = build_frenet(tiny_config(base_size=16), seed=0)
         path = tmp_path / "net.fckpt"
@@ -152,9 +178,7 @@ class TestCheckpoint:
     def test_unmatched_adam_moments_rejected(self, tmp_path, tamper):
         net = build_frenet(tiny_config(base_size=16), seed=0)
         state = AdamState(step=3)
-        for name, p in net.parameters().items():
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
+        state.lay_out(list(net.parameters().values()))
         if tamper == "shape":
             state.m["intro.bias"] = np.zeros(3, dtype=np.float32)
         path = tmp_path / "net.fckpt"
@@ -195,9 +219,10 @@ class TestCheckpoint:
         net = build_frenet(tiny_config(base_size=16), seed=2)
         rng = np.random.default_rng(3)
         state = AdamState(step=9)
+        state.lay_out(list(net.parameters().values()))
         for name, p in net.parameters().items():
-            state.m[name] = rng.standard_normal(p.shape).astype(np.float32)
-            state.v[name] = rng.uniform(0, 1, p.shape).astype(np.float32)
+            state.m[name][...] = rng.standard_normal(p.shape)
+            state.v[name][...] = rng.uniform(0, 1, p.shape)
         path = tmp_path / "net.fckpt"
         save_checkpoint(path, net, adam=state)
 
@@ -281,9 +306,9 @@ class TestTruncation:
         # network is built; a cut anywhere must stop it in the first pass
         net = build_frenet(tiny_config(base_size=16), seed=0)
         state = AdamState(step=1)
-        for name, p in net.parameters().items():
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.ones_like(p.data)
+        state.lay_out(list(net.parameters().values()))
+        for v in state.v.values():
+            v[...] = 1.0
         path = tmp_path / "net.fckpt"
         save_checkpoint(path, net, adam=state)
         blob = path.read_bytes()

@@ -1,7 +1,10 @@
 import importlib
 import os
+import subprocess
+import sys
 import threading
-from collections import Counter
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +16,11 @@ from frenet.fileio import save_checkpoint
 from frenet.rawdata import PreprocessSpec, gen_dataset
 from frenet.tensor import ConfigurationError, EvaluationError, Parameter, Tensor, no_grad, observe
 from frenet.train import (
+    _ADAM_BLOCK,
     AdamState,
     TrainConfig,
     adam_step,
+    adam_update,
     cosine_lr,
     loss_total,
     raised_cosine_profile,
@@ -65,8 +70,8 @@ class TestAdam:
     def test_zero_gradients_leave_params_and_decay_moments(self):
         p = Parameter("p", np.array([1.0, -2.0], dtype=np.float32))
         state = AdamState()
-        state.m["p"] = np.array([0.5, 0.5], dtype=np.float32)
-        state.v["p"] = np.array([0.25, 0.25], dtype=np.float32)
+        state.lay_out([p])
+        state.m["p"][...], state.v["p"][...] = 0.5, 0.25
         p.grad = np.zeros(2, dtype=np.float32)
         before = p.data.copy()
         adam_step([p], state, lr=0.1)
@@ -116,6 +121,71 @@ class TestAdam:
             want = (want - 1e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)).astype(np.float32)
             assert np.array_equal(p.data, want)
         assert p.data is data
+
+    @staticmethod
+    def _one_pass(p, m, v, t, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        """Adam's float32 chain over the whole parameter at once, with temporaries of its size."""
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        step, denom = np.empty_like(p.data), np.empty_like(p.data)
+        m *= beta1
+        m += np.multiply(g, 1.0 - beta1, out=step)
+        v *= beta2
+        v += np.multiply(np.square(g, out=step), 1.0 - beta2, out=step)
+        np.divide(m, 1.0 - beta1**t, out=step)
+        np.divide(v, 1.0 - beta2**t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step *= lr
+        step /= denom
+        p.data -= step
+
+    @pytest.mark.parametrize("grad", ["c-order", "transposed", "missing"])
+    def test_blocks_equal_one_pass_over_the_parameter(self, grad):
+        rng = np.random.default_rng(13)
+        shape = (3, _ADAM_BLOCK + 5)  # two full blocks and a partial one
+        blocked = Parameter("w", rng.standard_normal(shape).astype(np.float32))
+        whole = Parameter("w", blocked.data.copy())
+        state, m, v = AdamState(), np.zeros(shape, np.float32), np.zeros(shape, np.float32)
+        state.lay_out([blocked])
+        for t in range(1, 4):
+            g = rng.standard_normal(shape[::-1]).astype(np.float32).T if grad == "transposed" else (
+                rng.standard_normal(shape).astype(np.float32))
+            blocked.grad = whole.grad = None if grad == "missing" and t > 1 else g
+            adam_step([blocked], state, lr=1e-3)
+            self._one_pass(whole, m, v, t)
+            assert np.array_equal(blocked.data, whole.data)
+            assert np.array_equal(state.m["w"], m) and np.array_equal(state.v["w"], v)
+
+    def test_update_allocates_nothing_of_the_parameters_size(self):
+        # the one-pass chain made a step and a denominator array of the weight's size
+        rng = np.random.default_rng(14)
+        p = Parameter("w", rng.standard_normal((1024, 512)).astype(np.float32))
+        p.grad = rng.standard_normal(p.shape).astype(np.float32)
+        state = AdamState(step=1)
+        state.lay_out([p])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            adam_update(p, state, 1e-3, 0.9, 0.999, 1e-8)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < p.data.nbytes // 64
+
+    def test_moments_are_slices_of_two_buffers_in_parameter_order(self):
+        params = [Parameter(name, np.zeros(shape, np.float32)) for name, shape in
+                  [("a", (2, 3)), ("b", (4,)), ("c", (1, 1, 5))]]
+        state = AdamState()
+        state.lay_out(params)
+        address = lambda a: a.__array_interface__["data"][0]  # noqa: E731
+        for moments in (state.m, state.v):
+            assert list(moments) == ["a", "b", "c"]
+            buffer = moments["a"].base
+            assert buffer.shape == (15,) and buffer.dtype == np.float32 and not buffer.any()
+            for p, offset in zip(params, (0, 6, 10)):
+                assert moments[p.name].base is buffer and moments[p.name].shape == p.shape
+                assert address(moments[p.name]) == address(buffer) + 4 * offset
+        assert state.m["a"].base is not state.v["a"].base
 
 
 class TestCosine:
@@ -277,14 +347,20 @@ class TestTrainLoop:
             assert np.array_equal(got.m[name], want.m[name]) and np.array_equal(got.v[name], want.v[name])
         assert not np.any(got.m["idle"]) and np.array_equal(swept.idle.data, np.linspace(-1, 1, 5, dtype=np.float32))
 
-    def test_adam_moments_are_made_once_per_parameter(self, monkeypatch):
-        # train() and adam_update used to zero-fill both moments of every parameter on
-        # every step, as dict.setdefault's default, and throw the arrays away.
+    def test_adam_moments_are_laid_out_once_per_run(self, monkeypatch):
+        # train() and adam_update used to make both moments of each parameter lazily,
+        # as 2 x 166 separate arrays
         net = build_frenet(tiny_config(base_size=8), seed=2)
-        params, made, zeros_like = {id(p.data) for p in net.parameters().values()}, [], np.zeros_like
-        monkeypatch.setattr(np, "zeros_like", lambda a, *args, **kw: made.append(id(a)) or zeros_like(a, *args, **kw))
+        module, states, layouts = importlib.import_module("frenet.train"), [], []
+        monkeypatch.setattr(module, "AdamState", lambda: states.append(AdamState()) or states[-1])
+        lay_out = AdamState.lay_out
+        monkeypatch.setattr(AdamState, "lay_out", lambda self, ps: layouts.append(list(ps)) or lay_out(self, ps))
         train(net, tiny_corpus(count=6, size=16), TrainConfig(epochs=1, batch=2, val_count=0, seed=9), val_pairs=[])
-        assert Counter(i for i in made if i in params) == dict.fromkeys(params, 2)
+        (state,) = states
+        assert state.step == 3 and layouts == [list(net.parameters().values())]
+        for moments in (state.m, state.v):
+            assert list(moments) == list(net.parameters())
+            assert len({id(a.base) for a in moments.values()}) == 1
 
     def test_gradients_do_not_pile_up(self, monkeypatch):
         self._at_most_two_gradients_held(monkeypatch, tiny_config(), batch=4, count=166)
@@ -370,6 +446,36 @@ def blas_env(monkeypatch):
             monkeypatch.setenv(var, value)
 
     return set_env
+
+
+_ONE_STEP = """
+import hashlib, sys
+from frenet.arch import build_frenet, tiny_config
+from frenet.rawdata import PreprocessSpec, gen_dataset
+from frenet.train import TrainConfig, train
+items = gen_dataset(3, count=4, h=64, w=64, spec=PreprocessSpec(), noise_sigma=0.001,
+                    kernel_kind="gaussian", sigma_range=(0.8, 1.5))
+train(build_frenet(tiny_config(base_size=32), seed=5), [(it.blurred, it.sharp) for it in items],
+      TrainConfig(epochs=1, batch=4, max_steps=1, val_count=0), out_dir=sys.argv[1], val_pairs=[])
+with open(sys.argv[1] + "/final.fckpt", "rb") as fh:
+    print(hashlib.sha256(fh.read()).hexdigest())
+"""
+
+
+def test_a_step_is_the_same_at_one_and_two_blas_threads(tmp_path):
+    # final.fckpt holds every parameter and both Adam moments of each after one
+    # tiny-preset step, each run in a process of its own at a BLAS thread count
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+        env.update(OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / threads
+        done = subprocess.run([sys.executable, "-c", _ONE_STEP, str(out)], env=env, capture_output=True,
+                              text=True, check=True)
+        digests.append(done.stdout.split()[-1])
+    assert digests[0] == digests[1]
 
 
 @pytest.fixture
