@@ -14,7 +14,7 @@ import numpy as np
 
 from .analyze import count_params_macs, format_efficiency_report
 from .arch import build_frenet
-from .fileio import read_ften, read_pgm16, restore_network, write_ften, write_pgm16
+from .fileio import read_ften, read_pgm16, read_utf8, restore_network, write_ften, write_pgm16
 from .rawdata import (
     PreprocessSpec,
     bayer_pack,
@@ -34,7 +34,7 @@ from .verify import run_suites
 
 
 def _load_config(path: str):
-    return parse_run_config(Path(path).read_text())
+    return parse_run_config(read_utf8(path))
 
 
 def _read_raw_image(path: str, preprocess: PreprocessSpec) -> Tensor:

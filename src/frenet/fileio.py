@@ -31,6 +31,15 @@ FTEN_MAGIC = b"FTEN1\n"
 CKPT_MAGIC = b"FRENETCK1\n"
 
 
+def read_utf8(path: str | Path) -> str:
+    """The text of a file; bytes that are not UTF-8 raise ConfigurationError
+    naming the file and the offset."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 at byte {exc.start}") from None
+
+
 def write_ften(path: str | Path, array: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(FTEN_MAGIC)
@@ -102,8 +111,8 @@ class _Reader:
         (a C-contiguous float32 array of its shape) or into a new array."""
         data = np.empty(payload.shape, dtype=np.float32) if out is None else out
         self.fh.seek(payload.offset)
-        # through a view: its buffer bookkeeping dies with it
-        if self.fh.readinto(memoryview(data[...]).cast("B")) != data.nbytes:
+        # through a view: its buffer bookkeeping dies with it; a byte cast would refuse a size-0 shape
+        if self.fh.readinto(data[...]) != data.nbytes:
             raise ConfigurationError(f"{self.path}: truncated at byte {payload.offset}")
         if data.dtype != np.dtype("<f4"):  # a big-endian host
             data.byteswap(inplace=True)

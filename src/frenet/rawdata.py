@@ -276,10 +276,12 @@ def save_corpus(directory: str | Path, items: list[DatasetItem]) -> None:
 
 def _manifest_indices(directory: Path) -> Iterator[int]:
     """Sample indices of ``manifest.txt`` in file order; each line starts with one."""
+    from .fileio import read_utf8
+
     manifest = directory / "manifest.txt"
     if not manifest.exists():
         raise ConfigurationError(f"no manifest.txt in {directory}")
-    for lineno, line in enumerate(manifest.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_utf8(manifest).splitlines(), start=1):
         fields = line.split()
         if not fields:
             continue
@@ -289,14 +291,27 @@ def _manifest_indices(directory: Path) -> Iterator[int]:
 
 
 def load_corpus(directory: str | Path) -> list[tuple[Tensor, Tensor]]:
+    """The (blurred, sharp) pairs ``manifest.txt`` lists, in its order.
+
+    Every tensor must be CxHxW and shaped like the first pair's blurred one,
+    so that any of them batch together.
+    """
     from .fileio import read_ften
 
     directory = Path(directory)
-    pairs = []
+    pairs, first = [], None
     for index in _manifest_indices(directory):
-        blur = Tensor(read_ften(directory / f"{index:04d}_blur.ften"))
-        sharp = Tensor(read_ften(directory / f"{index:04d}_sharp.ften"))
-        pairs.append((blur, sharp))
+        pair = []
+        for tag in ("blur", "sharp"):
+            path = directory / f"{index:04d}_{tag}.ften"
+            data = read_ften(path)
+            first = first or (path.name, data.shape)
+            if data.ndim != 3:
+                raise ConfigurationError(f"{path}: expected a CxHxW tensor, got shape {data.shape}")
+            if data.shape != first[1]:
+                raise ConfigurationError(f"{path}: shape {data.shape} differs from {first[1]} of {first[0]}")
+            pair.append(Tensor(data))
+        pairs.append(tuple(pair))
     return pairs
 
 

@@ -565,7 +565,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     ``w`` is (out, in), with any trailing size-1 axes (a 1x1 conv weight).
     Bit for bit ``add(matmul(x, transpose2d(w)), reshape(b, (1, out)))``: the
-    weight gradient sums the per-sample ``x.T @ g`` in index order, and the
+    weight gradient sums the per-sample ``g.T @ x`` in index order, which is
+    C-contiguous and has the bits of the chain's transposed ``x.T @ g``, and the
     bias gradient sums within each sample first. The backward keeps ``x`` and
     the weight itself, not a transposed copy; the output is rebuilt by the same
     GEMM. The observer sees a "matmul".
@@ -583,7 +584,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if rx is not None:
             _accumulate(rx, g @ w2)
         if rw is not None:
-            _accumulate(rw, _sum_batch(np.swapaxes(_rebuilt(kx), -1, -2) @ g, 2).T.reshape(w_shape))
+            _accumulate(rw, _sum_batch(np.swapaxes(g, -1, -2) @ _rebuilt(kx), 2).reshape(w_shape))
         if rb is not None:
             _accumulate(rb, _unbroadcast(g, (1, m)).reshape(m))
 

@@ -153,8 +153,8 @@ def adam_update(p: Parameter, state: AdamState, lr: float, beta1: float, beta2: 
     The float32 chain runs ``_ADAM_BLOCK`` elements at a time through the
     state's scratch, so each element sees the same ops in the same order as in
     one pass over the whole parameter, and nothing of its size is allocated.
-    Only a gradient that is not C-contiguous, such as a ``linear`` weight's
-    transposed one, is copied to be flattened.
+    A gradient that is not C-contiguous would be copied to be flattened; the
+    ops hand over C-contiguous ones.
     """
     assert p.data.flags.c_contiguous, p.name  # so the flat view below is a view, not a copy
     t, data = state.step, p.data.reshape(-1)

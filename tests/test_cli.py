@@ -190,6 +190,41 @@ def test_malformed_manifest_is_runtime_error(workdir, capsys):
     _assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("tags, shape, why", [
+    (["0002_blur"], (5,), "expected a CxHxW tensor"),
+    (["0003_sharp"], (4, 32, 16), "differs from (4, 32, 32) of 0000_blur.ften"),
+    (["0001_blur", "0001_sharp"], (4, 16, 16), "differs from (4, 32, 32) of 0000_blur.ften"),
+], ids=["not CxHxW", "unlike its blurred pair", "a pair unlike the first"])
+def test_corpus_of_unequal_shapes_is_runtime_error(tmp_path, capsys, tags, shape, why):
+    # np.stack's "all input arrays must have the same shape" used to end train in a traceback
+    data = tmp_path / "data"
+    cfg = write_config(tmp_path / "run.cfg", count=6, batch=4)
+    assert main(["datagen", "--config", str(cfg), "--out", str(data)]) == 0
+    capsys.readouterr()
+    for tag in tags:
+        write_ften(data / f"{tag}.ften", np.zeros(shape, np.float32))
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "run")]) == 1
+    err = _assert_one_error_line(capsys)
+    assert f"{tags[0]}.ften: " in err and why in err
+
+
+def test_config_not_utf8_is_runtime_error(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"model = tiny\nwidth = \xff\n")
+    assert main(["analyze", "--config", str(path)]) == 1
+    assert "bad.cfg: not UTF-8 at byte 21" in _assert_one_error_line(capsys)
+
+
+def test_manifest_not_utf8_is_runtime_error(workdir, capsys):
+    tmp_path, cfg_path = workdir
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "manifest.txt").write_bytes(b"0 gaussian 1 0.002\n\xfe1 gaussian 2 0.002\n")
+    assert main(["train", "--config", str(cfg_path), "--data", str(data),
+                 "--out", str(tmp_path / "run")]) == 1
+    assert "manifest.txt: not UTF-8 at byte 19" in _assert_one_error_line(capsys)
+
+
 def test_analyze_reports_reference_comparison(tmp_path, capsys):
     path = write_config(tmp_path / "frenet.cfg", "frenet")  # the full-size preset
     assert main(["analyze", "--config", str(path)]) == 0

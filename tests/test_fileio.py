@@ -31,6 +31,15 @@ class TestFten:
         write_ften(path, arr)
         assert np.array_equal(read_ften(path), arr)
 
+    @pytest.mark.parametrize("shape", [(0, 0), (4, 0, 16)])
+    def test_round_trip_of_an_empty_shape(self, tmp_path, shape):
+        # a byte cast of the array refused a size-0 shape with a TypeError
+        arr = np.full(shape, 0.5, np.float32)
+        path = tmp_path / "x.ften"
+        write_ften(path, arr)
+        got = read_ften(path)
+        assert got.shape == shape and np.array_equal(got, arr)
+
     def test_wire_format(self, tmp_path):
         arr = np.array([[1.5, -2.0]], dtype=np.float32)
         path = tmp_path / "x.ften"

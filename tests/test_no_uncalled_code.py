@@ -1,12 +1,15 @@
 """Every function, class, method and instance attribute in src/frenet/ has a reader outside the tests.
 
 A definition counts as called when its name is read somewhere in src/frenet/
-outside its own body and outside the package's re-exports in __init__.py, or
-anywhere in perfbench/, whose tracer also names the ops it wraps as strings.
+outside its own body, or anywhere in perfbench/, whose tracer also names the
+ops it wraps as strings.
 An attribute that a class sets on ``self`` counts as read when an attribute
 of its name is loaded somewhere in src/frenet/ or perfbench/, or a perfbench/
 string names it. Names are matched without their module or class, so a
 method or attribute shares its readers with every other of the same name.
+
+The package's __init__.py is its docstring alone: a re-export would count as
+a reader, and would give a name a second import path.
 """
 
 import ast
@@ -54,8 +57,6 @@ def test_every_definition_has_a_caller_outside_the_tests():
         reads += _reads(_parse(path), strings=True)
     defined = []
     for path in sorted((ROOT / "src" / "frenet").glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = _parse(path)
         reads += _reads(tree)
         defined += [(f"{path.stem}.{d.name}", d) for d in _definitions(tree)]
@@ -63,6 +64,13 @@ def test_every_definition_has_a_caller_outside_the_tests():
     assert not uncalled, f"defined in src/frenet/, called only by tests or nothing: {uncalled}"
     stale = set(ALLOWED) - {d.name for _, d in defined}
     assert not stale, f"allowed but not defined: {sorted(stale)}"
+
+
+def test_the_package_init_is_its_docstring_alone():
+    # `from .train import train` there made `frenet.train` the function, not the module
+    tree = _parse(ROOT / "src" / "frenet" / "__init__.py")
+    assert ast.get_docstring(tree, clean=False) is not None
+    assert len(tree.body) == 1, [ast.unparse(node) for node in tree.body[1:]]
 
 
 def _attribute_loads(tree: ast.AST, strings: bool = False) -> set[str]:

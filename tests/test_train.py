@@ -1,4 +1,3 @@
-import importlib
 import os
 import subprocess
 import sys
@@ -11,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frenet.train as train_module
 from frenet.arch import NetworkConfig, build_frenet, tiny_config
 from frenet.fileio import save_checkpoint
 from frenet.rawdata import PreprocessSpec, gen_dataset
-from frenet.tensor import ConfigurationError, EvaluationError, Parameter, Tensor, no_grad, observe
+from frenet.tensor import ConfigurationError, EvaluationError, Parameter, Tensor, no_grad, observe, on_leaf
 from frenet.train import (
     _ADAM_BLOCK,
     AdamState,
@@ -172,6 +172,17 @@ class TestAdam:
             tracemalloc.stop()
         assert peak < p.data.nbytes // 64
 
+    def test_every_gradient_of_a_frenet_step_is_c_contiguous(self):
+        # adam_update flattens each gradient: a transposed one, as linear's weight
+        # gradients were, is copied (32 of them, 12 MiB per step at the paper's size)
+        net = build_frenet(NetworkConfig(name="frenet", base_size=16), seed=1)
+        blurred, sharp = tiny_corpus(count=1, size=32)[0]
+        loss = loss_total(net.forward(stack([blurred])), stack([sharp]), 0.01)
+        seen, strided = [], []
+        with on_leaf(lambda p: seen.append(p.name) or p.grad.flags.c_contiguous or strided.append(p.name)):
+            loss.backward()
+        assert len(seen) == 742 and strided == []
+
     def test_moments_are_slices_of_two_buffers_in_parameter_order(self):
         params = [Parameter(name, np.zeros(shape, np.float32)) for name, shape in
                   [("a", (2, 3)), ("b", (4,)), ("c", (1, 1, 5))]]
@@ -285,14 +296,14 @@ class TestTrainLoop:
         # validation and the checkpoint writes run with every gradient dropped
         corpus = tiny_corpus(count=6, size=16)
         net = build_frenet(tiny_config(base_size=8), seed=4)
-        module, held = importlib.import_module("frenet.train"), []
-        validate = module.validation_psnr
+        held = []
+        validate = train_module.validation_psnr
 
         def counting(net, pairs, batch):
             held.append(sum(p.grad is not None for p in net.parameters().values()))
             return validate(net, pairs, batch)
 
-        monkeypatch.setattr(module, "validation_psnr", counting)
+        monkeypatch.setattr(train_module, "validation_psnr", counting)
         train(net, corpus, TrainConfig(epochs=2, batch=2, val_count=2, seed=4))
         assert held == [0, 0]
         assert all(p.grad is None for p in net.parameters().values())
@@ -325,8 +336,8 @@ class TestTrainLoop:
 
         corpus = tiny_corpus(count=6, size=2 * net_cfg.base_size)
         cfg = TrainConfig(epochs=1, batch=3, val_count=0, seed=9, lr0=0.01)
-        module, states = importlib.import_module("frenet.train"), []
-        monkeypatch.setattr(module, "AdamState", lambda: states.append(AdamState()) or states[-1])
+        states = []
+        monkeypatch.setattr(train_module, "AdamState", lambda: states.append(AdamState()) or states[-1])
         swept = WithIdle(seed=2)
         train(swept, corpus, cfg, val_pairs=[])
 
@@ -351,8 +362,8 @@ class TestTrainLoop:
         # train() and adam_update used to make both moments of each parameter lazily,
         # as 2 x 166 separate arrays
         net = build_frenet(tiny_config(base_size=8), seed=2)
-        module, states, layouts = importlib.import_module("frenet.train"), [], []
-        monkeypatch.setattr(module, "AdamState", lambda: states.append(AdamState()) or states[-1])
+        states, layouts = [], []
+        monkeypatch.setattr(train_module, "AdamState", lambda: states.append(AdamState()) or states[-1])
         lay_out = AdamState.lay_out
         monkeypatch.setattr(AdamState, "lay_out", lambda self, ps: layouts.append(list(ps)) or lay_out(self, ps))
         train(net, tiny_corpus(count=6, size=16), TrainConfig(epochs=1, batch=2, val_count=0, seed=9), val_pairs=[])
@@ -378,21 +389,21 @@ class TestTrainLoop:
         corpus = tiny_corpus(count=batch, size=2 * cfg.base_size)
         net = build_frenet(cfg, seed=1)
         params = list(net.parameters().values())
-        module, held = importlib.import_module("frenet.train"), []
-        update = module.adam_update
+        held = []
+        update = train_module.adam_update
 
         def counting(p, *args):
             held.append(sum(q.grad is not None for q in params))
             return update(p, *args)
 
-        monkeypatch.setattr(module, "adam_update", counting)
+        monkeypatch.setattr(train_module, "adam_update", counting)
         train(net, corpus, TrainConfig(epochs=1, batch=batch, max_steps=1, val_count=0, seed=1), val_pairs=[])
         assert len(held) == len(params) == count
         assert max(held) <= 2
 
     def test_final_checkpoint_links_the_best_one_written_at_the_same_step(self, tmp_path, monkeypatch):
-        module, states = importlib.import_module("frenet.train"), []
-        monkeypatch.setattr(module, "AdamState", lambda: states.append(AdamState()) or states[-1])
+        states = []
+        monkeypatch.setattr(train_module, "AdamState", lambda: states.append(AdamState()) or states[-1])
         net = build_frenet(tiny_config(base_size=8), seed=3)
         train(net, tiny_corpus(count=6, size=16), TrainConfig(epochs=1, batch=2, val_count=2, seed=3),
               out_dir=tmp_path)
@@ -405,10 +416,10 @@ class TestTrainLoop:
     @pytest.mark.parametrize("scores, no_links", [([2.0, 1.0], False), ([1.0, 2.0], True)],
                              ids=["last validation not the best", "no hard links"])
     def test_final_checkpoint_is_written_when_it_cannot_link(self, tmp_path, monkeypatch, scores, no_links):
-        module, states = importlib.import_module("frenet.train"), []
-        monkeypatch.setattr(module, "AdamState", lambda: states.append(AdamState()) or states[-1])
+        states = []
+        monkeypatch.setattr(train_module, "AdamState", lambda: states.append(AdamState()) or states[-1])
         scores = iter(scores)
-        monkeypatch.setattr(module, "validation_psnr", lambda *args: next(scores))
+        monkeypatch.setattr(train_module, "validation_psnr", lambda *args: next(scores))
         if no_links:
             def no_link(src, dst):
                 raise OSError("hard links not supported")
@@ -495,7 +506,7 @@ def one_blas_thread(blas_env):
 ])
 def test_tile_workers_leave_blas_its_cpus(monkeypatch, blas_env, env, cpus, tiles, workers):
     blas_env(**env)
-    monkeypatch.setattr(importlib.import_module("frenet.train"), "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(train_module, "usable_cpus", lambda: cpus)
     assert tile_workers(tiles) == workers
 
 
