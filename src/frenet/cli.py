@@ -115,7 +115,7 @@ def _cmd_infer(args) -> int:
     writes PGM or .ften. The overlap is given in image pixels, so it must be
     even.
     """
-    net, preprocess, _ = restore_network(args.checkpoint)
+    net, preprocess = restore_network(args.checkpoint)
     image = _read_raw_image(args.input, preprocess)
     _, h, w = image.shape
     window = 2 * net.cfg.base_size
@@ -143,7 +143,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dump_spectrum(args) -> int:
-    net, preprocess, _ = restore_network(args.checkpoint)
+    net, preprocess = restore_network(args.checkpoint)
     known = [blk.name for blk in net.blocks()]
     if args.block not in known:
         raise ConfigurationError(f"unknown block {args.block!r}; available: {', '.join(known)}")
@@ -174,7 +174,7 @@ def _cmd_dump_spectrum(args) -> int:
 
 
 def _cmd_dump_kernels(args) -> int:
-    net, _, _ = restore_network(args.checkpoint)
+    net, _ = restore_network(args.checkpoint)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     count = 0

@@ -48,7 +48,7 @@ def write_ften(path: str | Path, array: np.ndarray) -> None:
 
 def _write_array(fh, array: np.ndarray) -> None:
     """u32 rank, u32 dims, then the 32-bit little-endian floats."""
-    arr = np.ascontiguousarray(array, dtype="<f4")
+    arr = np.require(array, "<f4", "C")  # keeps rank 0, which np.ascontiguousarray makes (1,)
     fh.write(struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape))
     fh.write(memoryview(arr))  # the array's own buffer, not a bytes copy
 
@@ -92,8 +92,11 @@ class _Reader:
         return fmt.unpack(self.read(fmt.size))
 
     def dims(self) -> tuple[int, ...]:
-        """u32 rank then u32 dims."""
+        """u32 rank then u32 dims. A rank over 32, numpy 1's limit, is refused, so
+        a payload's size has at most 310 digits: Python prints no int of over 4,300."""
         (rank,) = self.unpack(_U32)
+        if rank > 32:
+            raise ConfigurationError(f"{self.path}: rank {rank} at byte {self.offset - 4} exceeds 32")
         return struct.unpack(f"<{rank}I", self.read(4 * rank))
 
     def skip(self, dims: tuple[int, ...]) -> _Payload:
@@ -205,8 +208,8 @@ def _publish(path: Path, fill: Callable[[Path], None]) -> None:
 def _parse_checkpoint(reader: _Reader) -> tuple:
     """Parse every record header and the trailer, skipping the floats.
 
-    Returns (params, adam_m, adam_v, step, config_text), the tables mapping
-    record names to where their floats lie.
+    Returns (params, adam_m, adam_v, config_text): the tables mapping record
+    names to where their floats lie, and the config the network was built from.
     """
     params = dict(_read_record(reader) for _ in range(reader.unpack(_U32)[0]))
     moments: dict[str, dict] = {"adam.m.": {}, "adam.v.": {}}
@@ -215,7 +218,7 @@ def _parse_checkpoint(reader: _Reader) -> tuple:
         if name[:7] not in moments:
             raise ConfigurationError(f"{reader.path}: unexpected moment record {name!r}")
         moments[name[:7]][name[7:]] = payload
-    step, config_len = reader.unpack(_U32_PAIR)
+    _step, config_len = reader.unpack(_U32_PAIR)
     offset = reader.offset
     trailer = reader.read(config_len + 32)
     encoded, digest = trailer[:config_len], trailer[config_len:]
@@ -225,7 +228,7 @@ def _parse_checkpoint(reader: _Reader) -> tuple:
         config_text = encoded.decode("utf-8")
     except UnicodeDecodeError:
         raise ConfigurationError(f"{reader.path}: config at byte {offset} is not UTF-8") from None
-    return params, moments["adam.m."], moments["adam.v."], step, config_text
+    return params, moments["adam.m."], moments["adam.v."], config_text
 
 
 def _all_finite(a: np.ndarray) -> bool:
@@ -240,18 +243,16 @@ def restore_network(path: str | Path):
     The headers are parsed first, to reach the config; the network is built
     from it without initial values (no random draws), and each parameter's
     floats are then read straight into its slice of the network's buffer, so
-    the weights exist once. The optimizer moments the checkpoint holds are
-    laid out for their parameters in record order and read straight into
-    their slices. Parameters and optimizer moments must be finite:
-    one NaN weight would turn every output pixel into NaN. Returns (net,
-    preprocess_spec, adam_state); the checkpoint's step is ``adam_state.step``.
+    the weights exist once. Parameters must be finite: one NaN weight would
+    turn every output pixel into NaN. The optimizer moments' records must
+    pair up and match their parameters' shapes, but their floats and the
+    step stay on disk. Returns (net, preprocess_spec).
     """
     from .arch import build_frenet
-    from .train import AdamState
 
     with open(path, "rb") as fh:
         reader = _Reader(fh, path, CKPT_MAGIC, ".fckpt")
-        stored, adam_m, adam_v, step, config_text = _parse_checkpoint(reader)
+        stored, adam_m, adam_v, config_text = _parse_checkpoint(reader)
         net_cfg, preprocess = parse_checkpoint_config(config_text)
         net = build_frenet(net_cfg, seed=None)
         params = net.parameters()
@@ -280,15 +281,7 @@ def restore_network(path: str | Path):
         for name, p in params.items():
             if not _all_finite(reader.floats(stored[name], out=p.data)):
                 raise ConfigurationError(f"{path}: parameter {name} holds non-finite values (NaN or Inf)")
-        state = AdamState(step=step)
-        state.lay_out([p for name, p in params.items() if name in adam_m])
-        for name in state.m:
-            if not (_all_finite(reader.floats(adam_m[name], out=state.m[name]))
-                    and _all_finite(reader.floats(adam_v[name], out=state.v[name]))):
-                raise ConfigurationError(
-                    f"{path}: optimizer moments of {name} hold non-finite values (NaN or Inf)"
-                )
-    return net, preprocess, state
+    return net, preprocess
 
 
 def write_pgm16(path: str | Path, plane: np.ndarray) -> None:
@@ -326,6 +319,8 @@ def read_pgm16(path: str | Path) -> np.ndarray:
         while pos < len(blob) and not blob[pos : pos + 1].isspace():
             pos += 1
         token = blob[start:pos]
+        if len(token) > 18:  # no image has 10**18 samples a side; int() refuses over 4,300 digits
+            raise ConfigurationError(f"{path}: header field at byte {start} has {len(token)} characters")
         if not token.isdigit():
             raise ConfigurationError(f"{path}: malformed header field {token!r} at byte {start}")
         fields.append(int(token))

@@ -260,7 +260,7 @@ def test_datagen_train_infer_dump_pipeline(workdir, capsys):
     assert (out_dir / "training.log").exists()
 
     # single-window inference equals the direct forward bit-exactly
-    net, preprocess, _ = restore_network(ckpt)
+    net, preprocess = restore_network(ckpt)
     raw01 = gen_sharp(99, 32, 32)
     pgm = tmp_path / "input.pgm"
     write_pgm16(pgm, to_sensor_counts(raw01, preprocess).data)
@@ -305,7 +305,7 @@ def test_dump_spectrum_writes_each_blocks_output_spectrum(tmp_path, monkeypatch)
     from frenet import arch
 
     ckpt, _ = _tiny_checkpoint(tmp_path)
-    net, preprocess, _ = restore_network(ckpt)
+    net, preprocess = restore_network(ckpt)
     pgm = tmp_path / "in32.pgm"
     write_pgm16(pgm, to_sensor_counts(gen_sharp(17, 32, 32), preprocess).data)
 
@@ -342,7 +342,7 @@ def test_sliding_window_infer_on_larger_image(workdir, tmp_path):
                  "--out", str(out_dir)]) == 0
     ckpt = out_dir / "final.fckpt"
     # 48x48 raw image tiled by the 32-raw-pixel training window
-    _, preprocess, _ = restore_network(ckpt)
+    _, preprocess = restore_network(ckpt)
     raw01 = gen_sharp(123, 48, 48)
     pgm = tmp_path / "big.pgm"
     write_pgm16(pgm, to_sensor_counts(raw01, preprocess).data)
@@ -428,7 +428,7 @@ def _rewrite_checkpoint_config(ckpt, edit):
     """Replace the checkpoint's config text by ``edit(text)``, with its length and digest."""
     from frenet.runconfig import render_checkpoint_config
 
-    net, preprocess = restore_network(ckpt)[:2]
+    net, preprocess = restore_network(ckpt)
     old = render_checkpoint_config(net.cfg, preprocess).encode()
     new = edit(old)
     blob = ckpt.read_bytes()
@@ -474,10 +474,38 @@ def test_truncated_checkpoint_is_runtime_error(tmp_path, capsys, command, keep):
     _assert_one_error_line(capsys)
 
 
+def _oversized(kind, valid):
+    """``valid`` with a header number too large for Python or numpy."""
+    if kind == "pgm":  # int() refuses a string of over 4,300 digits
+        return b"P5\n" + b"5" * 5000 + b" 2\n65535\n" + bytes(8)
+    if kind == "ften rank 65":  # a size-0 shape: numpy refuses over 64 dims, numpy 1 over 32
+        return b"FTEN1\n" + struct.pack("<66I", 65, 0, *[1] * 64)
+    if kind == "ften rank 1200":  # a payload size str() refuses: over 4,300 digits
+        return b"FTEN1\n" + struct.pack("<1201I", 1200, *[0xFFFFFFFF] * 1200)
+    name = b"enc1.blk0.facm.conv_in.weight"  # a (32, 16, 1, 1) record: 512 nonzero floats follow its dims
+    rank_at = valid.index(name) + len(name)
+    # its rank 4 with one bit flipped: 516 dims, a payload size of over 4,300 digits
+    return valid[:rank_at] + struct.pack("<I", 4 | 1 << 9) + valid[rank_at + 4 :]
+
+
+@pytest.mark.parametrize("kind", ["ften rank 1200", "ften rank 65", "fckpt rank 516", "pgm"])
+def test_oversized_header_number_is_runtime_error(tmp_path, capsys, kind):
+    # each used to end in a ValueError traceback
+    ckpt, image = _tiny_checkpoint(tmp_path)
+    bad = tmp_path / f"bad.{kind.split()[0]}"
+    bad.write_bytes(_oversized(kind, ckpt.read_bytes()))
+    if kind.startswith("fckpt"):
+        argv = ["dump-kernels", "--checkpoint", str(bad), "--out", str(tmp_path / "k")]
+    else:
+        argv = ["infer", "--checkpoint", str(ckpt), "--input", str(bad), "--output", str(tmp_path / "out.pgm")]
+    assert main(argv) == 1
+    err = _assert_one_error_line(capsys)
+    assert f"{bad}: " in err and " at byte " in err and len(err) < 200
+
+
 @pytest.mark.parametrize("command", ["infer", "dump-kernels"])
-@pytest.mark.parametrize("where", ["parameter", "moment"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_checkpoint_is_runtime_error(tmp_path, capsys, command, where, bad):
+def test_non_finite_checkpoint_is_runtime_error(tmp_path, capsys, command, bad):
     # a NaN weight used to give exit 0 with an all-zero PGM or NaN kernel stacks
     from frenet.arch import build_frenet, tiny_config
     from frenet.fileio import save_checkpoint
@@ -488,10 +516,7 @@ def test_non_finite_checkpoint_is_runtime_error(tmp_path, capsys, command, where
     state.lay_out(list(net.parameters().values()))
     for v in state.v.values():
         v[...] = 1.0
-    if where == "parameter":
-        net.parameters()["enc1.blk0.facm.afpm.kernel_kbg.w2"].data.flat[3] = bad
-    else:
-        state.v["final.weight"].flat[3] = bad
+    net.parameters()["enc1.blk0.facm.afpm.kernel_kbg.w2"].data.flat[3] = bad
     ckpt = tmp_path / "net.fckpt"
     save_checkpoint(ckpt, net, adam=state)
     image = tmp_path / "in.pgm"
@@ -503,9 +528,35 @@ def test_non_finite_checkpoint_is_runtime_error(tmp_path, capsys, command, where
         argv = ["dump-kernels", "--checkpoint", str(ckpt), "--out", str(tmp_path / "k")]
     assert main(argv) == 1
     err = _assert_one_error_line(capsys)
-    named = "enc1.blk0.facm.afpm.kernel_kbg.w2" if where == "parameter" else "final.weight"
-    assert str(ckpt) in err and named in err and "non-finite" in err
+    assert str(ckpt) in err and "enc1.blk0.facm.afpm.kernel_kbg.w2" in err and "non-finite" in err
     assert not out.exists() and not (tmp_path / "k").exists()
+
+
+@pytest.mark.parametrize("command", ["infer", "dump-kernels"])
+def test_moments_are_not_read(tmp_path, capsys, command):
+    # no command reads the optimizer moments, so NaN and Inf there change nothing
+    from frenet.arch import build_frenet, tiny_config
+    from frenet.fileio import save_checkpoint
+    from frenet.train import AdamState
+
+    net = build_frenet(tiny_config(base_size=16, global_residual=True), seed=2)
+    state = AdamState(step=1)
+    state.lay_out(list(net.parameters().values()))
+    state.m["final.weight"].flat[3], state.v["final.weight"].flat[3] = np.nan, np.inf
+    image = tmp_path / "in.pgm"
+    write_pgm16(image, np.full((32, 32), 1000.0))
+    outputs = []
+    for i, adam in enumerate([state, None]):
+        ckpt, out = tmp_path / f"net{i}.fckpt", tmp_path / f"out{i}"
+        save_checkpoint(ckpt, net, adam=adam)
+        if command == "infer":
+            argv = ["infer", "--checkpoint", str(ckpt), "--input", str(image), "--output", f"{out}.pgm"]
+        else:
+            argv = ["dump-kernels", "--checkpoint", str(ckpt), "--out", str(out)]
+        assert main(argv) == 0
+        written = [out.with_suffix(".pgm")] if command == "infer" else sorted(out.iterdir())
+        outputs.append([p.read_bytes() for p in written])
+    assert outputs[0] == outputs[1] and len(outputs[0]) == (1 if command == "infer" else 5)
 
 
 @pytest.mark.parametrize("command", ["infer", "dump-spectrum"])

@@ -110,7 +110,7 @@ def files(tmp_path_factory):
 def _checkpoint_structure(path) -> list[int]:
     """Offsets of the checkpoint's bytes that are not float payloads."""
     with open(path, "rb") as fh:
-        params, adam_m, adam_v, _, _ = _parse_checkpoint(_Reader(fh, path, CKPT_MAGIC, ".fckpt"))
+        params, adam_m, adam_v, _ = _parse_checkpoint(_Reader(fh, path, CKPT_MAGIC, ".fckpt"))
         size = fh.seek(0, 2)
     payloads = sorted((p.offset, p.offset + 4 * int(np.prod(p.shape)))
                       for table in (params, adam_m, adam_v) for p in table.values())

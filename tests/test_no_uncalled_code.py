@@ -10,10 +10,16 @@ method or attribute shares its readers with every other of the same name.
 
 The package's __init__.py is its docstring alone: a re-export would count as
 a reader, and would give a name a second import path.
+
+A function that returns a fixed-length tuple has each position read by some
+caller in src/frenet/, matched by name as above. Unpacking reads every
+position not bound to ``_``, a subscript ``[k]`` reads position k, and any
+other use, a bare reference or a property read among them, reads them all.
+perfbench/ only hands restore_network's result back to the cli, so it is left out.
 """
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -105,3 +111,57 @@ def test_every_instance_attribute_is_read_outside_the_tests():
         set_on_self |= {f"{path.stem}.{cls}.{attr}" for cls, attr in _self_attributes(tree)}
     unread = sorted(q for q in set_on_self if q.rsplit(".", 1)[1] not in reads)
     assert not unread, f"set on self in src/frenet/, read only by tests or nothing: {unread}"
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _tuple_length(func: ast.FunctionDef) -> int | None:
+    """n when every return of ``func``'s own body is an n-tuple display, else None."""
+    lengths, stack = set(), list(func.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Return):
+            value = node.value
+            fixed = isinstance(value, ast.Tuple) and not any(isinstance(e, ast.Starred) for e in value.elts)
+            lengths.add(len(value.elts) if fixed else None)
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+    return lengths.pop() if len(lengths) == 1 else None
+
+
+def _positions_read(ref: ast.AST, parents: dict) -> set[int] | None:
+    """The tuple positions a use of a function reads; None for every position."""
+    call = parents[ref]
+    if not (isinstance(call, ast.Call) and call.func is ref):
+        return None
+    use = parents[call]
+    if (isinstance(use, ast.Assign) and len(use.targets) == 1 and isinstance(use.targets[0], (ast.Tuple, ast.List))
+            and not any(isinstance(e, ast.Starred) for e in use.targets[0].elts)):
+        return {i for i, e in enumerate(use.targets[0].elts) if not (isinstance(e, ast.Name) and e.id == "_")}
+    if isinstance(use, ast.Subscript) and isinstance(use.slice, ast.Constant) and isinstance(use.slice.value, int):
+        return {use.slice.value}
+    return None
+
+
+def test_every_returned_position_is_read():
+    returns, reads = {}, defaultdict(list)
+    trees = [(path, _parse(path)) for path in sorted((ROOT / "src" / "frenet").glob("*.py"))]
+    for path, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("__"):
+                if (n := _tuple_length(node)) is not None:
+                    returns[f"{path.stem}.{node.name}"] = node.name, n
+    names = {name for name, _ in returns.values()}
+    for _, tree in trees:
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in names and isinstance(node.ctx, ast.Load):
+                reads[name].append(_positions_read(node, parents))
+    unread = []
+    for q, (name, n) in returns.items():
+        read = set(range(n)) if None in reads[name] else {k % n for ks in reads[name] for k in ks}
+        unread += [f"{q}[{k}]" for k in range(n) if k not in read]
+    assert returns, "no function returning a tuple found"
+    assert not unread, f"returned by a function in src/frenet/, read by no caller there: {unread}"
