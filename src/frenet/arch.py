@@ -267,7 +267,7 @@ class Up:
         self.conv2 = Conv(f"{prefix}.conv2", ConvSpec(in_channels // 4, in_channels // 2, 1, 1))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.conv2(depth_to_space(self.conv1(x), 2))
+        return self.conv2(depth_to_space(self.conv1(x)))
 
 
 @dataclass

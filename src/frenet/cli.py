@@ -37,6 +37,14 @@ def _load_config(path: str):
     return parse_run_config(read_utf8(path))
 
 
+def _image_suffix(path: str, role: str) -> str:
+    """``path``'s suffix in lower case; one other than .pgm or .ften is refused."""
+    suffix = Path(path).suffix.lower()
+    if suffix not in (".pgm", ".ften"):
+        raise ConfigurationError(f"unsupported {role} image format {suffix!r} (use .pgm or .ften)")
+    return suffix
+
+
 def _read_raw_image(path: str, preprocess: PreprocessSpec) -> Tensor:
     """Load a single-channel RAW image normalized to [0, 1].
 
@@ -44,29 +52,23 @@ def _read_raw_image(path: str, preprocess: PreprocessSpec) -> Tensor:
     as already-normalized HxW or 1xHxW planes, and must be finite: one NaN
     would spread through every FFT into the whole output.
     """
-    suffix = Path(path).suffix.lower()
-    if suffix == ".pgm":
+    if _image_suffix(path, "input") == ".pgm":
         return preprocess_raw(Tensor(read_pgm16(path)), preprocess)
-    if suffix == ".ften":
-        data = read_ften(path)
-        if data.ndim == 2:
-            data = data[None]
-        if data.ndim != 3 or data.shape[0] != 1:
-            raise ConfigurationError(f"{path}: expected an HxW or 1xHxW plane, got shape {data.shape}")
-        if not np.isfinite(data).all():
-            raise ConfigurationError(f"{path}: plane holds non-finite values (NaN or Inf)")
-        return Tensor(data)
-    raise ConfigurationError(f"unsupported input image format {suffix!r} (use .pgm or .ften)")
+    data = read_ften(path)
+    if data.ndim == 2:
+        data = data[None]
+    if data.ndim != 3 or data.shape[0] != 1:
+        raise ConfigurationError(f"{path}: expected an HxW or 1xHxW plane, got shape {data.shape}")
+    if not np.isfinite(data).all():
+        raise ConfigurationError(f"{path}: plane holds non-finite values (NaN or Inf)")
+    return Tensor(data)
 
 
 def _write_raw_image(path: str, image: Tensor, preprocess: PreprocessSpec) -> None:
-    suffix = Path(path).suffix.lower()
-    if suffix == ".pgm":
+    if _image_suffix(path, "output") == ".pgm":
         write_pgm16(path, to_sensor_counts(image, preprocess).data)
-    elif suffix == ".ften":
-        write_ften(path, image.data)
     else:
-        raise ConfigurationError(f"unsupported output image format {suffix!r} (use .pgm or .ften)")
+        write_ften(path, image.data)
 
 
 def _cmd_datagen(args) -> int:
@@ -111,20 +113,19 @@ def _cmd_infer(args) -> int:
     """Tile, restore and blend one RAW image.
 
     Reads PGM or .ften, packs each 2x2 Bayer cell into one network pixel,
-    tiles with the trained window of 2 x base_size image pixels, unpacks and
-    writes PGM or .ften. The overlap is given in image pixels, so it must be
-    even.
+    tiles with the trained window of 2 x base_size image pixels overlapping by
+    half a window, unpacks and writes PGM or .ften. Both file formats are
+    checked before the network is restored.
     """
+    _image_suffix(args.input, "input")
+    _image_suffix(args.output, "output")
     net, preprocess = restore_network(args.checkpoint)
     image = _read_raw_image(args.input, preprocess)
     _, h, w = image.shape
     window = 2 * net.cfg.base_size
     if window > h or window > w:
         raise ConfigurationError(f"window {window} exceeds image {h}x{w}")
-    overlap = args.overlap if args.overlap is not None else window // 2
-    if overlap % 2 or not 0 <= overlap < window:
-        raise ConfigurationError(f"overlap must be a multiple of 2 in [0, window), got {overlap}")
-    restored = sliding_window_infer(net.forward, bayer_pack(image), window // 2, overlap // 2)
+    restored = sliding_window_infer(net.forward, bayer_pack(image), window // 2, window // 4)
     out = np.clip(restored.data, 0.0, 1.0)
     _write_raw_image(args.output, bayer_unpack(Tensor(out)), preprocess)
     print(f"wrote {args.output}")
@@ -212,8 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--overlap", type=int, default=None,
-                   help="RAW-pixel overlap of the 2*base_size windows (default: half a window)")
     p.set_defaults(fn=_cmd_infer)
 
     p = sub.add_parser("analyze", help="report params, conv MACs, and FFT flops")

@@ -92,12 +92,17 @@ class _Reader:
         return fmt.unpack(self.read(fmt.size))
 
     def dims(self) -> tuple[int, ...]:
-        """u32 rank then u32 dims. A rank over 32, numpy 1's limit, is refused, so
-        a payload's size has at most 310 digits: Python prints no int of over 4,300."""
+        """u32 rank then u32 dims. A rank over 32, numpy 1's limit, is refused, and so
+        is a shape of 2**64 bytes or more, which no file holds: a message that names
+        a payload's size prints at most 20 digits."""
+        at = self.offset
         (rank,) = self.unpack(_U32)
         if rank > 32:
-            raise ConfigurationError(f"{self.path}: rank {rank} at byte {self.offset - 4} exceeds 32")
-        return struct.unpack(f"<{rank}I", self.read(4 * rank))
+            raise ConfigurationError(f"{self.path}: rank {rank} at byte {at} exceeds 32")
+        dims = struct.unpack(f"<{rank}I", self.read(4 * rank))
+        if 4 * math.prod(dims) >= 1 << 64:
+            raise ConfigurationError(f"{self.path}: shape at byte {at} needs over 2**64 bytes")
+        return dims
 
     def skip(self, dims: tuple[int, ...]) -> _Payload:
         """Seek over the next 32-bit floats of shape ``dims``; returns where they lie."""

@@ -141,35 +141,37 @@ def gen_kernel(
     seed: int,
     kind: str = "gaussian",
     size: int = 5,
-    sigma: float | None = None,
     sigma_range: tuple[float, float] = (0.8, 2.5),
-    length: int | None = None,
-    angle: float | None = None,
 ) -> BlurKernel:
     """Seeded normalized blur kernel: isotropic gaussian or rasterized linear motion."""
     rng = np.random.default_rng(seed)
-    c = (size - 1) / 2.0
     if kind == "gaussian":
-        s = float(rng.uniform(*sigma_range)) if sigma is None else float(sigma)
-        offs = np.arange(size) - c
+        s = float(rng.uniform(*sigma_range))
+        offs = np.arange(size) - (size - 1) / 2.0
         w = np.exp(-(offs[:, None] ** 2 + offs[None, :] ** 2) / (2.0 * s * s))
     elif kind == "motion":
-        n = int(rng.integers(3, size + 1)) if length is None else int(length)
-        theta = float(rng.uniform(0.0, math.pi)) if angle is None else float(angle)
-        w = np.zeros((size, size))
-        for i in range(n):
-            t = -(n - 1) / 2.0 + i
-            py, px = c + t * math.sin(theta), c + t * math.cos(theta)
-            y0, x0 = int(math.floor(py)), int(math.floor(px))
-            fy, fx = py - y0, px - x0
-            for dy, wy in ((0, 1 - fy), (1, fy)):
-                for dx, wx in ((0, 1 - fx), (1, fx)):
-                    if 0 <= y0 + dy < size and 0 <= x0 + dx < size and wy * wx > 0:
-                        w[y0 + dy, x0 + dx] += wy * wx / n
+        length = int(rng.integers(3, size + 1))
+        w = motion_line(size, length, float(rng.uniform(0.0, math.pi)))
     else:
         raise ConfigurationError(f"unknown kernel kind {kind!r}")
     w = w / w.sum(dtype=np.float64)
     return BlurKernel(size=size, weights=w.astype(np.float32), kind=kind)
+
+
+def motion_line(size: int, length: int, angle: float) -> np.ndarray:
+    """Unnormalized weights of a ``length``-tap line at ``angle`` through the grid's centre, taps bilinear."""
+    c = (size - 1) / 2.0
+    w = np.zeros((size, size))
+    for i in range(length):
+        t = -(length - 1) / 2.0 + i
+        py, px = c + t * math.sin(angle), c + t * math.cos(angle)
+        y0, x0 = int(math.floor(py)), int(math.floor(px))
+        fy, fx = py - y0, px - x0
+        for dy, wy in ((0, 1 - fy), (1, fy)):
+            for dx, wx in ((0, 1 - fx), (1, fx)):
+                if 0 <= y0 + dy < size and 0 <= x0 + dx < size and wy * wx > 0:
+                    w[y0 + dy, x0 + dx] += wy * wx / length
+    return w
 
 
 def apply_blur(x: Tensor, kernel: BlurKernel) -> Tensor:

@@ -904,8 +904,8 @@ def _correlate3(src: np.ndarray, wts: np.ndarray, offsets: Sequence[int], out: n
         out[block] = acc.reshape(-1, h, w + 2)[:, :, :w]
 
 
-def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each spatial position across channels (biased variance), then affine.
+def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize each spatial position across channels (biased variance, eps 1e-5), then affine.
 
     The backward keeps the normalized input, from which the output is rebuilt.
     """
@@ -917,7 +917,7 @@ def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-
     mu = x.data.mean(axis=-3, keepdims=True)
     centered = x.data - mu
     var = np.square(centered).mean(axis=-3, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
     xhat = centered * inv_std
     gamma3, beta3 = gamma.data[:, None, None], beta.data[:, None, None]
     rx, rg, rb = x._record, gamma._record, beta._record
@@ -1020,11 +1020,11 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return _node(out, (x,), bw, "global_avg_pool")
 
 
-def depth_to_space(x: Tensor, factor: int = 2) -> Tensor:
-    """Rearrange (r*r*C)xHxW into Cx(rH)x(rW); channel blocks fill each rxr cell row-major."""
+def depth_to_space(x: Tensor) -> Tensor:
+    """Rearrange (4C)xHxW into Cx(2H)x(2W); channel blocks fill each 2x2 cell row-major."""
     lead = x.shape[:-3]
     c_in, h, w = x.shape[-3:]
-    r = factor
+    r = 2
     if c_in % (r * r):
         raise ConfigurationError(f"depth_to_space needs channels divisible by {r * r}, got {c_in}")
     c_out = c_in // (r * r)

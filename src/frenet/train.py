@@ -39,30 +39,25 @@ from .tensor import (
 )
 
 
+LR_MIN = 1e-6  # the floor the cosine schedule anneals to
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard (Kingma & Ba)
+
+
 @dataclass
 class TrainConfig:
     lr0: float = 1e-3
-    lr_min: float = 1e-6
     epochs: int = 10
     batch: int = 16
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     fr_weight: float = 0.01
     seed: int = 0
     max_steps: int | None = None  # optional hard cap, for fixed-step experiments
     val_count: int = 16
 
     def validate(self) -> None:
-        if not (self.lr0 > self.lr_min > 0):
-            raise ConfigurationError(f"need lr0 > lr_min > 0, got {self.lr0}/{self.lr_min}")
+        if not self.lr0 > LR_MIN:
+            raise ConfigurationError(f"lr0 must exceed the schedule's floor {LR_MIN:g}, got {self.lr0}")
         if self.batch < 1:
             raise ConfigurationError(f"batch must be >= 1, got {self.batch}")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if self.adam_eps <= 0:
-            raise ConfigurationError(f"adam_eps must be > 0, got {self.adam_eps}")
         if self.fr_weight < 0:
             raise ConfigurationError(f"fr_weight must be >= 0, got {self.fr_weight}")
         if self.epochs < 1:
@@ -90,11 +85,11 @@ def loss_total(pred: Tensor, target: Tensor, fr_weight: float) -> Tensor:
     return total
 
 
-def cosine_lr(t: int, total: int, lr0: float, lr_min: float) -> float:
-    """lr_min + 0.5*(lr0 - lr_min)*(1 + cos(pi*t/total)) for t in [0, total]."""
+def cosine_lr(t: int, total: int, lr0: float) -> float:
+    """LR_MIN + 0.5*(lr0 - LR_MIN)*(1 + cos(pi*t/total)) for t in [0, total]."""
     if not 0 <= t <= total:
         raise ConfigurationError(f"epoch {t} outside [0, {total}]")
-    return lr_min + 0.5 * (lr0 - lr_min) * (1.0 + math.cos(math.pi * t / total))
+    return LR_MIN + 0.5 * (lr0 - LR_MIN) * (1.0 + math.cos(math.pi * t / total))
 
 
 _ADAM_BLOCK = 1 << 15  # elements per block of Adam's update: 128 KiB per float32 array
@@ -127,14 +122,7 @@ class AdamState:
                 offset += p.size
 
 
-def adam_step(
-    params: Sequence[Parameter],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_step(params: Sequence[Parameter], state: AdamState, lr: float) -> None:
     """Standard bias-corrected Adam update, in place; missing gradients count as zero.
 
     A state with no moments yet lays them out for ``params``.
@@ -143,11 +131,10 @@ def adam_step(
     if not state.m:
         state.lay_out(params)
     for p in params:
-        adam_update(p, state, lr, beta1, beta2, eps)
+        adam_update(p, state, lr)
 
 
-def adam_update(p: Parameter, state: AdamState, lr: float, beta1: float, beta2: float,
-                eps: float) -> None:
+def adam_update(p: Parameter, state: AdamState, lr: float) -> None:
     """Adam's update of one parameter at step ``state.step``, in place; a missing gradient counts as zero.
 
     The float32 chain runs ``_ADAM_BLOCK`` elements at a time through the
@@ -164,14 +151,14 @@ def adam_update(p: Parameter, state: AdamState, lr: float, beta1: float, beta2: 
         hi = min(lo + _ADAM_BLOCK, data.size)
         g = grad[lo:hi] if grad is not None else _ZEROS[: hi - lo]
         mb, vb, (step, denom) = m[lo:hi], v[lo:hi], state.scratch[:, : hi - lo]
-        mb *= beta1
-        mb += np.multiply(g, 1.0 - beta1, out=step)
-        vb *= beta2
-        vb += np.multiply(np.square(g, out=step), 1.0 - beta2, out=step)
-        np.divide(mb, 1.0 - beta1**t, out=step)  # m_hat
-        np.divide(vb, 1.0 - beta2**t, out=denom)  # v_hat
+        mb *= BETA1
+        mb += np.multiply(g, 1.0 - BETA1, out=step)
+        vb *= BETA2
+        vb += np.multiply(np.square(g, out=step), 1.0 - BETA2, out=step)
+        np.divide(mb, 1.0 - BETA1**t, out=step)  # m_hat
+        np.divide(vb, 1.0 - BETA2**t, out=denom)  # v_hat
         np.sqrt(denom, out=denom)
-        denom += eps
+        denom += EPS
         step *= lr
         step /= denom
         data[lo:hi] -= step
@@ -273,7 +260,7 @@ def train(
     done = False
 
     for epoch in range(1, cfg.epochs + 1):
-        lr = cosine_lr(epoch - 1, cfg.epochs, cfg.lr0, cfg.lr_min)
+        lr = cosine_lr(epoch - 1, cfg.epochs, cfg.lr0)
         order = rng.permutation(len(corpus))
         for k in range(steps_per_epoch):
             batch = order[k * cfg.batch : (k + 1) * cfg.batch]
@@ -295,7 +282,7 @@ def train(
             pending = {id(p): p for p in params}
 
             def update(p: Parameter) -> None:
-                adam_update(p, state, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+                adam_update(p, state, lr)
                 p.grad = None  # no gradient outlives its update
                 del pending[id(p)]
 

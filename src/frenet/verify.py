@@ -156,10 +156,10 @@ SUITES = {
 }
 
 
-def run_suites(selection: str = "all", emit=print) -> bool:
+def run_suites(selection: str = "all") -> bool:
     names = list(SUITES) if selection == "all" else [selection]
     ok = True
     for name in names:
-        emit(f"== suite {name}")
-        ok &= SUITES[name](emit)
+        print(f"== suite {name}")
+        ok &= SUITES[name](print)
     return ok

@@ -325,6 +325,21 @@ class TestTruncation:
             with pytest.raises(ConfigurationError, match="a.pgm"):
                 read_pgm16(path)
 
+    @pytest.mark.parametrize("kind", ["ften", "fckpt"])
+    def test_a_shape_past_64_bits_is_named_briefly(self, tmp_path, kind):
+        # a rank-32 shape of 0xFFFFFFFF dims needs a 310-digit byte count, which the message printed
+        huge = struct.pack("<33I", 32, *[0xFFFFFFFF] * 32)
+        path = tmp_path / f"r32.{kind}"
+        # the shape is the file's last field: for a checkpoint, that of one record named "w"
+        blob = FTEN_MAGIC + huge if kind == "ften" else CKPT_MAGIC + struct.pack("<2I", 1, 1) + b"w" + huge
+        path.write_bytes(blob)
+        with pytest.raises(ConfigurationError) as exc:
+            (read_ften if kind == "ften" else restore_network)(path)
+        message = str(exc.value)
+        assert message.startswith(f"{path}: ") and f"at byte {len(blob) - len(huge)} " in message
+        assert "over 2**64" in message
+        assert len(message) - len(str(path)) < 80 and not re.search(r"\d{21}", message)
+
     def test_malformed_pnm_header(self, tmp_path):
         path = tmp_path / "bad.pgm"
         for header in (b"P5\nx 2\n255\n", b"P5\n0 2\n255\n", b"P5\n2 2\n70000\n", b"P5\n2 -2\n255\n"):

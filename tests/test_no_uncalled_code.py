@@ -16,6 +16,12 @@ caller in src/frenet/, matched by name as above. Unpacking reads every
 position not bound to ``_``, a subscript ``[k]`` reads position k, and any
 other use, a bare reference or a property read among them, reads them all.
 perfbench/ only hands restore_network's result back to the cli, so it is left out.
+
+A parameter with a default is passed by some call in src/frenet/ or
+perfbench/, by position, by keyword or through ``*``/``**`` unpacking;
+functions and methods are matched by name as above, and an ``__init__`` by its
+class's name. A bare reference to the name, or a perfbench/ string naming it,
+passes every parameter.
 """
 
 import ast
@@ -165,3 +171,49 @@ def test_every_returned_position_is_read():
         unread += [f"{q}[{k}]" for k in range(n) if k not in read]
     assert returns, "no function returning a tuple found"
     assert not unread, f"returned by a function in src/frenet/, read by no caller there: {unread}"
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(name its callers use, function, the parameters a call's positional arguments bind
+    in order) for each module-level function and method but the dunders other than __init__."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node, [*node.args.posonlyargs, *node.args.args]
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if item.name.startswith("__") and item.name != "__init__":
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in item.decorator_list)
+                positional = [*item.args.posonlyargs, *item.args.args][0 if static else 1 :]
+                yield node.name if item.name == "__init__" else item.name, item, positional
+
+
+def test_every_defaulted_parameter_is_passed():
+    everything = object()
+    passed: dict[str, set] = defaultdict(set)  # name -> positions and keywords passed, or everything
+    for path in sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "src" / "frenet").glob("*.py")):
+        tree = _parse(path)
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if path.parent.name == "perfbench" and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                passed[node.value].add(everything)
+            if not (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)):
+                continue
+            name, call = node.id if isinstance(node, ast.Name) else node.attr, parents.get(node)
+            bare = not (isinstance(call, ast.Call) and call.func is node)
+            if bare or any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+                passed[name].add(everything)
+            else:
+                passed[name] |= set(range(len(call.args))) | {k.arg for k in call.keywords}
+    unpassed = []
+    for path in sorted((ROOT / "src" / "frenet").glob("*.py")):
+        for name, func, positional in _defaulted_parameters(_parse(path)):
+            args = func.args
+            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= len(positional) - len(args.defaults)]
+            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            got = passed[name]
+            unpassed += [f"{path.stem}.{func.name}({arg})" for i, arg in defaulted
+                         if everything not in got and i not in got and arg not in got]
+    assert not unpassed, f"defaulted in src/frenet/, passed by no caller there or in perfbench/: {unpassed}"

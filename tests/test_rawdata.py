@@ -18,6 +18,7 @@ from frenet.rawdata import (
     gen_kernel,
     gen_sharp,
     load_corpus,
+    motion_line,
     preprocess_raw,
     save_corpus,
 )
@@ -108,7 +109,7 @@ class TestGenSharp:
 
 class TestGenKernel:
     def test_tiny_sigma_is_numerically_delta(self):
-        k = gen_kernel(0, "gaussian", 5, sigma=1e-3)
+        k = gen_kernel(0, "gaussian", 5, sigma_range=(1e-3, 1e-3))
         delta = np.zeros((5, 5), dtype=np.float32)
         delta[2, 2] = 1.0
         assert np.abs(k.weights - delta).max() < 1e-6
@@ -121,10 +122,9 @@ class TestGenKernel:
                 assert float(k.weights.min()) >= 0.0
 
     def test_motion_axis_aligned_rasterization(self):
-        k = gen_kernel(0, "motion", 5, length=3, angle=0.0)
         want = np.zeros((5, 5), dtype=np.float32)
         want[2, 1:4] = 1.0 / 3.0
-        assert np.abs(k.weights - want).max() < 1e-6
+        assert np.abs(motion_line(5, 3, 0.0) - want).max() < 1e-6
 
     def test_sigma_range_respected(self):
         sigmas = []
@@ -149,7 +149,7 @@ class TestGenKernel:
 class TestApplyBlur:
     def test_delta_kernel_is_identity(self):
         x = gen_sharp(5, 16, 16)
-        k = gen_kernel(0, "gaussian", 5, sigma=1e-3)
+        k = gen_kernel(0, "gaussian", 5, sigma_range=(1e-3, 1e-3))
         out = apply_blur(x, k)
         assert np.abs(out.data - x.data).max() < 1e-6
 

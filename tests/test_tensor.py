@@ -1039,7 +1039,7 @@ class TestLayerNorm:
     def test_two_point_normalization(self):
         x = np.zeros((2, 3, 3), dtype=np.float32)
         x[0], x[1] = 1.0, 3.0
-        out = layer_norm_channels(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-12)
+        out = layer_norm_channels(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)))
         assert np.allclose(out.data[0], -1.0, atol=1e-5)
         assert np.allclose(out.data[1], 1.0, atol=1e-5)
 
@@ -1051,7 +1051,7 @@ class TestLayerNorm:
     def test_per_position_statistics(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((6, 4, 4)).astype(np.float32)
-        out = layer_norm_channels(Tensor(x), Tensor(np.ones(6)), Tensor(np.zeros(6)), eps=1e-10)
+        out = layer_norm_channels(Tensor(x), Tensor(np.ones(6)), Tensor(np.zeros(6)))
         mean = out.data.mean(axis=0)
         var = out.data.var(axis=0)
         assert np.abs(mean).max() < 1e-5
@@ -1127,18 +1127,18 @@ class TestGlobalAvgPool:
 class TestDepthToSpace:
     def test_labeled_block_fills_quadrants_row_major(self):
         x = np.arange(4, dtype=np.float32).reshape(4, 1, 1)
-        out = depth_to_space(Tensor(x), 2)
+        out = depth_to_space(Tensor(x))
         assert np.array_equal(out.data, np.array([[[0.0, 1.0], [2.0, 3.0]]], dtype=np.float32))
 
     def test_round_trip_shapes(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((8, 3, 5)).astype(np.float32)
-        out = depth_to_space(Tensor(x), 2)
+        out = depth_to_space(Tensor(x))
         assert out.shape == (2, 6, 10)
 
     def test_indivisible_channels_rejected(self):
         with pytest.raises(ConfigurationError, match="divisible"):
-            depth_to_space(Tensor(np.zeros((6, 2, 2))), 2)
+            depth_to_space(Tensor(np.zeros((6, 2, 2))))
 
 
 def test_tensor_invariants_on_ops():

@@ -17,6 +17,10 @@ from frenet.rawdata import PreprocessSpec, gen_dataset
 from frenet.tensor import ConfigurationError, EvaluationError, Parameter, Tensor, no_grad, observe, on_leaf
 from frenet.train import (
     _ADAM_BLOCK,
+    BETA1,
+    BETA2,
+    EPS,
+    LR_MIN,
     AdamState,
     TrainConfig,
     adam_step,
@@ -86,9 +90,9 @@ class TestAdam:
         p.grad = g.copy()
         state = AdamState()
         before = p.data.copy()
-        lr, eps = 1e-3, 1e-8
-        adam_step([p], state, lr=lr, eps=eps)
-        want = before - lr * g / (np.abs(g) + eps)
+        lr = 1e-3
+        adam_step([p], state, lr=lr)
+        want = before - lr * g / (np.abs(g) + EPS)
         assert np.abs(p.data - want).max() < 1e-7
 
     def test_quadratic_bowl_descends_monotonically(self):
@@ -115,15 +119,15 @@ class TestAdam:
             g = rng.standard_normal((3, 5)).astype(np.float32)
             p.grad = g
             adam_step([p], state, lr=1e-3)
-            m = m * 0.9 + (1.0 - 0.9) * g
-            v = v * 0.999 + (1.0 - 0.999) * np.square(g)
-            m_hat, v_hat = m / (1.0 - 0.9**t), v / (1.0 - 0.999**t)
-            want = (want - 1e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)).astype(np.float32)
+            m = m * BETA1 + (1.0 - BETA1) * g
+            v = v * BETA2 + (1.0 - BETA2) * np.square(g)
+            m_hat, v_hat = m / (1.0 - BETA1**t), v / (1.0 - BETA2**t)
+            want = (want - 1e-3 * m_hat / (np.sqrt(v_hat) + EPS)).astype(np.float32)
             assert np.array_equal(p.data, want)
         assert p.data is data
 
     @staticmethod
-    def _one_pass(p, m, v, t, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def _one_pass(p, m, v, t, lr=1e-3, beta1=BETA1, beta2=BETA2, eps=EPS):
         """Adam's float32 chain over the whole parameter at once, with temporaries of its size."""
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         step, denom = np.empty_like(p.data), np.empty_like(p.data)
@@ -166,7 +170,7 @@ class TestAdam:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            adam_update(p, state, 1e-3, 0.9, 0.999, 1e-8)
+            adam_update(p, state, 1e-3)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -201,17 +205,17 @@ class TestAdam:
 
 class TestCosine:
     def test_endpoints_and_midpoint(self):
-        assert cosine_lr(0, 100, 1e-3, 1e-6) == pytest.approx(1e-3)
-        assert cosine_lr(100, 100, 1e-3, 1e-6) == pytest.approx(1e-6)
-        assert cosine_lr(50, 100, 1e-3, 1e-6) == pytest.approx((1e-3 + 1e-6) / 2)
+        assert cosine_lr(0, 100, 1e-3) == pytest.approx(1e-3)
+        assert cosine_lr(100, 100, 1e-3) == pytest.approx(LR_MIN)
+        assert cosine_lr(50, 100, 1e-3) == pytest.approx((1e-3 + LR_MIN) / 2)
 
     def test_monotone_non_increasing(self):
-        values = [cosine_lr(t, 40, 1e-3, 1e-6) for t in range(41)]
+        values = [cosine_lr(t, 40, 1e-3) for t in range(41)]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError):
-            cosine_lr(5, 4, 1e-3, 1e-6)
+            cosine_lr(5, 4, 1e-3)
 
 
 def tiny_corpus(count=10, size=32, seed=0):
@@ -349,7 +353,7 @@ class TestTrainLoop:
             plain.zero_grad()
             loss_total(plain.forward(stack([corpus[i][0] for i in batch])),
                        stack([corpus[i][1] for i in batch]), cfg.fr_weight).backward()
-            adam_step(params, want, cosine_lr(0, 1, cfg.lr0, cfg.lr_min))
+            adam_step(params, want, cosine_lr(0, 1, cfg.lr0))
         (got,) = states
         assert got.step == want.step == 2
         assert list(got.m) == list(want.m) == list(got.v) == list(plain.parameters())
@@ -617,8 +621,8 @@ class TestSlidingWindow:
 def test_cosine_bounds_property(t, total):
     if t > total:
         t = total
-    lr = cosine_lr(t, total, 1e-3, 1e-6)
-    assert 1e-6 <= lr <= 1e-3
+    lr = cosine_lr(t, total, 1e-3)
+    assert LR_MIN <= lr <= 1e-3
 
 
 @settings(max_examples=30, deadline=None)
