@@ -144,6 +144,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dump_spectrum(args) -> int:
+    _image_suffix(args.input, "input")
     net, preprocess = restore_network(args.checkpoint)
     known = [blk.name for blk in net.blocks()]
     if args.block not in known:

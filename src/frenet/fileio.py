@@ -238,8 +238,8 @@ def _parse_checkpoint(reader: _Reader) -> tuple:
 
 def _all_finite(a: np.ndarray) -> bool:
     """No NaN and no infinity in ``a``: its min and max carry either, and take
-    no mask of its size."""
-    return math.isfinite(a.min()) and math.isfinite(a.max())
+    no mask of its size. An empty ``a`` has neither."""
+    return a.size == 0 or (math.isfinite(a.min()) and math.isfinite(a.max()))
 
 
 def restore_network(path: str | Path):

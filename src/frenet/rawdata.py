@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from .tensor import ConfigurationError, Tensor
 
 DEFAULT_BLACK_LEVEL = 64.0
 DEFAULT_WHITE_LEVEL = 1023.0
+CORPUS_FILE = "pairs.ften"
 
 
 @dataclass(frozen=True)
@@ -264,68 +264,39 @@ def gen_dataset(
 
 
 def save_corpus(directory: str | Path, items: list[DatasetItem]) -> None:
+    """Write ``pairs.ften``, the N x 2 x C x H x W stack of each item's blurred
+    then sharp tensor, and ``manifest.txt``, one ``index kind kernel_seed
+    noise_sigma`` line per item as provenance that no reader parses."""
     from .fileio import write_ften
 
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for item in items:
-        lines.append(f"{item.index} {item.kernel_kind} {item.kernel_seed} {item.noise_sigma:g}")
-        write_ften(directory / f"{item.index:04d}_blur.ften", item.blurred.data)
-        write_ften(directory / f"{item.index:04d}_sharp.ften", item.sharp.data)
-    (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
-
-
-def _manifest_indices(directory: Path) -> Iterator[int]:
-    """Sample indices of ``manifest.txt`` in file order; each line starts with one."""
-    from .fileio import read_utf8
-
-    manifest = directory / "manifest.txt"
-    if not manifest.exists():
-        raise ConfigurationError(f"no manifest.txt in {directory}")
-    for lineno, line in enumerate(read_utf8(manifest).splitlines(), start=1):
-        fields = line.split()
-        if not fields:
-            continue
-        if not fields[0].isdecimal():
-            raise ConfigurationError(f"{manifest}: line {lineno}: expected a sample index, got {line!r}")
-        yield int(fields[0])
+    write_ften(directory / CORPUS_FILE, np.stack([(it.blurred.data, it.sharp.data) for it in items]))
+    lines = [f"{it.index} {it.kernel_kind} {it.kernel_seed} {it.noise_sigma:g}\n" for it in items]
+    (directory / "manifest.txt").write_text("".join(lines))
 
 
 def load_corpus(directory: str | Path) -> list[tuple[Tensor, Tensor]]:
-    """The (blurred, sharp) pairs ``manifest.txt`` lists, in its order.
+    """The (blurred, sharp) pairs of ``pairs.ften``, views of its one tensor.
 
-    Every tensor must be CxHxW and shaped like the first pair's blurred one,
-    so that any of them batch together.
+    It must be N x 2 x C x H x W, and finite: train() would meet a NaN only
+    as a non-finite loss, after writing a checkpoint of the untrained network.
     """
-    from .fileio import read_ften
+    from .fileio import _all_finite, read_ften
 
-    directory = Path(directory)
-    pairs, first = [], None
-    for index in _manifest_indices(directory):
-        pair = []
-        for tag in ("blur", "sharp"):
-            path = directory / f"{index:04d}_{tag}.ften"
-            data = read_ften(path)
-            first = first or (path.name, data.shape)
-            if data.ndim != 3:
-                raise ConfigurationError(f"{path}: expected a CxHxW tensor, got shape {data.shape}")
-            if data.shape != first[1]:
-                raise ConfigurationError(f"{path}: shape {data.shape} differs from {first[1]} of {first[0]}")
-            pair.append(Tensor(data))
-        pairs.append(tuple(pair))
-    return pairs
+    path = Path(directory) / CORPUS_FILE
+    data = read_ften(path)
+    if data.ndim != 5 or data.shape[1] != 2:
+        raise ConfigurationError(f"{path}: expected an Nx2xCxHxW tensor, got shape {data.shape}")
+    if not _all_finite(data):
+        raise ConfigurationError(f"{path}: corpus holds non-finite values (NaN or Inf)")
+    return [(Tensor(blurred), Tensor(sharp)) for blurred, sharp in data]
 
 
 def corpus_digest(directory: str | Path) -> str:
-    """SHA-256 over the concatenated tensor payloads, in manifest order."""
+    """SHA-256 of the pairs' payload: each pair's blurred then sharp floats, in pair order."""
     import hashlib
 
     from .fileio import read_ften
 
-    directory = Path(directory)
-    digest = hashlib.sha256()
-    for index in _manifest_indices(directory):
-        for tag in ("blur", "sharp"):
-            digest.update(read_ften(directory / f"{index:04d}_{tag}.ften").tobytes())
-    return digest.hexdigest()
+    return hashlib.sha256(read_ften(Path(directory) / CORPUS_FILE)).hexdigest()

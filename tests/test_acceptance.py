@@ -180,7 +180,8 @@ def test_a7_data_suite(tmp_path):
     save_corpus(dir_a, gen_dataset(77, count=8, h=32, w=32, spec=spec))
     save_corpus(dir_b, gen_dataset(77, count=8, h=32, w=32, spec=spec))
     digest_a, digest_b = corpus_digest(dir_a), corpus_digest(dir_b)
-    assert digest_a == digest_b
+    # pinned: a change to the generator or the corpus format must show here
+    assert digest_a == digest_b == "4efc30994b408de60cd3f1f55a69a4122ff7faccb2380921b15cd391c47e3578"
 
     print(
         f"\n[A7] PASS data suite: pack/unpack bit-exact, black->0 white->1 exact, "

@@ -189,32 +189,38 @@ def test_checkpoint_with_hostile_network_config_is_runtime_error(tmp_path, capsy
     assert not out.exists()
 
 
-def test_malformed_manifest_is_runtime_error(workdir, capsys):
-    tmp_path, cfg_path = workdir
-    data = tmp_path / "data"
-    data.mkdir()
-    (data / "manifest.txt").write_text("abc gaussian 1 0.002\n")
-    assert main(["train", "--config", str(cfg_path), "--data", str(data),
-                 "--out", str(tmp_path / "run")]) == 1
-    _assert_one_error_line(capsys)
+def _with(pairs, index, value):
+    out = pairs.copy()
+    out[index] = value
+    return out
 
 
-@pytest.mark.parametrize("tags, shape, why", [
-    (["0002_blur"], (5,), "expected a CxHxW tensor"),
-    (["0003_sharp"], (4, 32, 16), "differs from (4, 32, 32) of 0000_blur.ften"),
-    (["0001_blur", "0001_sharp"], (4, 16, 16), "differs from (4, 32, 32) of 0000_blur.ften"),
-], ids=["not CxHxW", "unlike its blurred pair", "a pair unlike the first"])
-def test_corpus_of_unequal_shapes_is_runtime_error(tmp_path, capsys, tags, shape, why):
-    # np.stack's "all input arrays must have the same shape" used to end train in a traceback
-    data = tmp_path / "data"
+@pytest.mark.parametrize("rewrite, why", [
+    (lambda pairs: pairs[0, 0], "expected an Nx2xCxHxW tensor"),
+    (lambda pairs: pairs[:, 0], "expected an Nx2xCxHxW tensor"),
+    (lambda pairs: np.concatenate([pairs, pairs[:, :1]], axis=1), "expected an Nx2xCxHxW tensor"),
+    (lambda pairs: _with(pairs, (3, 1, 0, 5, 7), np.nan), "non-finite"),
+    (lambda pairs: _with(pairs, (0, 0, 2, 0, 0), -np.inf), "non-finite"),
+    (None, "No such file or directory"),
+], ids=["one CxHxW tensor", "blurred only", "three tensors a pair", "NaN", "Inf", "old per-pair layout"])
+def test_malformed_corpus_is_runtime_error(tmp_path, capsys, rewrite, why):
+    # a NaN used to reach train(), which wrote final.fckpt of the untrained net before raising
+    data, run = tmp_path / "data", tmp_path / "run"
     cfg = write_config(tmp_path / "run.cfg", count=6, batch=4)
     assert main(["datagen", "--config", str(cfg), "--out", str(data)]) == 0
     capsys.readouterr()
-    for tag in tags:
-        write_ften(data / f"{tag}.ften", np.zeros(shape, np.float32))
-    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "run")]) == 1
+    pairs = read_ften(data / "pairs.ften")
+    if rewrite is None:  # the per-pair files and manifest a corpus used to be
+        (data / "pairs.ften").unlink()
+        for n, (blurred, sharp) in enumerate(pairs):
+            write_ften(data / f"{n:04d}_blur.ften", blurred)
+            write_ften(data / f"{n:04d}_sharp.ften", sharp)
+    else:
+        write_ften(data / "pairs.ften", rewrite(pairs))
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(run)]) == 1
     err = _assert_one_error_line(capsys)
-    assert f"{tags[0]}.ften: " in err and why in err
+    assert "pairs.ften" in err and why in err
+    assert not (run / "final.fckpt").exists()
 
 
 def test_config_not_utf8_is_runtime_error(tmp_path, capsys):
@@ -222,16 +228,6 @@ def test_config_not_utf8_is_runtime_error(tmp_path, capsys):
     path.write_bytes(b"model = tiny\nwidth = \xff\n")
     assert main(["analyze", "--config", str(path)]) == 1
     assert "bad.cfg: not UTF-8 at byte 21" in _assert_one_error_line(capsys)
-
-
-def test_manifest_not_utf8_is_runtime_error(workdir, capsys):
-    tmp_path, cfg_path = workdir
-    data = tmp_path / "data"
-    data.mkdir()
-    (data / "manifest.txt").write_bytes(b"0 gaussian 1 0.002\n\xfe1 gaussian 2 0.002\n")
-    assert main(["train", "--config", str(cfg_path), "--data", str(data),
-                 "--out", str(tmp_path / "run")]) == 1
-    assert "manifest.txt: not UTF-8 at byte 19" in _assert_one_error_line(capsys)
 
 
 def test_analyze_reports_reference_comparison(tmp_path, capsys):
@@ -251,8 +247,7 @@ def test_datagen_train_infer_dump_pipeline(workdir, capsys):
     assert main(["datagen", "--config", str(cfg_path), "--out", str(data_dir)]) == 0
     first = capsys.readouterr().out
     assert "digest" in first
-    assert (data_dir / "manifest.txt").exists()
-    assert (data_dir / "0000_blur.ften").exists()
+    assert sorted(p.name for p in data_dir.iterdir()) == ["manifest.txt", "pairs.ften"]
 
     # idempotence: regenerating produces the identical corpus digest
     assert main(["datagen", "--config", str(cfg_path), "--out", str(data_dir)]) == 0
@@ -400,6 +395,19 @@ def test_infer_refuses_an_image_format_before_restoring(tmp_path, capsys, role, 
     # an unsupported output format used to be refused only after every tile had run
     assert main(["infer", "--checkpoint", str(tmp_path / "missing.fckpt"), *argv]) == 1
     assert f"unsupported {role} image format '.png'" in _assert_one_error_line(capsys)
+
+
+def test_dump_spectrum_refuses_an_image_format_before_restoring(tmp_path, capsys, monkeypatch):
+    # a .png input used to be refused only after the network was restored
+    import frenet.cli as cli
+
+    ckpt, _ = _tiny_checkpoint(tmp_path)
+    restored = []
+    monkeypatch.setattr(cli, "restore_network", lambda path: restored.append(path) or restore_network(path))
+    assert main(["dump-spectrum", "--checkpoint", str(ckpt), "--input", str(tmp_path / "in.png"),
+                 "--block", "enc1.blk0", "--out", str(tmp_path / "spec")]) == 1
+    assert "unsupported input image format '.png'" in _assert_one_error_line(capsys)
+    assert restored == []
 
 
 def test_infer_error_in_a_later_tile_is_runtime_error(tmp_path, capsys, monkeypatch):

@@ -32,7 +32,7 @@ from frenet.fileio import (
     write_ften,
     write_pgm16,
 )
-from frenet.rawdata import PreprocessSpec, _manifest_indices, gen_dataset, load_corpus, save_corpus
+from frenet.rawdata import PreprocessSpec, gen_dataset, load_corpus, save_corpus
 from frenet.runconfig import parse_run_config
 from frenet.tensor import ConfigurationError
 from frenet.train import AdamState
@@ -60,9 +60,8 @@ def _mutations(valid: bytes, structure: list[int]):
     )
 
 
-def _tensors():
-    """Well-formed .ften files of any small shape, finite or not."""
-    shapes = st.lists(st.integers(0, 20), max_size=4)
+def _tensors(shapes=st.lists(st.integers(0, 20), max_size=4)):
+    """Well-formed .ften files of any of ``shapes``, finite or not."""
     values = st.sampled_from([0.5, -1.0, 1e30, np.nan, np.inf])
 
     def encode(shape, value):
@@ -122,6 +121,7 @@ def _checkpoint_structure(path) -> list[int]:
 
 
 _FTEN_HEADER = len(FTEN_MAGIC) + struct.calcsize("<4I")  # rank 3
+_CORPUS_HEADER = len(FTEN_MAGIC) + struct.calcsize("<6I")  # rank 5
 _PGM_HEADER = len(b"P5\n16 16\n65535\n")
 
 
@@ -138,11 +138,12 @@ def test_ften(files):
 
 
 def test_corpus_tensor(files):
-    path = files / "corpus" / "0000_blur.ften"
+    path = files / "corpus" / "pairs.ften"
     valid = path.read_bytes()
+    pair_shapes = st.tuples(st.integers(0, 4), st.just(2), st.integers(0, 5), st.integers(0, 9), st.integers(0, 9))
 
-    @settings(max_examples=25, deadline=None)
-    @given(_mutations(valid, list(range(_FTEN_HEADER))) | _tensors())
+    @settings(max_examples=30, deadline=None)
+    @given(_mutations(valid, list(range(_CORPUS_HEADER))) | _tensors() | _tensors(pair_shapes))
     def fuzz(data):
         path.write_bytes(data)
         _parses(lambda p: load_corpus(p.parent), path)
@@ -190,20 +191,3 @@ def test_run_config(files):
         _exits_cleanly(["analyze", "--config", path])
 
     fuzz()
-
-
-def test_manifest(files):
-    manifest = files / "corpus" / "manifest.txt"
-    valid = manifest.read_bytes()
-
-    @settings(max_examples=30, deadline=None)
-    @given(_mutations(valid, list(range(len(valid)))))
-    def fuzz(data):
-        manifest.write_bytes(data)
-        _parses(lambda p: list(_manifest_indices(p.parent)), manifest)
-        _exits_cleanly(["train", "--config", files / "run.cfg", "--data", files / "corpus", "--out", files / "run"])
-
-    try:
-        fuzz()
-    finally:
-        manifest.write_bytes(valid)
