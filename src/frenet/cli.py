@@ -49,8 +49,7 @@ def _read_raw_image(path: str, preprocess: PreprocessSpec) -> Tensor:
     """Load a single-channel RAW image normalized to [0, 1].
 
     .pgm files hold sensor counts and get preprocessed; .ften files are taken
-    as already-normalized HxW or 1xHxW planes, and must be finite: one NaN
-    would spread through every FFT into the whole output.
+    as already-normalized HxW or 1xHxW planes.
     """
     if _image_suffix(path, "input") == ".pgm":
         return preprocess_raw(Tensor(read_pgm16(path)), preprocess)
@@ -59,8 +58,6 @@ def _read_raw_image(path: str, preprocess: PreprocessSpec) -> Tensor:
         data = data[None]
     if data.ndim != 3 or data.shape[0] != 1:
         raise ConfigurationError(f"{path}: expected an HxW or 1xHxW plane, got shape {data.shape}")
-    if not np.isfinite(data).all():
-        raise ConfigurationError(f"{path}: plane holds non-finite values (NaN or Inf)")
     return Tensor(data)
 
 

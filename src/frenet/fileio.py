@@ -128,13 +128,18 @@ class _Reader:
 
 
 def read_ften(path: str | Path) -> np.ndarray:
+    """The tensor in ``path``. A NaN or Inf is refused: no reader takes one, and
+    one NaN would spread through every FFT or training step it meets."""
     with open(path, "rb") as fh:
         reader = _Reader(fh, path, FTEN_MAGIC, ".ften")
         dims = reader.dims()
         left, expected = reader.size - reader.offset, 4 * math.prod(dims)
         if left != expected:
             raise ConfigurationError(f"{path}: payload size {left} != {expected}")
-        return reader.floats(_Payload(reader.offset, dims))
+        data = reader.floats(_Payload(reader.offset, dims))
+    if not _all_finite(data):
+        raise ConfigurationError(f"{path}: holds non-finite values (NaN or Inf)")
+    return data
 
 
 def _write_record(fh, name: str, array: np.ndarray) -> None:

@@ -117,33 +117,14 @@ def gen_sharp(seed: int, h: int, w: int) -> Tensor:
     return Tensor(img[None].astype(np.float32))
 
 
-@dataclass(frozen=True)
-class BlurKernel:
-    size: int
-    weights: np.ndarray  # (size, size) float32, non-negative, sums to 1
-    kind: str
-
-    def __post_init__(self):
-        if self.size % 2 == 0 or self.size < 1:
-            raise ConfigurationError(f"kernel size must be odd and positive, got {self.size}")
-        if self.weights.shape != (self.size, self.size):
-            raise ConfigurationError(
-                f"kernel weights shape {self.weights.shape} != ({self.size}, {self.size})"
-            )
-        if np.any(self.weights < 0):
-            raise ConfigurationError("kernel weights must be non-negative")
-        total = float(self.weights.sum(dtype=np.float64))
-        if abs(total - 1.0) > 1e-6:
-            raise ConfigurationError(f"kernel weights must sum to 1, got {total}")
-
-
 def gen_kernel(
     seed: int,
     kind: str = "gaussian",
     size: int = 5,
     sigma_range: tuple[float, float] = (0.8, 2.5),
-) -> BlurKernel:
-    """Seeded normalized blur kernel: isotropic gaussian or rasterized linear motion."""
+) -> np.ndarray:
+    """Seeded blur kernel, isotropic gaussian or rasterized linear motion, as its
+    size x size float32 weights, non-negative and summing to 1 (``size`` odd)."""
     rng = np.random.default_rng(seed)
     if kind == "gaussian":
         s = float(rng.uniform(*sigma_range))
@@ -155,7 +136,7 @@ def gen_kernel(
     else:
         raise ConfigurationError(f"unknown kernel kind {kind!r}")
     w = w / w.sum(dtype=np.float64)
-    return BlurKernel(size=size, weights=w.astype(np.float32), kind=kind)
+    return w.astype(np.float32)
 
 
 def motion_line(size: int, length: int, angle: float) -> np.ndarray:
@@ -174,34 +155,36 @@ def motion_line(size: int, length: int, angle: float) -> np.ndarray:
     return w
 
 
-def apply_blur(x: Tensor, kernel: BlurKernel) -> Tensor:
+def apply_blur(x: Tensor, kernel: np.ndarray) -> Tensor:
     """Circular (wrap-boundary) 2-D convolution with a centered kernel."""
     if x.data.ndim != 3 or x.shape[0] != 1:
         raise ConfigurationError(f"apply_blur expects 1xHxW, got {tuple(x.shape)}")
     _, h, w = x.shape
-    if kernel.size > min(h, w):
-        raise ConfigurationError(f"kernel size {kernel.size} exceeds image {h}x{w}")
-    c = (kernel.size - 1) // 2
+    size = kernel.shape[0]
+    if size > min(h, w):
+        raise ConfigurationError(f"kernel size {size} exceeds image {h}x{w}")
+    c = (size - 1) // 2
     padded = np.pad(x.data[0].astype(np.float64), c, mode="wrap")
     out = np.zeros((h, w))
-    for u in range(kernel.size):
-        for v in range(kernel.size):
-            kw = float(kernel.weights[u, v])
+    for u in range(size):
+        for v in range(size):
+            kw = float(kernel[u, v])
             if kw:
                 out += kw * padded[2 * c - u : 2 * c - u + h, 2 * c - v : 2 * c - v + w]
     return Tensor(out[None].astype(np.float32))
 
 
-def embed_kernel(kernel: BlurKernel, h: int, w: int) -> Tensor:
+def embed_kernel(kernel: np.ndarray, h: int, w: int) -> Tensor:
     """Zero-pad a centered kernel to HxW with its center wrapped to index (0,0).
 
     With this embedding, apply_blur equals the pointwise spectral product route.
     """
     padded = np.zeros((h, w), dtype=np.float32)
-    c = (kernel.size - 1) // 2
-    for u in range(kernel.size):
-        for v in range(kernel.size):
-            padded[(u - c) % h, (v - c) % w] = kernel.weights[u, v]
+    size = kernel.shape[0]
+    c = (size - 1) // 2
+    for u in range(size):
+        for v in range(size):
+            padded[(u - c) % h, (v - c) % w] = kernel[u, v]
     return Tensor(padded[None])
 
 
@@ -279,17 +262,14 @@ def save_corpus(directory: str | Path, items: list[DatasetItem]) -> None:
 def load_corpus(directory: str | Path) -> list[tuple[Tensor, Tensor]]:
     """The (blurred, sharp) pairs of ``pairs.ften``, views of its one tensor.
 
-    It must be N x 2 x C x H x W, and finite: train() would meet a NaN only
-    as a non-finite loss, after writing a checkpoint of the untrained network.
+    It must be N x 2 x C x H x W; ``read_ften`` refuses a NaN or Inf.
     """
-    from .fileio import _all_finite, read_ften
+    from .fileio import read_ften
 
     path = Path(directory) / CORPUS_FILE
     data = read_ften(path)
     if data.ndim != 5 or data.shape[1] != 2:
         raise ConfigurationError(f"{path}: expected an Nx2xCxHxW tensor, got shape {data.shape}")
-    if not _all_finite(data):
-        raise ConfigurationError(f"{path}: corpus holds non-finite values (NaN or Inf)")
     return [(Tensor(blurred), Tensor(sharp)) for blurred, sharp in data]
 
 

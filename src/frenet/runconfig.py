@@ -37,6 +37,8 @@ class DatasetParams:
             raise ConfigurationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.kernel_kind not in ("gaussian", "motion", "mixed", "none"):
             raise ConfigurationError(f"unknown kernel_kind {self.kernel_kind!r}")
+        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
+            raise ConfigurationError(f"kernel_size must be odd and positive, got {self.kernel_size}")
         if self.kernel_kind in ("motion", "mixed") and self.kernel_size < 3:
             raise ConfigurationError(
                 f"kernel_size must be >= 3 for {self.kernel_kind} blur (a motion path spans 3 or more "

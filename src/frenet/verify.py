@@ -1,9 +1,10 @@
 """Self-contained invariant suites behind the `verify` CLI subcommand.
 
-Each check prints one PASS/FAIL line with the measured value; a suite passes
-only if every check does. These suites are the acceptance checks A1 (spectral),
-A8 (AFPM) and A2 (gradients) on their acceptance fixtures, so a built
-installation can be probed without pytest.
+Each suite yields one (name, passed, detail) per check; `run_suites` prints a
+PASS/FAIL line for each with the measured value, and passes only if every check
+does. These suites are the acceptance checks A1 (spectral), A8 (AFPM) and A2
+(gradients, 500 probes) on their acceptance fixtures, exactly as the acceptance
+tests run them, so a built installation can be probed without pytest.
 """
 
 from __future__ import annotations
@@ -21,18 +22,7 @@ from .tensor import Tensor, parameter_buffer
 from .train import loss_total
 
 
-class _SuiteRun:
-    def __init__(self, emit):
-        self.emit = emit
-        self.ok = True
-
-    def check(self, name: str, passed: bool, detail: str) -> None:
-        self.ok &= bool(passed)
-        self.emit(f"{'PASS' if passed else 'FAIL'}  {name}  ({detail})")
-
-
-def spectral_suite(emit=print) -> bool:
-    run = _SuiteRun(emit)
+def spectral_suite():
     rng = np.random.default_rng(101)
 
     worst = 0.0
@@ -40,7 +30,7 @@ def spectral_suite(emit=print) -> bool:
         x = rng.standard_normal(shape).astype(np.float32)
         back = ifft2d(fft2d(Tensor(x)))
         worst = max(worst, float(np.abs(back.data - x).max()))
-    run.check("fft round trip", worst < 1e-5, f"max abs err {worst:.2e}")
+    yield "fft round trip", worst < 1e-5, f"max abs err {worst:.2e}"
 
     worst = 0.0
     for shape in [(1, 16, 16), (8, 64, 64)]:
@@ -49,7 +39,7 @@ def spectral_suite(emit=print) -> bool:
         spatial = float(np.sum(np.square(x, dtype=np.float64)))
         freq = float(np.sum(spec.re.data.astype(np.float64) ** 2 + spec.im.data.astype(np.float64) ** 2))
         worst = max(worst, abs(spatial - freq) / spatial)
-    run.check("parseval", worst < 1e-4, f"rel err {worst:.2e}")
+    yield "parseval", worst < 1e-4, f"rel err {worst:.2e}"
 
     img = gen_sharp(7, 32, 32)
     kernel = gen_kernel(11, "gaussian", 5)
@@ -58,20 +48,19 @@ def spectral_suite(emit=print) -> bool:
     product = (a.re.data + 1j * a.im.data) * (b.re.data + 1j * b.im.data)
     route = ifft2d(ComplexTensor(Tensor(product.real), Tensor(product.imag)))
     rel = float(np.abs(route.data * math.sqrt(32 * 32) - direct.data).max() / np.abs(direct.data).max())
-    run.check("convolution theorem", rel < 1e-3, f"rel err {rel:.2e}")
+    yield "convolution theorem", rel < 1e-3, f"rel err {rel:.2e}"
 
     z = fft2d(Tensor(rng.standard_normal((2, 16, 16)).astype(np.float32)))
     twice = fft_shift(fft_shift(z))
     exact = np.array_equal(twice.re.data, z.re.data) and np.array_equal(twice.im.data, z.im.data)
-    run.check("fft_shift involution", exact, "bit-exact on even dims")
+    yield "fft_shift involution", exact, "bit-exact on even dims"
 
     a = Tensor(rng.standard_normal((2, 16, 16)).astype(np.float32))
     b = Tensor(rng.standard_normal((2, 16, 16)).astype(np.float32))
     lhs = fft2d(Tensor(2.0 * a.data - 3.0 * b.data))
     rhs_re = 2.0 * fft2d(a).re.data - 3.0 * fft2d(b).re.data
     err = float(np.abs(lhs.re.data - rhs_re).max())
-    run.check("linearity", err < 1e-5, f"max abs err {err:.2e}")
-    return run.ok
+    yield "linearity", err < 1e-5, f"max abs err {err:.2e}"
 
 
 def _swap_patches(arr: np.ndarray, grid, a: tuple[int, int], b: tuple[int, int]) -> np.ndarray:
@@ -86,8 +75,7 @@ def _swap_patches(arr: np.ndarray, grid, a: tuple[int, int], b: tuple[int, int])
     return out
 
 
-def afpm_suite(emit=print) -> bool:
-    run = _SuiteRun(emit)
+def afpm_suite():
     rng = np.random.default_rng(80)
     grid = make_patch_grid(16, 16, 8)
 
@@ -96,8 +84,8 @@ def afpm_suite(emit=print) -> bool:
     module.proj_weight.data[...] = 0.0
     module.proj_bias.data[...] = 1.0
     x = Tensor(rng.standard_normal((6, 16, 16)).astype(np.float32))
-    run.check("unit modulation identity", np.array_equal(module(x).data, x.data),
-              "proj weight 0 / bias 1 reproduces input")
+    yield ("unit modulation identity", np.array_equal(module(x).data, x.data),
+           "proj weight 0 / bias 1 reproduces input")
 
     # Mirrored grid positions share a distance, so swapping those patch
     # contents must swap the outputs verbatim.
@@ -112,15 +100,15 @@ def afpm_suite(emit=print) -> bool:
         out_swapped = module(Tensor(_swap_patches(data, grid, cell, mirror))).data
         swapped_ok &= bool(grid.distances[cell] == grid.distances[mirror])
         swapped_ok &= np.array_equal(out_swapped, _swap_patches(out, grid, cell, mirror))
-    run.check("content independence", swapped_ok,
-              f"swapping equal-distance patches swaps outputs on {trials} randomized fixtures")
+    yield ("content independence", swapped_ok,
+           f"swapping equal-distance patches swaps outputs on {trials} randomized fixtures")
 
     dists = grid.distances
     kernels = module.kernel_kbg(dists.reshape(-1)).data
     mirrored = module.kernel_kbg(dists[::-1, ::-1].reshape(-1)).data
-    run.check("central symmetry",
-              np.array_equal(dists, dists[::-1, ::-1]) and np.array_equal(kernels, mirrored),
-              "mirrored patches get bit-identical kernels")
+    yield ("central symmetry",
+           np.array_equal(dists, dists[::-1, ::-1]) and np.array_equal(kernels, mirrored),
+           "mirrored patches get bit-identical kernels")
 
     # One 2x2 patch against the modulation formula, transcribed in float64.
     single = make_patch_grid(2, 2, 1)
@@ -133,20 +121,17 @@ def afpm_suite(emit=print) -> bool:
     s = (xs.astype(np.float64) * w).sum(axis=(1, 2)) + b
     factor = small.proj_weight.data.reshape(2, 2).astype(np.float64) @ s + small.proj_bias.data
     err = float(np.abs(small(Tensor(xs)).data - factor[:, None, None] * xs).max())
-    run.check("modulation transcription", err < 1e-4, f"max abs err {err:.2e}")
-    return run.ok
+    yield "modulation transcription", err < 1e-4, f"max abs err {err:.2e}"
 
 
-def grad_suite(emit=print, probe_count: int = 150) -> bool:
-    run = _SuiteRun(emit)
+def grad_suite():
     net = build_frenet(tiny_config(base_size=16), seed=5)
     rng = np.random.default_rng(52)
     x = Tensor(rng.uniform(0.0, 1.0, (4, 16, 16)).astype(np.float32))
     target = Tensor(rng.uniform(0.0, 1.0, (4, 16, 16)).astype(np.float32))
     report = grad_check(lambda: loss_total(net.forward(x), target, 0.01), list(net.parameters().values()),
-                        probe_count=probe_count, h=1e-3, tol=1e-3, seed=9)
-    run.check("reverse-mode vs finite differences", report.pass_fraction >= 0.99, report.summary())
-    return run.ok
+                        probe_count=500, seed=9)
+    yield "reverse-mode vs finite differences", report.pass_fraction >= 0.99, report.summary()
 
 
 SUITES = {
@@ -161,5 +146,7 @@ def run_suites(selection: str = "all") -> bool:
     ok = True
     for name in names:
         print(f"== suite {name}")
-        ok &= SUITES[name](print)
+        for check, passed, detail in SUITES[name]():
+            ok &= bool(passed)
+            print(f"{'PASS' if passed else 'FAIL'}  {check}  ({detail})")
     return ok

@@ -46,12 +46,13 @@ def test_verify_all_runs_every_suite(capsys):
     out = capsys.readouterr().out
     for name in ("spectral", "afpm", "grad"):
         assert f"== suite {name}" in out
+    assert "/500 probes" in out
 
 
 def test_verify_exit_code_propagates_failure(monkeypatch):
     import frenet.verify as verify
 
-    monkeypatch.setitem(verify.SUITES, "spectral", lambda emit=print: False)
+    monkeypatch.setitem(verify.SUITES, "spectral", lambda: iter([("broken", False, "detail")]))
     assert main(["verify", "--suite", "spectral"]) == 1
 
 
@@ -118,10 +119,12 @@ def test_non_positive_blur_sigma_is_runtime_error(tmp_path, capsys, sigma_min):
     assert not (tmp_path / "data" / "manifest.txt").exists()
 
 
-@pytest.mark.parametrize("kind", ["motion", "mixed"])
-def test_motion_blur_too_short_for_its_kernel_is_runtime_error(tmp_path, capsys, kind):
-    # A 1-tap motion kernel used to end in numpy's "low >= high" traceback.
-    cfg = write_config(tmp_path / "bad.cfg", count=2, kernel_kind=kind, kernel_size=1)
+@pytest.mark.parametrize("kind, size", [("motion", 1), ("mixed", 1), ("gaussian", 4)],
+                         ids=["motion", "mixed", "even gaussian"])
+def test_motion_blur_too_short_for_its_kernel_is_runtime_error(tmp_path, capsys, kind, size):
+    # A 1-tap motion kernel used to end in numpy's "low >= high" traceback; an
+    # even kernel has no centre tap.
+    cfg = write_config(tmp_path / "bad.cfg", count=2, kernel_kind=kind, kernel_size=size)
     assert main(["datagen", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 1
     assert "kernel_size" in _assert_one_error_line(capsys)
     assert not (tmp_path / "data" / "manifest.txt").exists()

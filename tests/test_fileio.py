@@ -50,6 +50,16 @@ class TestFten:
         assert (rank, d0, d1) == (2, 1, 2)
         assert blob[len(FTEN_MAGIC) + 12 :] == arr.tobytes()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_payload_rejected(self, tmp_path, bad):
+        arr = np.zeros((2, 3), dtype=np.float32)
+        arr[1, 2] = bad
+        path = tmp_path / "x.ften"
+        write_ften(path, arr)
+        with pytest.raises(ConfigurationError, match="non-finite") as exc:
+            read_ften(path)
+        assert str(path) in str(exc.value)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ften"
         path.write_bytes(b"NOPE\n" + b"\x00" * 16)

@@ -25,7 +25,7 @@ from frenet.train import loss_total
 
 def test_quadratic_matches_analytic_gradient():
     theta = Parameter("theta", np.array(3.0, dtype=np.float32))
-    report = grad_check(lambda: mul(theta, theta), [theta], probe_count=1, h=1e-3)
+    report = grad_check(lambda: mul(theta, theta), [theta], probe_count=1)
     probe = report.probes[0]
     assert abs(probe.analytic - 6.0) < 1e-6
     assert abs(probe.numeric - 6.0) < 1e-4  # central difference is exact to O(h^2)
@@ -43,7 +43,7 @@ def test_conv_l1_loss_probes_pass():
     def loss():
         return mean_all(abs_(sub(conv2d(x, spec, w, b), target)))
 
-    report = grad_check(loss, [w, b], probe_count=3, h=1e-3, tol=1e-3)
+    report = grad_check(loss, [w, b], probe_count=3)
     assert report.pass_fraction == 1.0
 
 
@@ -56,7 +56,7 @@ def test_norm_gate_gelu_composition():
     def loss():
         return mean_all(gelu(simple_gate(layer_norm_channels(x, gamma, beta))))
 
-    report = grad_check(loss, [gamma, beta], probe_count=8, h=1e-3)
+    report = grad_check(loss, [gamma, beta], probe_count=8)
     assert report.pass_fraction == 1.0, report.summary()
 
 
@@ -70,7 +70,7 @@ def test_spectral_round_trip_gradients():
         back = ifft2d(fft_shift(spectrum, inverse=True))
         return mean_all(abs_(sub(back, target)))
 
-    report = grad_check(loss, [w], probe_count=20, h=1e-3)
+    report = grad_check(loss, [w], probe_count=20)
     assert report.pass_fraction == 1.0, report.summary()
 
 
@@ -85,7 +85,7 @@ def test_afpm_primitive_gradients():
     def loss():
         return mean_all(mul(module(x), module(x)))
 
-    report = grad_check(loss, params, probe_count=40, h=1e-3)
+    report = grad_check(loss, params, probe_count=40)
     assert report.pass_fraction == 1.0, report.summary()
 
 
@@ -94,7 +94,7 @@ def test_full_loss_gradients_include_frequency_term():
     pred_param = Parameter("p", rng.uniform(0, 1, (2, 8, 8)).astype(np.float32))
     target = Tensor(rng.uniform(0, 1, (2, 8, 8)).astype(np.float32))
     report = grad_check(
-        lambda: loss_total(pred_param, target, 0.01), [pred_param], probe_count=25, h=1e-3
+        lambda: loss_total(pred_param, target, 0.01), [pred_param], probe_count=25
     )
     assert report.pass_fraction == 1.0, report.summary()
 
@@ -174,5 +174,5 @@ def test_batched_loss_gradients_match_finite_differences(variant):
     afpm = [p for p in params if ".afpm." in p.name]
     for chosen, probes in ((params, 60), (afpm, 40)):
         report = grad_check(lambda: loss_total(net.forward(x), target, 0.01), chosen,
-                            probe_count=probes, h=1e-3, tol=1e-3, seed=9)
+                            probe_count=probes, seed=9)
         assert report.pass_fraction == 1.0, report.summary()

@@ -202,6 +202,8 @@ def test_every_defaulted_parameter_is_passed():
             if not (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)):
                 continue
             name, call = node.id if isinstance(node, ast.Name) else node.attr, parents.get(node)
+            if isinstance(call, (ast.Dict, ast.List, ast.Tuple, ast.Set)):
+                continue  # a table of callables passes nothing: its calls are counted where made
             bare = not (isinstance(call, ast.Call) and call.func is node)
             if bare or any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
                 passed[name].add(everything)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from frenet.metrics import psnr
 from frenet.rawdata import (
-    BlurKernel,
     PreprocessSpec,
     apply_blur,
     bayer_pack,
@@ -113,14 +112,14 @@ class TestGenKernel:
         k = gen_kernel(0, "gaussian", 5, sigma_range=(1e-3, 1e-3))
         delta = np.zeros((5, 5), dtype=np.float32)
         delta[2, 2] = 1.0
-        assert np.abs(k.weights - delta).max() < 1e-6
+        assert np.abs(k - delta).max() < 1e-6
 
     def test_weights_sum_to_one(self):
         for seed in range(5):
             for kind in ("gaussian", "motion"):
                 k = gen_kernel(seed, kind, 7)
-                assert abs(float(k.weights.sum(dtype=np.float64)) - 1.0) < 1e-6
-                assert float(k.weights.min()) >= 0.0
+                assert abs(float(k.sum(dtype=np.float64)) - 1.0) < 1e-6
+                assert float(k.min()) >= 0.0
 
     def test_motion_axis_aligned_rasterization(self):
         want = np.zeros((5, 5), dtype=np.float32)
@@ -132,19 +131,13 @@ class TestGenKernel:
         for seed in range(20):
             k = gen_kernel(seed, "gaussian", 5, sigma_range=(0.8, 2.0))
             # recover sigma from the weight ratio between center and side
-            ratio = k.weights[2, 3] / k.weights[2, 2]
+            ratio = k[2, 3] / k[2, 2]
             sigmas.append(math.sqrt(-1.0 / (2.0 * math.log(ratio))))
         assert min(sigmas) >= 0.8 - 1e-3 and max(sigmas) <= 2.0 + 1e-3
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError, match="kind"):
             gen_kernel(0, "box", 5)
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ConfigurationError, match="odd"):
-            BlurKernel(size=4, weights=np.full((4, 4), 1 / 16, dtype=np.float32), kind="gaussian")
-        with pytest.raises(ConfigurationError, match="sum"):
-            BlurKernel(size=3, weights=np.ones((3, 3), dtype=np.float32), kind="gaussian")
 
 
 class TestApplyBlur:
@@ -187,7 +180,7 @@ class TestApplyBlur:
         oracle = np.zeros_like(plane)
         for u in range(size):
             for v in range(size):
-                kw = float(k.weights[u, v])
+                kw = float(k[u, v])
                 if kw:
                     oracle += kw * np.roll(plane, (u - c, v - c), axis=(0, 1))
         out = apply_blur(x, k)
