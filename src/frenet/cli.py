@@ -73,8 +73,8 @@ def _cmd_datagen(args) -> int:
     items = gen_dataset(
         seed=cfg.train.seed,
         count=cfg.data.count,
-        h=cfg.data.image_size,
-        w=cfg.data.image_size,
+        h=2 * cfg.network.base_size,  # RAW pixels, which pack 2x2 into the network's base_size
+        w=2 * cfg.network.base_size,
         spec=cfg.preprocess,
         noise_sigma=cfg.data.noise_sigma,
         kernel_kind=cfg.data.kernel_kind,

@@ -1,13 +1,17 @@
 """Binary file formats: .ften tensors, .fckpt checkpoints, PGM images.
 
-.ften: magic "FTEN1\\n", then rank and each dim as unsigned 32-bit
-little-endian, then the raw 32-bit little-endian float payload.
+Every integer is unsigned 32-bit little-endian, and every float 32-bit
+little-endian.
 
-.fckpt: magic "FRENETCK1\\n"; u32 parameter count; per record a u32 name
-length, the UTF-8 name, u32 rank, u32 dims, and the f32 payload; the same
-record structure again for optimizer moments (names prefixed "adam.m." /
-"adam.v."); then a trailer with the step count, the canonical config text the
-network was built from, and the SHA-256 digest of that text.
+.ften: magic "FTEN1\\n", then rank and each dim, then the float payload.
+
+.fckpt: magic "FRENETCK2\\n"; the config length, the canonical config text
+the network was built from, and the SHA-256 of that text; the SHA-256 of the
+parameter layout, one "name d0 d1 ...\\n" line per parameter in the network's
+order; the step, the buffer count (1, or 3 with Adam's moments) and each
+buffer's float count; then the buffers: every parameter, then every first
+moment, then every second moment, each in the network's order. The config
+fixes every name and shape, so the floats carry neither.
 
 RAW images travel as binary 16-bit PGM ("P5", maxval 65535, big-endian
 samples); the reader also takes 8-bit PGM (maxval <= 255).
@@ -20,7 +24,7 @@ import math
 import os
 import struct
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -28,7 +32,7 @@ from .runconfig import parse_checkpoint_config, render_checkpoint_config
 from .tensor import ConfigurationError
 
 FTEN_MAGIC = b"FTEN1\n"
-CKPT_MAGIC = b"FRENETCK1\n"
+CKPT_MAGIC = b"FRENETCK2\n"
 
 
 def read_utf8(path: str | Path) -> str:
@@ -41,31 +45,18 @@ def read_utf8(path: str | Path) -> str:
 
 
 def write_ften(path: str | Path, array: np.ndarray) -> None:
+    arr = np.require(array, "<f4", "C")  # keeps rank 0, which np.ascontiguousarray makes (1,)
     with open(path, "wb") as fh:
         fh.write(FTEN_MAGIC)
-        _write_array(fh, array)
+        fh.write(struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape))
+        fh.write(memoryview(arr))  # the array's own buffer, not a bytes copy
 
 
-def _write_array(fh, array: np.ndarray) -> None:
-    """u32 rank, u32 dims, then the 32-bit little-endian floats."""
-    arr = np.require(array, "<f4", "C")  # keeps rank 0, which np.ascontiguousarray makes (1,)
-    fh.write(struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape))
-    fh.write(memoryview(arr))  # the array's own buffer, not a bytes copy
-
-
-class _Payload(NamedTuple):
-    """Where a record's floats start in its file, and their shape."""
-
-    offset: int
-    shape: tuple[int, ...]
-
-
-_U32, _U32_PAIR = struct.Struct("<I"), struct.Struct("<II")
+_U32 = struct.Struct("<I")
 
 
 class _Reader:
-    """Parses an open binary file front to back, after checking its magic;
-    payloads can be skipped and read later by where they lie.
+    """Parses an open binary file front to back, after checking its magic.
 
     A read past the end raises ConfigurationError naming the file and the offset.
     """
@@ -76,20 +67,26 @@ class _Reader:
         self.fh, self.path, self.offset = fh, path, len(magic)
         self.size = os.fstat(fh.fileno()).st_size
 
-    def _truncated(self, size: int) -> ConfigurationError:
-        left = self.size - self.offset
-        return ConfigurationError(
-            f"{self.path}: truncated at byte {self.offset} (need {size} bytes, {left} left)"
-        )
+    def _claim(self, size: int) -> int:
+        """Advance over the next ``size`` bytes and return where they start; past the end, raise."""
+        at, left = self.offset, self.size - self.offset
+        if size > left:
+            raise ConfigurationError(f"{self.path}: truncated at byte {at} (need {size} bytes, {left} left)")
+        self.offset += size
+        return at
 
     def read(self, size: int) -> bytes:
-        if size > self.size - self.offset:
-            raise self._truncated(size)
-        self.offset += size
+        self._claim(size)
         return self.fh.read(size)
 
     def unpack(self, fmt: struct.Struct) -> tuple:
         return fmt.unpack(self.read(fmt.size))
+
+    def payload_is(self, size: int) -> None:
+        """Refuse a file whose bytes left are not ``size``."""
+        left = self.size - self.offset
+        if left != size:
+            raise ConfigurationError(f"{self.path}: payload at byte {self.offset} is {left} bytes, not {size}")
 
     def dims(self) -> tuple[int, ...]:
         """u32 rank then u32 dims. A rank over 32, numpy 1's limit, is refused, and so
@@ -104,27 +101,16 @@ class _Reader:
             raise ConfigurationError(f"{self.path}: shape at byte {at} needs over 2**64 bytes")
         return dims
 
-    def skip(self, dims: tuple[int, ...]) -> _Payload:
-        """Seek over the next 32-bit floats of shape ``dims``; returns where they lie."""
-        size = 4 * math.prod(dims)
-        if size > self.size - self.offset:
-            raise self._truncated(size)
-        payload = _Payload(self.offset, dims)
-        self.offset += size
-        self.fh.seek(self.offset)
-        return payload
-
-    def floats(self, payload: _Payload, out: np.ndarray | None = None) -> np.ndarray:
-        """The 32-bit little-endian floats at ``payload``, read straight into ``out``
-        (a C-contiguous float32 array of its shape) or into a new array."""
-        data = np.empty(payload.shape, dtype=np.float32) if out is None else out
-        self.fh.seek(payload.offset)
+    def floats(self, out: np.ndarray) -> np.ndarray:
+        """The next 32-bit little-endian floats, read straight into ``out``, a
+        C-contiguous float32 array of their shape."""
+        at = self._claim(out.nbytes)
         # through a view: its buffer bookkeeping dies with it; a byte cast would refuse a size-0 shape
-        if self.fh.readinto(data[...]) != data.nbytes:
-            raise ConfigurationError(f"{self.path}: truncated at byte {payload.offset}")
-        if data.dtype != np.dtype("<f4"):  # a big-endian host
-            data.byteswap(inplace=True)
-        return data
+        if self.fh.readinto(out[...]) != out.nbytes:
+            raise ConfigurationError(f"{self.path}: truncated at byte {at}")
+        if out.dtype != np.dtype("<f4"):  # a big-endian host
+            out.byteswap(inplace=True)
+        return out
 
 
 def read_ften(path: str | Path) -> np.ndarray:
@@ -133,65 +119,44 @@ def read_ften(path: str | Path) -> np.ndarray:
     with open(path, "rb") as fh:
         reader = _Reader(fh, path, FTEN_MAGIC, ".ften")
         dims = reader.dims()
-        left, expected = reader.size - reader.offset, 4 * math.prod(dims)
-        if left != expected:
-            raise ConfigurationError(f"{path}: payload size {left} != {expected}")
-        data = reader.floats(_Payload(reader.offset, dims))
+        reader.payload_is(4 * math.prod(dims))
+        data = reader.floats(np.empty(dims, np.float32))
     if not _all_finite(data):
         raise ConfigurationError(f"{path}: holds non-finite values (NaN or Inf)")
     return data
 
 
-def _write_record(fh, name: str, array: np.ndarray) -> None:
-    encoded = name.encode("utf-8")
-    fh.write(struct.pack("<I", len(encoded)))
-    fh.write(encoded)
-    _write_array(fh, array)
-
-
-def _read_record(reader: _Reader) -> tuple[str, _Payload]:
-    """A record's name and where its floats lie; the floats are skipped.
-
-    Each field is claimed where it lies, so a cut reports the first field it reaches.
-    """
-    (name_len,) = _U32.unpack(reader.read(4))
-    offset = reader.offset
-    try:
-        name = reader.read(name_len).decode("utf-8")
-    except UnicodeDecodeError:
-        raise ConfigurationError(f"{reader.path}: record name at byte {offset} is not UTF-8") from None
-    return name, reader.skip(reader.dims())
+def _layout_digest(params: dict) -> bytes:
+    """SHA-256 of one "name d0 d1 ..." line per parameter, in order."""
+    lines = "".join(" ".join([name, *map(str, p.shape)]) + "\n" for name, p in params.items())
+    return hashlib.sha256(lines.encode("utf-8")).digest()
 
 
 def save_checkpoint(path: str | Path, net, adam=None, preprocess=None) -> None:
-    """Write ``net``'s parameters and config, and ``adam``'s moments and step (0 without it)."""
+    """Write ``net``'s config and parameters, and ``adam``'s step (0 without it)
+    and its moments once they are laid out.
+
+    Each array is written as it lies, so the parameters need not share a buffer.
+    """
     from .rawdata import PreprocessSpec
 
     preprocess = preprocess if preprocess is not None else PreprocessSpec()
-    config_text = render_checkpoint_config(net.cfg, preprocess)
+    config = render_checkpoint_config(net.cfg, preprocess).encode("utf-8")
     params = net.parameters()
-    moments: list[tuple[str, np.ndarray]] = []
-    if adam is not None:
-        for name in params:
-            if name in adam.m:
-                moments.append((f"adam.m.{name}", adam.m[name]))
-                moments.append((f"adam.v.{name}", adam.v[name]))
+    buffers = [[p.data for p in params.values()]]
+    if adam is not None and adam.m:
+        buffers += [[adam.m[name] for name in params], [adam.v[name] for name in params]]
     step = 0 if adam is None else adam.step
+    count = len(buffers)
 
     def write(tmp: Path) -> None:
         with open(tmp, "wb") as fh:
-            fh.write(CKPT_MAGIC)
-            fh.write(struct.pack("<I", len(params)))
-            for name, p in params.items():
-                _write_record(fh, name, p.data)
-            fh.write(struct.pack("<I", len(moments)))
-            for name, arr in moments:
-                _write_record(fh, name, arr)
-            encoded = config_text.encode("utf-8")
-            fh.write(struct.pack("<I", step))
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(hashlib.sha256(encoded).digest())
+            fh.write(CKPT_MAGIC + _U32.pack(len(config)) + config + hashlib.sha256(config).digest())
+            fh.write(_layout_digest(params))
+            fh.write(struct.pack(f"<{2 + count}I", step, count, *[net.param_count()] * count))
+            for arrays in buffers:
+                for arr in arrays:
+                    fh.write(memoryview(np.require(arr, "<f4", "C")))
 
     _publish(Path(path), write)
 
@@ -215,32 +180,6 @@ def _publish(path: Path, fill: Callable[[Path], None]) -> None:
         tmp.unlink(missing_ok=True)  # gone after a successful replace
 
 
-def _parse_checkpoint(reader: _Reader) -> tuple:
-    """Parse every record header and the trailer, skipping the floats.
-
-    Returns (params, adam_m, adam_v, config_text): the tables mapping record
-    names to where their floats lie, and the config the network was built from.
-    """
-    params = dict(_read_record(reader) for _ in range(reader.unpack(_U32)[0]))
-    moments: dict[str, dict] = {"adam.m.": {}, "adam.v.": {}}
-    for _ in range(reader.unpack(_U32)[0]):
-        name, payload = _read_record(reader)
-        if name[:7] not in moments:
-            raise ConfigurationError(f"{reader.path}: unexpected moment record {name!r}")
-        moments[name[:7]][name[7:]] = payload
-    _step, config_len = reader.unpack(_U32_PAIR)
-    offset = reader.offset
-    trailer = reader.read(config_len + 32)
-    encoded, digest = trailer[:config_len], trailer[config_len:]
-    if hashlib.sha256(encoded).digest() != digest:
-        raise ConfigurationError(f"{reader.path}: config digest mismatch (corrupt checkpoint)")
-    try:
-        config_text = encoded.decode("utf-8")
-    except UnicodeDecodeError:
-        raise ConfigurationError(f"{reader.path}: config at byte {offset} is not UTF-8") from None
-    return params, moments["adam.m."], moments["adam.v."], config_text
-
-
 def _all_finite(a: np.ndarray) -> bool:
     """No NaN and no infinity in ``a``: its min and max carry either, and take
     no mask of its size. An empty ``a`` has neither."""
@@ -250,46 +189,45 @@ def _all_finite(a: np.ndarray) -> bool:
 def restore_network(path: str | Path):
     """Rebuild the network a checkpoint describes and load its parameters.
 
-    The headers are parsed first, to reach the config; the network is built
-    from it without initial values (no random draws), and each parameter's
-    floats are then read straight into its slice of the network's buffer, so
-    the weights exist once. Parameters must be finite: one NaN weight would
-    turn every output pixel into NaN. The optimizer moments' records must
-    pair up and match their parameters' shapes, but their floats and the
-    step stay on disk. Returns (net, preprocess_spec).
+    The header is read first, and the bytes after it must be the floats it
+    counts, so a cut file is refused before anything is built. The network is
+    then built from the stored config without initial values (no random
+    draws), and its layout digest and float count must match the header's.
+    Each parameter's floats are read straight into its slice of the network's
+    buffer, so the weights exist once. Parameters must be finite: one NaN
+    weight would turn every output pixel into NaN. The optimizer moments and
+    the step stay on disk. Returns (net, preprocess_spec).
     """
     from .arch import build_frenet
 
     with open(path, "rb") as fh:
         reader = _Reader(fh, path, CKPT_MAGIC, ".fckpt")
-        stored, adam_m, adam_v, config_text = _parse_checkpoint(reader)
+        (config_len,) = reader.unpack(_U32)
+        at = reader.offset
+        encoded = reader.read(config_len)
+        if hashlib.sha256(encoded).digest() != reader.read(32):
+            raise ConfigurationError(f"{path}: config digest mismatch (corrupt checkpoint)")
+        try:
+            config_text = encoded.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ConfigurationError(f"{path}: config at byte {at} is not UTF-8") from None
+        layout = reader.read(32)
+        reader.unpack(_U32)  # the step, which no caller reads
+        at = reader.offset
+        (buffers,) = reader.unpack(_U32)
+        if buffers not in (1, 3):
+            raise ConfigurationError(f"{path}: buffer count {buffers} at byte {at} is not 1 or 3")
+        counts = struct.unpack(f"<{buffers}I", reader.read(4 * buffers))
+        reader.payload_is(4 * sum(counts))
         net_cfg, preprocess = parse_checkpoint_config(config_text)
         net = build_frenet(net_cfg, seed=None)
         params = net.parameters()
-        missing = sorted(set(params) - set(stored))
-        extra = sorted(set(stored) - set(params))
-        if missing or extra:
+        if layout != _layout_digest(params) or set(counts) != {net.param_count()}:
             raise ConfigurationError(
-                f"{path}: parameter tree mismatch (missing {missing[:3]}, extra {extra[:3]})"
+                f"{path}: parameter layout mismatch: the floats do not fit the network its config builds"
             )
         for name, p in params.items():
-            shape = stored[name].shape
-            if shape != p.data.shape:
-                raise ConfigurationError(f"{path}: shape mismatch for {name}: {shape} vs {p.data.shape}")
-        unpaired = sorted(set(adam_m) ^ set(adam_v))
-        unknown = sorted(set(adam_m) - set(params))
-        if unpaired or unknown:
-            raise ConfigurationError(
-                f"{path}: optimizer moment mismatch (unpaired {unpaired[:3]}, unknown {unknown[:3]})"
-            )
-        for name, m in adam_m.items():
-            shape, v = params[name].data.shape, adam_v[name]
-            if m.shape != shape or v.shape != shape:
-                raise ConfigurationError(
-                    f"{path}: moment shape mismatch for {name}: {m.shape}/{v.shape} vs {shape}"
-                )
-        for name, p in params.items():
-            if not _all_finite(reader.floats(stored[name], out=p.data)):
+            if not _all_finite(reader.floats(p.data)):
                 raise ConfigurationError(f"{path}: parameter {name} holds non-finite values (NaN or Inf)")
     return net, preprocess
 

@@ -21,7 +21,6 @@ from .train import TrainConfig
 @dataclass
 class DatasetParams:
     count: int = 200
-    image_size: int = 64  # RAW (pre-packing) height and width
     noise_sigma: float = 0.002
     kernel_kind: str = "gaussian"
     kernel_size: int = 5
@@ -31,8 +30,6 @@ class DatasetParams:
     def validate(self) -> None:
         if self.count < 1:
             raise ConfigurationError(f"count must be >= 1, got {self.count}")
-        if self.image_size < 2 or self.image_size % 2:
-            raise ConfigurationError(f"image_size must be even and >= 2, got {self.image_size}")
         if self.noise_sigma < 0:
             raise ConfigurationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.kernel_kind not in ("gaussian", "motion", "mixed", "none"):
@@ -154,11 +151,6 @@ def parse_run_config(text: str) -> RunConfig:
     cfg.network.validate()
     cfg.train.validate()
     cfg.data.validate()
-    if cfg.data.image_size != 2 * cfg.network.base_size:
-        raise ConfigurationError(
-            f"image_size {cfg.data.image_size} must be 2 * base_size = {2 * cfg.network.base_size}: "
-            "the network trains on RAW images that pack 2x2 into base_size pixels"
-        )
     return cfg
 
 

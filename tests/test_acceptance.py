@@ -28,7 +28,8 @@ from frenet.verify import run_suites
 
 
 def _run_suite(capsys, tag, suite, bound=None):
-    """Run a suite as `frenet verify --suite <suite>` does, assert that it passes, and print its lines."""
+    """Run a suite as `frenet verify --suite <suite>` does, assert that it passes, print its lines
+    and return them."""
     start = time.time()
     ok = run_suites(suite)
     elapsed = time.time() - start
@@ -40,6 +41,7 @@ def _run_suite(capsys, tag, suite, bound=None):
     print(f"\n[{tag}] PASS {suite} suite, {elapsed:.1f}s{limit}")
     for line in lines:
         print(f"  {line}")
+    return lines
 
 
 def test_a1_spectral_suite(capsys):
@@ -47,7 +49,8 @@ def test_a1_spectral_suite(capsys):
 
 
 def test_a2_gradient_suite(capsys):
-    _run_suite(capsys, "A2", "grad", bound=120.0)
+    lines = _run_suite(capsys, "A2", "grad", bound=120.0)
+    assert any("/500 probes" in line for line in lines), lines  # `frenet verify` runs A2's full count
 
 
 def test_a3_training_sanity():

@@ -74,6 +74,15 @@ class TestFten:
             read_ften(path)
 
 
+def _config_bytes(net) -> bytes:
+    return render_checkpoint_config(net.cfg, PreprocessSpec()).encode("utf-8")
+
+
+def _header_size(net, buffers) -> int:
+    """Magic, config length, config, its digest, layout digest, step, buffer count, float counts."""
+    return len(CKPT_MAGIC) + 4 + len(_config_bytes(net)) + 64 + 8 + 4 * buffers
+
+
 class TestCheckpoint:
     def test_round_trip_restores_network(self, tmp_path):
         net = build_frenet(tiny_config(base_size=16), seed=3)
@@ -94,13 +103,12 @@ class TestCheckpoint:
         x = Tensor(np.random.default_rng(1).uniform(0, 1, (4, 16, 16)).astype(np.float32))
         assert np.array_equal(net.forward(x).data, restored.forward(x).data)
 
-    def test_config_digest_guards_trailer(self, tmp_path):
+    def test_config_digest_guards_the_config(self, tmp_path):
         net = build_frenet(tiny_config(base_size=16), seed=0)
         path = tmp_path / "net.fckpt"
         save_checkpoint(path, net)
         blob = bytearray(path.read_bytes())
-        # flip one byte inside the stored config text (the tail is digest + text)
-        blob[-40] ^= 0xFF
+        blob[len(CKPT_MAGIC) + 10] ^= 0xFF  # a byte inside the stored config text
         path.write_bytes(bytes(blob))
         with pytest.raises(ConfigurationError, match="digest"):
             restore_network(path)
@@ -152,39 +160,25 @@ class TestCheckpoint:
         path = tmp_path / "net.fckpt"
         save_checkpoint(path, net)
         blob = path.read_bytes()
-        # the trailer is step, config length, config text, digest; a valid digest
-        # of a config that does not decode
-        config_len = len(render_checkpoint_config(net.cfg, PreprocessSpec()).encode())
-        head = blob[: len(blob) - 32 - config_len - 4]
-        path.write_bytes(head + struct.pack("<I", 1) + b"\xff" + hashlib.sha256(b"\xff").digest())
+        # a valid digest of a config that does not decode, and the rest of the file as it was
+        rest = blob[len(CKPT_MAGIC) + 4 + len(_config_bytes(net)) + 32 :]
+        path.write_bytes(CKPT_MAGIC + struct.pack("<I", 1) + b"\xff" + hashlib.sha256(b"\xff").digest() + rest)
         with pytest.raises(ConfigurationError,
-                           match=f"^{re.escape(str(path))}: config at byte {len(head) + 4} is not UTF-8"):
+                           match=f"^{re.escape(str(path))}: config at byte {len(CKPT_MAGIC) + 4} is not UTF-8"):
             restore_network(path)
 
-    def test_saved_without_optimizer_state(self, tmp_path):
+    @pytest.mark.parametrize("adam", ["none", "no moments yet"])
+    def test_saved_without_optimizer_moments_holds_one_buffer(self, tmp_path, adam):
+        # train() saves a state with no moments when its first loss is not finite
         net = build_frenet(tiny_config(base_size=16), seed=0)
         path = tmp_path / "net.fckpt"
-        save_checkpoint(path, net)
+        save_checkpoint(path, net, adam=None if adam == "none" else AdamState())
+        at = _header_size(net, 1) - 12
+        assert struct.unpack_from("<3I", path.read_bytes(), at) == (0, 1, net.param_count())
+        assert path.stat().st_size == _header_size(net, 1) + 4 * net.param_count()
         restored, _ = restore_network(path)
-        assert set(restored.parameters()) == set(net.parameters())
-
-    @pytest.mark.parametrize("tamper", ["unpaired", "unknown", "shape"])
-    def test_unmatched_adam_moments_rejected(self, tmp_path, tamper):
-        net = build_frenet(tiny_config(base_size=16), seed=0)
-        state = AdamState(step=3)
-        state.lay_out(list(net.parameters().values()))
-        if tamper == "shape":
-            state.m["intro.bias"] = np.zeros(3, dtype=np.float32)
-        path = tmp_path / "net.fckpt"
-        save_checkpoint(path, net, adam=state)
-        blob = path.read_bytes()
-        if tamper == "unpaired":
-            blob = blob.replace(b"adam.v.intro.weight", b"adam.m.intro.weight")
-        elif tamper == "unknown":
-            blob = blob.replace(b".intro.weight", b".intro.weighx")
-        path.write_bytes(blob)
-        with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path))}: .*moment"):
-            restore_network(path)
+        for name, p in net.parameters().items():
+            assert np.array_equal(restored.parameters()[name].data, p.data)
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         import frenet.fileio as fileio
@@ -195,48 +189,55 @@ class TestCheckpoint:
         before = path.read_bytes()
         for p in net.parameters().values():
             p.data = p.data + 1.0
-        write_record, calls = fileio._write_record, []
 
-        def failing_write_record(fh, name, array):
-            calls.append(name)
-            if len(calls) == 3:
-                raise OSError("disk full")
-            write_record(fh, name, array)
+        class DiskFull:
+            """A file whose fifth write, one of the floats, fails."""
 
-        monkeypatch.setattr(fileio, "_write_record", failing_write_record)
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 5:
+                    raise OSError("disk full")
+                return self.fh.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(fileio, "open", lambda file, mode: DiskFull(open(file, mode)), raising=False)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(path, net)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["best.fckpt"]
 
-    @pytest.mark.parametrize("moments", ["every parameter", "some parameters"])
-    def test_bytes_match_an_independent_writer(self, tmp_path, moments):
-        # moments of some parameters are written in the parameters' order
+    def test_bytes_match_an_independent_writer(self, tmp_path):
+        # the parameters need not share a buffer, as after perfbench's reset
         net = build_frenet(tiny_config(base_size=16), seed=2)
+        params = net.parameters()
+        for p in params.values():
+            p.data = p.data.copy()
         rng = np.random.default_rng(3)
         state = AdamState(step=9)
-        state.lay_out([p for name, p in net.parameters().items()
-                       if moments == "every parameter" or name.startswith("enc1.")])
+        state.lay_out(list(params.values()))
         for name, m in state.m.items():
             m[...] = rng.standard_normal(m.shape)
             state.v[name][...] = rng.uniform(0, 1, m.shape)
         path = tmp_path / "net.fckpt"
         save_checkpoint(path, net, adam=state)
 
-        def record(name, arr):
-            encoded = name.encode("utf-8")
-            return (struct.pack("<I", len(encoded)) + encoded + struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape)
-                    + arr.astype("<f4").tobytes())
-
-        params = net.parameters()
-        config = render_checkpoint_config(net.cfg, PreprocessSpec()).encode("utf-8")
+        config = _config_bytes(net)
+        layout = "".join(f"{name} {' '.join(str(d) for d in p.data.shape)}\n" for name, p in params.items())
+        floats = sum(p.data.size for p in params.values())
         expected = b"".join([
-            CKPT_MAGIC, struct.pack("<I", len(params)),
-            *(record(name, p.data) for name, p in params.items()),
-            struct.pack("<I", 2 * len(state.m)),
-            *(record(f"adam.{k}.{name}", getattr(state, k)[name]) for name in params if name in state.m
-              for k in "mv"),
-            struct.pack("<II", 9, len(config)), config, hashlib.sha256(config).digest(),
+            CKPT_MAGIC, struct.pack("<I", len(config)), config, hashlib.sha256(config).digest(),
+            hashlib.sha256(layout.encode()).digest(), struct.pack("<5I", 9, 3, floats, floats, floats),
+            *(p.data.astype("<f4").tobytes() for p in params.values()),
+            *(state.m[name].astype("<f4").tobytes() for name in params),
+            *(state.v[name].astype("<f4").tobytes() for name in params),
         ])
         assert path.read_bytes() == expected
 
@@ -245,9 +246,9 @@ class TestCheckpoint:
         path = tmp_path / "net.fckpt"
         save_checkpoint(path, net)
         restored, preprocess = restore_network(path)
-        config_text = render_checkpoint_config(restored.cfg, preprocess)
-        blob = path.read_bytes()
-        assert blob[-32:] == hashlib.sha256(config_text.encode()).digest()
+        config = render_checkpoint_config(restored.cfg, preprocess).encode()
+        at = len(CKPT_MAGIC) + 4 + len(config)
+        assert path.read_bytes()[at : at + 32] == hashlib.sha256(config).digest()
 
 
 class TestPnm:
@@ -278,30 +279,35 @@ class TestPnm:
         assert back[0].tolist() == [[0, 1, 2], [253, 254, 255]]
 
 
-def test_restore_rejects_mismatched_geometry(tmp_path):
-    # a checkpoint describes its own geometry; loading into a different tree
-    # must fail loudly rather than silently skip parameters
-    net16 = build_frenet(tiny_config(base_size=16), seed=0)
+@pytest.mark.parametrize("tamper", ["layout digest", "float count", "config"])
+def test_restore_rejects_mismatched_geometry(tmp_path, tamper):
+    # a checkpoint's floats must fit the network its config builds, name for
+    # name and shape for shape, or it fails loudly rather than load them askew
+    net = build_frenet(tiny_config(base_size=16), seed=0)
     path = tmp_path / "n.fckpt"
-    save_checkpoint(path, net16)
-    blob = path.read_bytes()
-    for old, new in [
-        (b"final.bias", b"final.bixs"),  # one record renamed: the trees disagree
-        (b"intro.weight" + struct.pack("<5I", 4, 4, 4, 3, 3),  # same payload, other shape
-         b"intro.weight" + struct.pack("<5I", 4, 2, 8, 3, 3)),
-    ]:
-        assert blob.count(old) == 1
-        path.write_bytes(blob.replace(old, new))
-        with pytest.raises(ConfigurationError, match="mismatch"):
-            restore_network(path)
+    save_checkpoint(path, net)
+    blob, at = path.read_bytes(), _header_size(net, 1)
+    if tamper == "layout digest":  # its last byte flipped
+        blob = blob[: at - 13] + bytes([blob[at - 13] ^ 1]) + blob[at - 12 :]
+    elif tamper == "float count":  # one more float counted, and one more there
+        blob = blob[: at - 4] + struct.pack("<I", net.param_count() + 1) + blob[at:] + bytes(4)
+    else:  # a stored config of another width, with its own digest and the same floats
+        wider = render_checkpoint_config(tiny_config(base_size=16, width=8), PreprocessSpec()).encode()
+        blob = (CKPT_MAGIC + struct.pack("<I", len(wider)) + wider + hashlib.sha256(wider).digest()
+                + blob[len(CKPT_MAGIC) + 4 + len(_config_bytes(net)) + 32 :])
+    path.write_bytes(blob)
+    with pytest.raises(ConfigurationError, match="layout mismatch"):
+        restore_network(path)
 
 
 class TestTruncation:
     """Every prefix of a valid file either parses or raises ConfigurationError."""
 
-    def test_checkpoint_prefixes(self, tmp_path):
-        # restore parses the headers first and reads the payloads after the
-        # network is built; a cut anywhere must stop it in the first pass
+    def test_checkpoint_prefixes(self, tmp_path, monkeypatch):
+        # the header counts every float that follows it, so a cut anywhere is
+        # refused before the network is built
+        import frenet.arch as arch
+
         net = build_frenet(tiny_config(base_size=16), seed=0)
         state = AdamState(step=1)
         state.lay_out(list(net.parameters().values()))
@@ -310,12 +316,15 @@ class TestTruncation:
         path = tmp_path / "net.fckpt"
         save_checkpoint(path, net, adam=state)
         blob = path.read_bytes()
+        builds = []
+        monkeypatch.setattr(arch, "build_frenet", lambda *args, **kwargs: builds.append(args))
         cut_path = tmp_path / "cut.fckpt"
         for cut in [*range(0, 64), *range(64, len(blob), 97),
                     len(blob) // 3, len(blob) // 2, len(blob) - 100, len(blob) - 1]:
             cut_path.write_bytes(blob[:cut])
             with pytest.raises(ConfigurationError, match="cut.fckpt"):
                 restore_network(cut_path)
+        assert builds == []
 
     def test_ften_prefixes(self, tmp_path):
         path = tmp_path / "x.ften"
@@ -335,20 +344,39 @@ class TestTruncation:
             with pytest.raises(ConfigurationError, match="a.pgm"):
                 read_pgm16(path)
 
-    @pytest.mark.parametrize("kind", ["ften", "fckpt"])
-    def test_a_shape_past_64_bits_is_named_briefly(self, tmp_path, kind):
+    def test_a_shape_past_64_bits_is_named_briefly(self, tmp_path):
         # a rank-32 shape of 0xFFFFFFFF dims needs a 310-digit byte count, which the message printed
         huge = struct.pack("<33I", 32, *[0xFFFFFFFF] * 32)
-        path = tmp_path / f"r32.{kind}"
-        # the shape is the file's last field: for a checkpoint, that of one record named "w"
-        blob = FTEN_MAGIC + huge if kind == "ften" else CKPT_MAGIC + struct.pack("<2I", 1, 1) + b"w" + huge
-        path.write_bytes(blob)
+        path = tmp_path / "r32.ften"
+        path.write_bytes(FTEN_MAGIC + huge)
         with pytest.raises(ConfigurationError) as exc:
-            (read_ften if kind == "ften" else restore_network)(path)
+            read_ften(path)
         message = str(exc.value)
-        assert message.startswith(f"{path}: ") and f"at byte {len(blob) - len(huge)} " in message
+        assert message.startswith(f"{path}: ") and f"at byte {len(FTEN_MAGIC)} " in message
         assert "over 2**64" in message
         assert len(message) - len(str(path)) < 80 and not re.search(r"\d{21}", message)
+
+    @pytest.mark.parametrize("field", ["config length", "buffer count", "float count"])
+    def test_oversized_checkpoint_header_number_is_refused_unallocated(self, tmp_path, field):
+        # each field set to what no valid file holds, past the bytes the file has
+        net = build_frenet(tiny_config(base_size=16), seed=0)
+        path = tmp_path / "big.fckpt"
+        save_checkpoint(path, net)
+        blob, at = path.read_bytes(), _header_size(net, 1)
+        field_at = {"config length": len(CKPT_MAGIC), "buffer count": at - 8, "float count": at - 4}[field]
+        value = 2 if field == "buffer count" else 0xFFFFFFFF
+        path.write_bytes(blob[:field_at] + struct.pack("<I", value) + blob[field_at + 4 :])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError) as exc:
+                restore_network(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        message = str(exc.value)
+        assert message.startswith(f"{path}: ") and " at byte " in message and "\n" not in message
+        assert len(message) - len(str(path)) < 80
 
     def test_malformed_pnm_header(self, tmp_path):
         path = tmp_path / "bad.pgm"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import frenet.train as train_module
 from frenet.arch import NetworkConfig, build_frenet, tiny_config
-from frenet.fileio import save_checkpoint
+from frenet.fileio import restore_network, save_checkpoint
 from frenet.rawdata import PreprocessSpec, gen_dataset
 from frenet.tensor import ConfigurationError, EvaluationError, Parameter, Tensor, no_grad, observe, on_leaf
 from frenet.train import (
@@ -281,7 +281,11 @@ class TestTrainLoop:
         with pytest.raises(EvaluationError, match="batch"):
             train(net, corpus, TrainConfig(epochs=1, batch=2, val_count=0, seed=6),
                   out_dir=tmp_path, val_pairs=[])
-        assert (tmp_path / "final.fckpt").exists()  # last-good state persisted
+        # last-good state persisted: no moments exist before the first update, so one buffer
+        ckpt = tmp_path / "final.fckpt"
+        assert 4 * net.param_count() < ckpt.stat().st_size < 8 * net.param_count()
+        restored = restore_network(ckpt)[0].parameters()
+        assert all(np.array_equal(restored[name].data, p.data) for name, p in net.parameters().items())
 
     def test_validation_keeps_no_tape_and_training_still_fills_gradients(self):
         corpus = tiny_corpus(count=4, size=16)
